@@ -37,6 +37,9 @@ from .repeater import (PRESETS, PRESET_CHI_SOURCE, sweep_distance,
 
 OUTPUT_DIR_ENV = "DLCZSIM_OUT"
 RECORDS_LIMIT = 1_000_000  # per-trial CSVs above this are refused
+# Version of the engine's random streams, recorded in simulate provenance:
+# v2 samples one uniform per trial from the exact outcome table.
+STREAM_VERSION = "v2"
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -162,6 +165,7 @@ def cmd_simulate(args) -> int:
                 "theta_as_deg": math.degrees(table.settings.theta_as),
                 "trials": args.trials,
                 "double_pair": cfg.double_pair,
+                "stream": STREAM_VERSION,
             })
             path = out / f"counts_t{ti:02d}_a{ai:02d}.csv"
             write_counts_csv(path, [table], prov)
@@ -458,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'canonical' or comma list of thetaS:thetaAS in "
                         "degrees (default 0:0)")
     p.add_argument("--workers", type=int, default=1,
-                   help="parallel workers (never changes the results)")
+                   help="accepted for compatibility (>= 1); has no effect")
     p.add_argument("--records", action="store_true",
                    help="also write per-trial records")
     p.set_defaults(func=cmd_simulate)

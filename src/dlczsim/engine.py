@@ -1,18 +1,22 @@
 """Seeded trial-level Monte Carlo of the write/feed-forward/read cycle.
 
-Reproducibility contract: every trial's random decisions come from
-counter-based Philox streams keyed by (seed, run_tag, setting index, draw
-role, block index) with a fixed block length. Counts are therefore
-bit-identical for a fixed seed regardless of execution order or the number
-of workers; merging blocks is plain integer addition.
+The trial logic is written once, in :func:`_decide_one`. Running it on
+interval-valued draws (:func:`_cells`) splits the unit cube of its uniforms
+into cells of constant outcome, which gives the exact outcome distribution
+of one trial; the engine samples each trial's outcome from that table.
+
+Reproducibility contract: every trial's outcome comes from one uniform of a
+counter-based Philox stream keyed by (seed, run_tag, setting index, block
+index) with a fixed block length. Counts are therefore bit-identical for a
+fixed seed; merging blocks is plain integer addition. ``workers`` is
+accepted and validated but has no effect.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,13 +28,16 @@ from .params import CycleTiming, ExperimentParams
 # Trials per RNG block. Fixed: changing it changes sampled streams.
 BLOCK_TRIALS = 1 << 20
 
-# Draw roles (one substream per role). Roles 9-12 exist only when
+# Draw roles of _decide_one's uniforms. Roles 9-12 exist only when
 # double-pair sampling is enabled.
 _N_COLS_SINGLE = 9
 _N_COLS_DOUBLE = 13
 (_U_PAIR, _U_S_DETECT, _U_S_WHICH, _U_S_BG, _U_S_BG_WHICH,
  _U_RETRIEVE, _U_AS_WHICH, _U_AS_BG, _U_AS_BG_WHICH,
  _U_P2_S_DETECT, _U_P2_S_WHICH, _U_P2_RETRIEVE, _U_P2_AS_WHICH) = range(13)
+
+# A trial outcome: (s_click, s_d1, as_click, as_d3, pair_created).
+_Outcome = Tuple[bool, bool, bool, bool, bool]
 
 
 @dataclass(frozen=True)
@@ -111,66 +118,12 @@ def _trial_model(params: ExperimentParams, t: float, angles: AngleSettings,
     )
 
 
-def _simulate_block(model: _TrialModel, u: np.ndarray):
-    """Vectorized trial decisions for a (n, n_cols) matrix of uniforms.
-
-    Returns boolean arrays (s_click, s_d1, as_click, as_d3, pair_created).
-    Click priority on collisions: first pair's photon, then second pair's,
-    then channel background.
-    """
-    pair1 = u[:, _U_PAIR] < model.chi
-    s_sig1 = pair1 & (u[:, _U_S_DETECT] < model.p_s_detect)
-    s_bg = u[:, _U_S_BG] < model.p_s_bg
-    if model.double_pair:
-        pair2 = u[:, _U_PAIR] < model.chi2_half  # nested inside pair1
-        s_sig2 = pair2 & (u[:, _U_P2_S_DETECT] < model.p_s_detect)
-    else:
-        pair2 = np.zeros_like(pair1)
-        s_sig2 = pair2
-
-    s_click = s_sig1 | s_sig2 | s_bg
-    if model.double_pair:
-        s_d1 = np.where(
-            s_sig1, u[:, _U_S_WHICH] < 0.5,
-            np.where(s_sig2, u[:, _U_P2_S_WHICH] < 0.5,
-                     u[:, _U_S_BG_WHICH] < 0.5))
-    else:
-        s_d1 = np.where(s_sig1, u[:, _U_S_WHICH] < 0.5,
-                        u[:, _U_S_BG_WHICH] < 0.5)
-
-    # Feed-forward: the read fires only after a heralding Stokes click.
-    read = s_click
-    ret1 = read & pair1 & (u[:, _U_RETRIEVE] < model.p_retrieve)
-    # The retrieved photon is correlated with its own Stokes photon; if that
-    # photon was not the recorded herald the reduced state is maximally
-    # mixed and the detector choice is 50/50.
-    as1_d3 = np.where(s_sig1,
-                      s_d1 == (u[:, _U_AS_WHICH] < model.match_prob),
-                      u[:, _U_AS_WHICH] < 0.5)
-    as_bg = read & (u[:, _U_AS_BG] < model.p_as_bg)
-    as_bg_d3 = u[:, _U_AS_BG_WHICH] < 0.5
-
-    if model.double_pair:
-        ret2 = read & pair2 & (u[:, _U_P2_RETRIEVE] < model.p_retrieve)
-        herald2 = s_sig2 & ~s_sig1
-        as2_d3 = np.where(herald2,
-                          s_d1 == (u[:, _U_P2_AS_WHICH] < model.match_prob),
-                          u[:, _U_P2_AS_WHICH] < 0.5)
-        as_click = ret1 | ret2 | as_bg
-        as_d3 = np.where(ret1, as1_d3, np.where(ret2, as2_d3, as_bg_d3))
-    else:
-        as_click = ret1 | as_bg
-        as_d3 = np.where(ret1, as1_d3, as_bg_d3)
-
-    return s_click, s_d1, as_click, as_d3, pair1
-
-
 def _decide_one(model: _TrialModel, u: Sequence[float]):
-    """Scalar reference implementation of one trial's decisions.
+    """The decisions of one trial, given one uniform per draw role.
 
-    Consumes the same draw roles as :func:`_simulate_block`; kept as
-    independent straight-line code so the two can be tested against each
-    other on identical uniforms.
+    Click priority on collisions: first pair's photon, then second pair's,
+    then channel background. Every draw is used only as ``u[role] < cut``,
+    which is what lets :func:`_cells` run it on intervals.
     """
     pair1 = u[_U_PAIR] < model.chi
     pair2 = model.double_pair and u[_U_PAIR] < model.chi2_half
@@ -187,8 +140,11 @@ def _decide_one(model: _TrialModel, u: Sequence[float]):
     else:
         s_click, s_d1 = False, False
 
+    # Feed-forward: the read fires only after a heralding Stokes click. A
+    # retrieved photon is correlated with its own Stokes photon; if that
+    # photon was not the recorded herald, its detector choice is 50/50.
     as_click, as_d3 = False, False
-    if s_click:  # read pulse fires
+    if s_click:
         if pair1 and u[_U_RETRIEVE] < model.p_retrieve:
             as_click = True
             if s_sig1:
@@ -207,30 +163,92 @@ def _decide_one(model: _TrialModel, u: Sequence[float]):
     return s_click, s_d1, as_click, as_d3, pair1
 
 
-def _block_uniforms(seed: int, run_tag: int, setting_index: int,
-                    block: int, n: int, n_cols: int) -> np.ndarray:
-    """Uniforms for one block, one Philox substream per draw role."""
-    u = np.empty((n, n_cols))
-    for col in range(n_cols):
-        ss = np.random.SeedSequence(
-            entropy=seed, spawn_key=(run_tag, setting_index, col, block))
-        u[:, col] = np.random.Generator(np.random.Philox(ss)).random(n)
-    return u
+class _Draw:
+    """``u[role]`` of a :class:`_Probe`: comparing it asks the probe."""
+
+    def __init__(self, probe: "_Probe", role: int):
+        self.probe, self.role = probe, role
+
+    def __lt__(self, cut: float) -> bool:
+        return self.probe.below(self.role, cut)
 
 
-def _count_block(model: _TrialModel, seed: int, run_tag: int,
-                 setting_index: int, block: int, n: int) -> np.ndarray:
-    u = _block_uniforms(seed, run_tag, setting_index, block, n, model.n_cols)
-    s_click, s_d1, as_click, as_d3, _ = _simulate_block(model, u)
-    coinc = s_click & as_click
-    return np.array([
-        np.count_nonzero(s_click & s_d1),
-        np.count_nonzero(s_click & ~s_d1),
-        np.count_nonzero(coinc & s_d1 & as_d3),      # c13
-        np.count_nonzero(coinc & ~s_d1 & ~as_d3),    # c24
-        np.count_nonzero(coinc & s_d1 & ~as_d3),     # c14
-        np.count_nonzero(coinc & ~s_d1 & as_d3),     # c23
-    ], dtype=np.int64)
+class _Probe:
+    """Interval-valued stand-in for the uniforms fed to :func:`_decide_one`.
+
+    Each role starts on [0, 1). A cut inside a role's interval splits it:
+    the branch comes from ``path`` ("below" past its end), and the cell's
+    weight shrinks by that branch's share of the interval.
+    """
+
+    def __init__(self, n_cols: int, path: Sequence[bool]):
+        self.lo, self.hi = [0.0] * n_cols, [1.0] * n_cols
+        self.path, self.splits, self.weight = list(path), 0, 1.0
+
+    def __getitem__(self, role: int) -> _Draw:
+        return _Draw(self, role)
+
+    def below(self, role: int, cut: float) -> bool:
+        lo, hi = self.lo[role], self.hi[role]
+        if not lo < cut < hi:
+            return cut >= hi
+        if self.splits == len(self.path):
+            self.path.append(True)
+        taken = self.path[self.splits]
+        self.splits += 1
+        self.weight *= ((cut - lo) if taken else (hi - cut)) / (hi - lo)
+        (self.hi if taken else self.lo)[role] = cut
+        return taken
+
+
+def _cells(model: _TrialModel) -> Iterator[tuple]:
+    """Partition [0, 1)^n_cols into boxes on which ``_decide_one`` is constant.
+
+    Yields ``(outcome, probability, lo, hi)`` per box, depth first, so the
+    order is deterministic. Every box has positive probability.
+    """
+    pending: List[Tuple[bool, ...]] = [()]
+    while pending:
+        path = pending.pop()
+        probe = _Probe(model.n_cols, path)
+        outcome = tuple(bool(v) for v in _decide_one(model, probe))
+        for depth in range(len(path), probe.splits):
+            pending.append(tuple(probe.path[:depth]) + (False,))
+        yield outcome, probe.weight, probe.lo, probe.hi
+
+
+def _outcome_table(model: _TrialModel) -> Tuple[List[_Outcome], np.ndarray]:
+    """Sorted outcomes of one trial and their cumulative probabilities."""
+    probs = {}
+    for outcome, weight, _, _ in _cells(model):
+        probs[outcome] = probs.get(outcome, 0.0) + weight
+    outcomes = sorted(probs)
+    return outcomes, np.cumsum([probs[o] for o in outcomes])
+
+
+def _count_matrix(outcomes: Sequence[_Outcome]) -> np.ndarray:
+    """Per outcome, its contribution to (n_d1, n_d2, c13, c24, c14, c23)."""
+    return np.array([(s and d1, s and not d1,
+                      s and a and d1 and d3, s and a and not (d1 or d3),
+                      s and a and d1 and not d3, s and a and d3 and not d1)
+                     for s, d1, a, d3, _ in outcomes], dtype=np.int64)
+
+
+def _block_outcomes(cdf: np.ndarray, seed: int, run_tag: int,
+                    setting_index: int, block: int, n: int) -> np.ndarray:
+    """Outcome index of each trial in one block, one Philox uniform each."""
+    ss = np.random.SeedSequence(
+        entropy=seed, spawn_key=(run_tag, setting_index, block))
+    u = np.random.Generator(np.random.Philox(ss)).random(n)
+    return np.searchsorted(cdf[:-1], u, side="right")
+
+
+def _record(trial_index: int, t: float, outcome: _Outcome) -> TrialRecord:
+    s_click, s_d1, as_click, as_d3, pair = outcome
+    return TrialRecord(trial_index, t,
+                       ("D1" if s_d1 else "D2") if s_click else None,
+                       ("D3" if as_d3 else "D4") if as_click else None,
+                       bool(pair))
 
 
 def run_trial(params: ExperimentParams, t: float, angles: AngleSettings,
@@ -243,20 +261,16 @@ def run_trial(params: ExperimentParams, t: float, angles: AngleSettings,
     """
     model = _trial_model(params, t, angles, double_pair)
     u = rng_stream.random(model.n_cols)
-    s_click, s_d1, as_click, as_d3, pair = _decide_one(model, u)
-    return TrialRecord(
-        trial_index=trial_index,
-        storage_time=t,
-        stokes_click=("D1" if s_d1 else "D2") if s_click else None,
-        antistokes_click=("D3" if as_d3 else "D4") if as_click else None,
-        pair_created=bool(pair),
-    )
+    return _record(trial_index, t, _decide_one(model, u))
 
 
-def _blocks(n_trials: int):
+def _blocks(n_trials: int) -> Iterator[Tuple[int, int]]:
+    """(block index, size) of each RNG block, produced lazily."""
     full, rem = divmod(n_trials, BLOCK_TRIALS)
-    sizes = [BLOCK_TRIALS] * full + ([rem] if rem else [])
-    return list(enumerate(sizes))
+    for block in range(full):
+        yield block, BLOCK_TRIALS
+    if rem:
+        yield full, rem
 
 
 def run_experiment(params: ExperimentParams, timing: CycleTiming, t: float,
@@ -268,7 +282,8 @@ def run_experiment(params: ExperimentParams, timing: CycleTiming, t: float,
 
     Counts are exact sums over trials; the simulated wall time follows the
     preparation/run duty cycle of ``timing``. Identical (seed, run_tag,
-    settings) always produce identical tables, independent of ``workers``.
+    settings) always produce identical tables. ``workers`` must be >= 1 and
+    has no effect.
     """
     if not angle_list:
         raise ParameterError("angle_list must contain at least one setting")
@@ -279,33 +294,17 @@ def run_experiment(params: ExperimentParams, timing: CycleTiming, t: float,
     if workers < 1:
         raise ParameterError("workers must be >= 1")
 
-    tasks = []
-    for s_idx, angles in enumerate(angle_list):
-        model = _trial_model(params, t, angles, double_pair)
-        for block, size in _blocks(n_trials_per_setting):
-            tasks.append((s_idx, model, block, size))
-
-    totals = {s_idx: np.zeros(6, dtype=np.int64)
-              for s_idx in range(len(angle_list))}
-
-    def job(task):
-        s_idx, model, block, size = task
-        return s_idx, _count_block(model, seed, run_tag, s_idx, block, size)
-
-    if workers == 1:
-        results = map(job, tasks)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, tasks))
-    for s_idx, counts in results:
-        totals[s_idx] += counts
-
     tables = []
     for s_idx, angles in enumerate(angle_list):
-        n_d1, n_d2, c13, c24, c14, c23 = (int(v) for v in totals[s_idx])
-        tables.append(CountsTable(
-            settings=angles, storage_time=t, n_pulses=n_trials_per_setting,
-            n_d1=n_d1, n_d2=n_d2, c13=c13, c24=c24, c14=c14, c23=c23))
+        outcomes, cdf = _outcome_table(
+            _trial_model(params, t, angles, double_pair))
+        hist = np.zeros(len(outcomes), dtype=np.int64)
+        for block, size in _blocks(n_trials_per_setting):
+            hist += np.bincount(
+                _block_outcomes(cdf, seed, run_tag, s_idx, block, size),
+                minlength=len(outcomes))
+        counts = (int(v) for v in hist @ _count_matrix(outcomes))
+        tables.append(CountsTable(angles, t, n_trials_per_setting, *counts))
 
     total_trials = n_trials_per_setting * len(angle_list)
     runs_needed = math.ceil(total_trials / timing.trials_per_run)
@@ -317,23 +316,15 @@ def iter_trial_records(params: ExperimentParams, t: float,
                        angles: AngleSettings, n_trials: int, seed: int, *,
                        setting_index: int = 0, double_pair: bool = False,
                        run_tag: int = 0) -> Iterator[TrialRecord]:
-    """Yield per-trial records using the same streams as the block engine."""
+    """Yield per-trial records using the same streams as the engine."""
     if n_trials <= 0:
         raise ParameterError("n_trials must be > 0")
-    model = _trial_model(params, t, angles, double_pair)
+    outcomes, cdf = _outcome_table(
+        _trial_model(params, t, angles, double_pair))
     base = 0
     for block, size in _blocks(n_trials):
-        u = _block_uniforms(seed, run_tag, setting_index, block, size,
-                            model.n_cols)
-        s_click, s_d1, as_click, as_d3, pair = _simulate_block(model, u)
-        for i in range(size):
-            yield TrialRecord(
-                trial_index=base + i,
-                storage_time=t,
-                stokes_click=(("D1" if s_d1[i] else "D2")
-                              if s_click[i] else None),
-                antistokes_click=(("D3" if as_d3[i] else "D4")
-                                  if as_click[i] else None),
-                pair_created=bool(pair[i]),
-            )
+        indices = _block_outcomes(cdf, seed, run_tag, setting_index, block,
+                                  size)
+        for i, k in enumerate(indices.tolist()):
+            yield _record(base + i, t, outcomes[k])
         base += size

@@ -99,7 +99,10 @@ class EnsembleGeometry:
     def __post_init__(self):
         for name in ("wavelength", "temperature", "atomic_mass",
                      "bd_separation", "f_btd", "f0"):
-            _check_positive(name, getattr(self, name))
+            value = getattr(self, name)
+            _check_positive(name, value)
+            if not math.isfinite(value):
+                raise ParameterError(f"{name} = {value!r} must be finite")
 
 
 @dataclass(frozen=True)

@@ -81,6 +81,21 @@ def test_lifetime_reports_angle_and_tau(config, tmp_path):
     assert report["motional_lifetime_s"] == pytest.approx(1.4e-3, abs=1e-4)
 
 
+@pytest.mark.parametrize("key", ["wavelength", "temperature"])
+def test_lifetime_rejects_non_finite_geometry(key, tmp_path, capsys):
+    path = tmp_path / "inf.conf"
+    path.write_text(CONFIG.replace(
+        next(ln for ln in CONFIG.splitlines()
+             if ln.startswith(f"geometry.{key} ")),
+        f"geometry.{key} = inf"))
+    out = tmp_path / "lifetime"
+    assert main(["lifetime", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert key in err[0] and "finite" in err[0]
+    assert not (out / "lifetime.kv").exists()
+
+
 def test_fit_decay_command(config, tmp_path):
     data = tmp_path / "decay.csv"
     data.write_text("t_seconds,R\n0,0.77\n0.00023,0.667\n0.00054,0.50\n")
@@ -105,6 +120,7 @@ def test_simulate_writes_counts_with_provenance(config, tmp_path):
                      "run_manifest.kv"]
     tables, provenance = read_counts_csv(out / "counts_t01_a00.csv")
     assert provenance["seed"] == "42"
+    assert provenance["stream"] == "v2"
     assert provenance["config_hash"].startswith("sha256:")
     assert tables[0].storage_time == 0.00054
     assert tables[0].n_pulses == 20000

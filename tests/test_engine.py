@@ -7,7 +7,9 @@ from scipy import stats
 from dlczsim import (AngleSettings, CycleTiming, DecayParams,
                      ExperimentParams, ParameterError, forward_count_probs,
                      run_experiment, run_trial)
-from dlczsim.engine import (_decide_one, _simulate_block, _trial_model,
+from dlczsim.config import DEFAULT_VISIBILITY
+from dlczsim.engine import (BLOCK_TRIALS, _blocks, _cells, _count_matrix,
+                            _decide_one, _outcome_table, _trial_model,
                             iter_trial_records)
 
 DEG = math.radians
@@ -57,7 +59,7 @@ def test_identical_seeds_identical_tables():
 def test_worker_count_does_not_change_counts():
     params = make_params(chi=0.05, eta_s=0.5, eta_as=0.5)
     plan = [MATCHED, AngleSettings(DEG(45), DEG(22.5))]
-    # > BLOCK_TRIALS so several blocks land on different workers
+    # > BLOCK_TRIALS, so the run spans several blocks
     n = (1 << 20) + 12_345
     serial = run_experiment(params, TIMING, 0.0, plan, n, seed=11, workers=1)
     parallel = run_experiment(params, TIMING, 0.0, plan, n, seed=11,
@@ -65,25 +67,73 @@ def test_worker_count_does_not_change_counts():
     assert serial.tables == parallel.tables
 
 
-def test_scalar_and_vectorized_paths_agree_on_identical_draws():
+def exact_count_probs(params, t, angles, double_pair):
+    """Per-trial probabilities of (n_d1, n_d2, c13, c24, c14, c23)."""
+    outcomes, cdf = _outcome_table(_trial_model(params, t, angles,
+                                                double_pair))
+    return np.diff(cdf, prepend=0.0) @ _count_matrix(outcomes)
+
+
+def test_outcome_table_is_exact_for_decide_one():
+    params = make_params(chi=0.3, noise_b=0.05, noise_c=0.2, eta_s=0.6,
+                         eta_as=0.7, v0=0.9)
+    angles = AngleSettings(DEG(22.5), 0.0)
     for double_pair in (False, True):
-        params = make_params(chi=0.3, noise_b=0.05, noise_c=0.2, eta_s=0.6,
-                             eta_as=0.7, v0=0.9)
-        model = _trial_model(params, 0.1e-3, AngleSettings(DEG(22.5), 0.0),
-                             double_pair)
+        model = _trial_model(params, 0.1e-3, angles, double_pair)
+        cells = list(_cells(model))
+        outcomes, cdf = _outcome_table(model)
+        assert abs(cdf[-1] - 1.0) < 1e-12
+        assert all(weight > 0.0 for _, weight, _, _ in cells)
+
+        # every uniform row lies in exactly one cell, whose outcome is the
+        # one _decide_one gives for that row
+        lo = np.array([cell[2] for cell in cells])
+        hi = np.array([cell[3] for cell in cells])
         u = np.random.default_rng(99).random((4096, model.n_cols))
-        block = _simulate_block(model, u)
-        for i in range(u.shape[0]):
-            scalar = _decide_one(model, u[i])
-            vector = tuple(bool(arr[i]) for arr in block)
-            # as_d3/s_d1 only meaningful when the matching click exists
-            assert scalar[0] == vector[0]
-            if scalar[0]:
-                assert scalar[1] == vector[1]
-            assert scalar[2] == vector[2]
-            if scalar[2]:
-                assert scalar[3] == vector[3]
-            assert scalar[4] == vector[4]
+        inside = ((u[:, None, :] >= lo) & (u[:, None, :] < hi)).all(axis=2)
+        assert (inside.sum(axis=1) == 1).all()
+        for row, cell in zip(u, inside.argmax(axis=1)):
+            assert cells[cell][0] == tuple(bool(v) for v in
+                                           _decide_one(model, row))
+
+        # sampled counts follow the table
+        n = 1_000_000
+        table = run_experiment(params, TIMING, 0.1e-3, [angles], n, seed=5,
+                               double_pair=double_pair).tables[0]
+        observed = np.array([table.n_d1, table.n_d2, table.c13, table.c24,
+                             table.c14, table.c23])
+        p = exact_count_probs(params, 0.1e-3, angles, double_pair)
+        z = (observed - n * p) / np.sqrt(n * p * (1 - p))
+        assert np.all(np.abs(z) <= 4), (double_pair, z)
+
+
+@pytest.mark.parametrize("double_pair, angles, gaps", [
+    # relative gap forward_count_probs / exact - 1 per count column
+    # (n_d1, n_d2, c13, c24, c14, c23)
+    (False, AngleSettings(0.0, 0.3), [0.0, 0.0, .0058, .0058, .0370, .0370]),
+    (False, MATCHED, [0.0, 0.0, .0053, .0053, .0862, .0862]),
+    (True, AngleSettings(0.0, 0.3), [-.0042, -.0042, -.0030, -.0030,
+                                     .0012, .0012]),
+    (True, MATCHED, [-.0042, -.0042, -.0030, -.0030, .0072, .0072]),
+])
+def test_analytic_model_gap_to_exact_table_is_pinned(double_pair, angles,
+                                                     gaps):
+    # The analytic model counts accidentals as P_S * P_aS without the
+    # herald conditioning of the feed-forward read; it also ignores
+    # double pairs. The gap at the sample.conf operating point:
+    params = make_params(v0=DEFAULT_VISIBILITY)
+    exact = exact_count_probs(params, 0.0, angles, double_pair)
+    f = forward_count_probs(params, 0.0, angles)
+    analytic = np.array([f.p_d1, f.p_d2, f.p13, f.p24, f.p14, f.p23])
+    assert analytic / exact - 1 == pytest.approx(gaps, abs=5e-4)
+
+
+def test_blocks_are_lazy_and_cover_the_remainder():
+    assert next(iter(_blocks(10**13))) == (0, BLOCK_TRIALS)
+    assert list(_blocks(2 * BLOCK_TRIALS + 7)) == [
+        (0, BLOCK_TRIALS), (1, BLOCK_TRIALS), (2, 7)]
+    assert list(_blocks(BLOCK_TRIALS)) == [(0, BLOCK_TRIALS)]
+    assert list(_blocks(5)) == [(0, 5)]
 
 
 def test_run_trial_record_fields():
