@@ -22,7 +22,8 @@ from .config import Config, load_config
 from .datafiles import (fmt_value, read_counts_csv, read_decay_csv,
                         write_counts_csv, write_csv, write_kv)
 from .decoherence import fit_decay, motional_lifetime
-from .engine import CountsTable, iter_trial_records, run_experiment
+from .engine import (CountsTable, TrialRecord, run_experiment,
+                     trial_outcome_blocks)
 from .entanglement import AngleSettings
 from .errors import (DegenerateDataError, DegenerateStatisticsError,
                      FitConvergenceError, InsufficientDataError,
@@ -124,6 +125,15 @@ def _write_report(out: Path, name: str, kind: str, fmt: str,
     return path
 
 
+def _finish(out: Path, command: str, args, config_hash: str, seed,
+            extra: Dict[str, object], entries: Dict[str, object]) -> int:
+    """Write the run manifest, then print the report entries."""
+    _write_manifest(out, command, args, config_hash, seed, extra)
+    for key, value in entries.items():
+        print(f"{key} = {fmt_value(value)}")
+    return EXIT_OK
+
+
 def _require(section, name: str):
     if section is None:
         raise ParameterError(f"config is missing the '{name}' section")
@@ -192,16 +202,21 @@ def cmd_simulate(args) -> int:
 
 def _write_records(path, params, t, angles, n_trials, seed, run_tag,
                    setting_index, double_pair, provenance) -> None:
-    rows = ((rec.trial_index, rec.storage_time,
-             rec.stokes_click or "none", rec.antistokes_click or "none",
-             rec.pair_created)
-            for rec in iter_trial_records(
-                params, t, angles, n_trials, seed,
-                setting_index=setting_index, double_pair=double_pair,
-                run_tag=run_tag))
+    """Per-trial CSV, one text chunk per RNG block: each row is the trial
+    index followed by the pre-rendered cells of the trial's outcome."""
+    outcomes, blocks = trial_outcome_blocks(
+        params, t, angles, n_trials, seed, setting_index=setting_index,
+        double_pair=double_pair, run_tag=run_tag)
+    kinds = (TrialRecord.from_outcome(0, t, o) for o in outcomes)
+    tails = ["".join(f",{fmt_value(v)}" for v in (
+        r.storage_time, r.stokes_click or "none", r.antistokes_click or "none",
+        r.pair_created)) + "\n" for r in kinds]
+    chunks = ("".join([f"{i}{tails[k]}"
+                       for i, k in enumerate(draw().tolist(), start=first)])
+              for first, draw in blocks)
     write_csv(path, "trials",
               ("trial_index", "storage_time_s", "stokes_click",
-               "antistokes_click", "pair_created"), rows, provenance)
+               "antistokes_click", "pair_created"), chunks, provenance)
 
 
 def _eta_td_for_estimate(args, cfg: Optional[Config]) -> float:
@@ -251,22 +266,17 @@ def cmd_estimate(args) -> int:
             entries[f"{tag}.E"] = e_est.value
             entries[f"{tag}.E_sigma"] = e_est.sigma
         if same_angle(tb.settings.theta_s, tb.settings.theta_as, tol=1e-6):
-            r_q = poisson_error(
-                lambda c: intrinsic_retrieval_qubit(c, eta_td), tb,
-                n_replicas=args.replicas, seed=args.seed)
-            r_l = poisson_error(
-                lambda c: intrinsic_retrieval_mode(c, "L", eta_td), tb,
-                n_replicas=args.replicas, seed=args.seed)
-            r_r = poisson_error(
-                lambda c: intrinsic_retrieval_mode(c, "R", eta_td), tb,
-                n_replicas=args.replicas, seed=args.seed)
-            entries[f"{tag}.r_qubit"] = r_q.value
-            entries[f"{tag}.r_qubit_sigma"] = r_q.sigma
-            entries[f"{tag}.r_l"] = r_l.value
-            entries[f"{tag}.r_l_sigma"] = r_l.sigma
-            entries[f"{tag}.r_r"] = r_r.value
-            entries[f"{tag}.r_r_sigma"] = r_r.sigma
-            retrieval_rows.append((tb.storage_time, r_q.value, r_q.sigma))
+            retrieval = (
+                ("r_qubit", lambda c: intrinsic_retrieval_qubit(c, eta_td)),
+                ("r_l", lambda c: intrinsic_retrieval_mode(c, "L", eta_td)),
+                ("r_r", lambda c: intrinsic_retrieval_mode(c, "R", eta_td)))
+            for name, estimator in retrieval:
+                est = poisson_error(estimator, tb, n_replicas=args.replicas,
+                                    seed=args.seed)
+                entries[f"{tag}.{name}"] = est.value
+                entries[f"{tag}.{name}_sigma"] = est.sigma
+            retrieval_rows.append((tb.storage_time, entries[f"{tag}.r_qubit"],
+                                   entries[f"{tag}.r_qubit_sigma"]))
 
     try:
         s_est = bell_S(tables, n_replicas=args.replicas, seed=args.seed)
@@ -292,15 +302,12 @@ def cmd_estimate(args) -> int:
                   retrieval_rows, prov)
         outputs.append(path.name)
 
-    _write_manifest(out, "estimate", args,
-                    cfg.config_hash if cfg else "none", args.seed, {
-                        "inputs_hash": inputs_hash,
-                        "inputs": ",".join(args.counts),
-                        "outputs": ",".join(outputs),
-                    })
-    for key, value in entries.items():
-        print(f"{key} = {fmt_value(value)}")
-    return EXIT_OK
+    return _finish(out, "estimate", args,
+                   cfg.config_hash if cfg else "none", args.seed, {
+                       "inputs_hash": inputs_hash,
+                       "inputs": ",".join(args.counts),
+                       "outputs": ",".join(outputs),
+                   }, entries)
 
 
 def cmd_fit_decay(args) -> int:
@@ -317,11 +324,8 @@ def cmd_fit_decay(args) -> int:
     }
     report = _write_report(out, "decay_fit", "decay-fit", args.format,
                            entries, prov)
-    _write_manifest(out, "fit-decay", args, "none", "none",
-                    {"inputs": args.data, "outputs": report.name})
-    for key, value in entries.items():
-        print(f"{key} = {fmt_value(value)}")
-    return EXIT_OK
+    return _finish(out, "fit-decay", args, "none", "none",
+                   {"inputs": args.data, "outputs": report.name}, entries)
 
 
 def cmd_lifetime(args) -> int:
@@ -338,11 +342,8 @@ def cmd_lifetime(args) -> int:
     prov = _base_provenance("lifetime", cfg.config_hash, "none")
     report = _write_report(out, "lifetime", "lifetime", args.format,
                            entries, prov)
-    _write_manifest(out, "lifetime", args, cfg.config_hash, "none",
-                    {"outputs": report.name})
-    for key, value in entries.items():
-        print(f"{key} = {fmt_value(value)}")
-    return EXIT_OK
+    return _finish(out, "lifetime", args, cfg.config_hash, "none",
+                   {"outputs": report.name}, entries)
 
 
 def cmd_budget(args) -> int:
@@ -362,11 +363,8 @@ def cmd_budget(args) -> int:
     prov = _base_provenance("budget", cfg.config_hash, "none")
     report = _write_report(out, "budget", "budget", args.format, entries,
                            prov)
-    _write_manifest(out, "budget", args, cfg.config_hash, "none",
-                    {"outputs": report.name})
-    for key, value in entries.items():
-        print(f"{key} = {fmt_value(value)}")
-    return EXIT_OK
+    return _finish(out, "budget", args, cfg.config_hash, "none",
+                   {"outputs": report.name}, entries)
 
 
 def cmd_repeater_sweep(args) -> int:
@@ -422,14 +420,11 @@ def cmd_repeater_sweep(args) -> int:
               rows, prov)
     report = _write_report(out, "repeater_summary", "repeater-summary",
                            args.format, entries, prov)
-    _write_manifest(out, "repeater-sweep", args, config_hash, "none", {
+    return _finish(out, "repeater-sweep", args, config_hash, "none", {
         "preset": args.preset or "none",
         "chi_source": chi_source,
         "outputs": ",".join([sweep_path.name, report.name]),
-    })
-    for key, value in entries.items():
-        print(f"{key} = {fmt_value(value)}")
-    return EXIT_OK
+    }, entries)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .engine import CountsTable
 from .entanglement import AngleSettings
@@ -41,12 +41,14 @@ def _provenance_block(kind: str, provenance: Mapping[str, object]) -> str:
 
 
 def write_csv(path, kind: str, columns: Sequence[str],
-              rows: Sequence[Sequence], provenance: Mapping[str, object]
-              ) -> None:
+              rows: Iterable[Union[str, Sequence]],
+              provenance: Mapping[str, object]) -> None:
+    """Write a CSV; a ``str`` item of ``rows`` is pre-rendered text."""
     out = [_provenance_block(kind, provenance)]
     out.append(",".join(columns) + "\n")
     for row in rows:
-        out.append(",".join(fmt_value(v) for v in row) + "\n")
+        out.append(row if isinstance(row, str)
+                   else ",".join(fmt_value(v) for v in row) + "\n")
     Path(path).write_text("".join(out), encoding="utf-8", newline="\n")
 
 
@@ -58,50 +60,44 @@ def write_kv(path, kind: str, entries: Mapping[str, object],
     Path(path).write_text("".join(out), encoding="utf-8", newline="\n")
 
 
-def read_kv(path) -> Tuple[Dict[str, str], Dict[str, str]]:
-    """Read a kv file, returning (entries, provenance)."""
-    provenance: Dict[str, str] = {}
-    entries: Dict[str, str] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        target = entries
-        if line.startswith("#"):
-            line = line[1:].strip()
-            target = provenance
-        if "=" not in line:
-            continue
-        key, _, value = line.partition("=")
+def _put_pair(target: Dict[str, str], text: str) -> None:
+    key, sep, value = text.partition("=")
+    if sep:
         target[key.strip()] = value.strip()
-    return entries, provenance
 
 
-def _read_rows(path) -> Tuple[List[str], List[List[str]], Dict[str, str],
-                              List[int]]:
+def _read_lines(path) -> Tuple[Dict[str, str], List[Tuple[int, str]]]:
+    """Provenance from ``# key = value`` comments, then every other
+    non-blank line with its 1-based line number."""
     provenance: Dict[str, str] = {}
-    header: List[str] = []
-    rows: List[List[str]] = []
-    linenos: List[int] = []
+    body: List[Tuple[int, str]] = []
     for lineno, raw in enumerate(
             Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
-        if not line:
-            continue
         if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                provenance[key.strip()] = value.strip()
-            continue
-        if not header:
-            header = [c.strip() for c in line.split(",")]
-            continue
-        rows.append([c.strip() for c in line.split(",")])
-        linenos.append(lineno)
-    if not header:
+            _put_pair(provenance, line[1:])
+        elif line:
+            body.append((lineno, line))
+    return provenance, body
+
+
+def read_kv(path) -> Tuple[Dict[str, str], Dict[str, str]]:
+    """Read a kv file, returning (entries, provenance)."""
+    provenance, body = _read_lines(path)
+    entries: Dict[str, str] = {}
+    for _, line in body:
+        _put_pair(entries, line)
+    return entries, provenance
+
+
+def _read_rows(path) -> Tuple[List[str], List[Tuple[int, List[str]]],
+                              Dict[str, str]]:
+    """Header cells, (line number, cells) of each data row, provenance."""
+    provenance, body = _read_lines(path)
+    if not body:
         raise SchemaError(f"{path}: no header row found")
-    return header, rows, provenance, linenos
+    rows = [(n, [c.strip() for c in line.split(",")]) for n, line in body]
+    return rows[0][1], rows[1:], provenance
 
 
 def _column_map(path, header: Sequence[str], required: Sequence[str],
@@ -152,10 +148,10 @@ def write_counts_csv(path, tables: Sequence[CountsTable],
 
 
 def read_counts_csv(path) -> Tuple[List[CountsTable], Dict[str, str]]:
-    header, rows, provenance, linenos = _read_rows(path)
+    header, rows, provenance = _read_rows(path)
     col = _column_map(path, header, COUNTS_COLUMNS)
     tables = []
-    for lineno, row in zip(linenos, rows):
+    for lineno, row in rows:
         if len(row) != len(header):
             raise SchemaError(
                 f"{path}: line {lineno}: expected {len(header)} fields, "
@@ -183,12 +179,12 @@ def read_counts_csv(path) -> Tuple[List[CountsTable], Dict[str, str]]:
 
 def read_decay_csv(path) -> List[Tuple[float, ...]]:
     """Read (t_seconds, R[, sigma_R]) samples for the decay fit."""
-    header, rows, _, linenos = _read_rows(path)
+    header, rows, _ = _read_rows(path)
     col = _column_map(path, header, DECAY_COLUMNS,
                       optional=(DECAY_SIGMA_COLUMN,))
     with_sigma = DECAY_SIGMA_COLUMN in col
     samples: List[Tuple[float, ...]] = []
-    for lineno, row in zip(linenos, rows):
+    for lineno, row in rows:
         if len(row) != len(header):
             raise SchemaError(
                 f"{path}: line {lineno}: expected {len(header)} fields, "

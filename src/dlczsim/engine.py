@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,6 +50,16 @@ class TrialRecord:
     stokes_click: Optional[str]      # None, "D1" or "D2"
     antistokes_click: Optional[str]  # None, "D3" or "D4"
     pair_created: bool
+
+    @classmethod
+    def from_outcome(cls, trial_index: int, storage_time: float,
+                     outcome: _Outcome) -> "TrialRecord":
+        """The record of a trial with this ``_decide_one`` outcome."""
+        s_click, s_d1, as_click, as_d3, pair = outcome
+        return cls(trial_index, storage_time,
+                   ("D1" if s_d1 else "D2") if s_click else None,
+                   ("D3" if as_d3 else "D4") if as_click else None,
+                   bool(pair))
 
 
 @dataclass(frozen=True)
@@ -243,14 +254,6 @@ def _block_outcomes(cdf: np.ndarray, seed: int, run_tag: int,
     return np.searchsorted(cdf[:-1], u, side="right")
 
 
-def _record(trial_index: int, t: float, outcome: _Outcome) -> TrialRecord:
-    s_click, s_d1, as_click, as_d3, pair = outcome
-    return TrialRecord(trial_index, t,
-                       ("D1" if s_d1 else "D2") if s_click else None,
-                       ("D3" if as_d3 else "D4") if as_click else None,
-                       bool(pair))
-
-
 def run_trial(params: ExperimentParams, t: float, angles: AngleSettings,
               rng_stream: np.random.Generator, *,
               trial_index: int = 0, double_pair: bool = False) -> TrialRecord:
@@ -261,7 +264,7 @@ def run_trial(params: ExperimentParams, t: float, angles: AngleSettings,
     """
     model = _trial_model(params, t, angles, double_pair)
     u = rng_stream.random(model.n_cols)
-    return _record(trial_index, t, _decide_one(model, u))
+    return TrialRecord.from_outcome(trial_index, t, _decide_one(model, u))
 
 
 def _blocks(n_trials: int) -> Iterator[Tuple[int, int]]:
@@ -271,6 +274,27 @@ def _blocks(n_trials: int) -> Iterator[Tuple[int, int]]:
         yield block, BLOCK_TRIALS
     if rem:
         yield full, rem
+
+
+def trial_outcome_blocks(params: ExperimentParams, t: float,
+                         angles: AngleSettings, n_trials: int, seed: int, *,
+                         setting_index: int = 0, double_pair: bool = False,
+                         run_tag: int = 0) -> Tuple[List[_Outcome], Iterator]:
+    """Outcome table of one setting and its trials' outcomes, block by block.
+
+    Returns the sorted outcomes and, per RNG block of the engine's one
+    stream, (first trial index, draw): ``draw()`` gives each trial's outcome
+    index, on call, so that a caller holds one block at a time.
+    """
+    if n_trials <= 0:
+        raise ParameterError("n_trials must be > 0")
+    outcomes, cdf = _outcome_table(
+        _trial_model(params, t, angles, double_pair))
+    blocks = ((block * BLOCK_TRIALS, partial(_block_outcomes, cdf, seed,
+                                             run_tag, setting_index, block,
+                                             size))
+              for block, size in _blocks(n_trials))
+    return outcomes, blocks
 
 
 def run_experiment(params: ExperimentParams, timing: CycleTiming, t: float,
@@ -296,13 +320,11 @@ def run_experiment(params: ExperimentParams, timing: CycleTiming, t: float,
 
     tables = []
     for s_idx, angles in enumerate(angle_list):
-        outcomes, cdf = _outcome_table(
-            _trial_model(params, t, angles, double_pair))
-        hist = np.zeros(len(outcomes), dtype=np.int64)
-        for block, size in _blocks(n_trials_per_setting):
-            hist += np.bincount(
-                _block_outcomes(cdf, seed, run_tag, s_idx, block, size),
-                minlength=len(outcomes))
+        outcomes, blocks = trial_outcome_blocks(
+            params, t, angles, n_trials_per_setting, seed,
+            setting_index=s_idx, double_pair=double_pair, run_tag=run_tag)
+        hist = sum(np.bincount(draw(), minlength=len(outcomes))
+                   for _, draw in blocks)
         counts = (int(v) for v in hist @ _count_matrix(outcomes))
         tables.append(CountsTable(angles, t, n_trials_per_setting, *counts))
 
@@ -317,14 +339,9 @@ def iter_trial_records(params: ExperimentParams, t: float,
                        setting_index: int = 0, double_pair: bool = False,
                        run_tag: int = 0) -> Iterator[TrialRecord]:
     """Yield per-trial records using the same streams as the engine."""
-    if n_trials <= 0:
-        raise ParameterError("n_trials must be > 0")
-    outcomes, cdf = _outcome_table(
-        _trial_model(params, t, angles, double_pair))
-    base = 0
-    for block, size in _blocks(n_trials):
-        indices = _block_outcomes(cdf, seed, run_tag, setting_index, block,
-                                  size)
-        for i, k in enumerate(indices.tolist()):
-            yield _record(base + i, t, outcomes[k])
-        base += size
+    outcomes, blocks = trial_outcome_blocks(
+        params, t, angles, n_trials, seed, setting_index=setting_index,
+        double_pair=double_pair, run_tag=run_tag)
+    for first, draw in blocks:
+        for i, k in enumerate(draw().tolist(), start=first):
+            yield TrialRecord.from_outcome(i, t, outcomes[k])

@@ -1,8 +1,9 @@
 """Measurement-side formulas: retrieval efficiencies, CHSH, error bars.
 
 All estimators are pure functions of counts and are invariant under uniform
-rescaling of pulses and counts. Error bars come from Poisson Monte Carlo
-resampling of the raw detector counts.
+rescaling of pulses and counts. The count fields may be scalars or arrays of
+one value per Poisson replica: error bars come from resampling every raw
+detector count at once and evaluating the estimator on the columns.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Callable, Sequence, Tuple, Union
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -22,8 +23,6 @@ from .errors import (DegenerateStatisticsError, InsufficientDataError,
 TWO_ROOT_TWO = 2.0 * math.sqrt(2.0)
 _ANGLE_TOL = 1e-9
 _COUNT_FIELDS = ("n_d1", "n_d2", "c13", "c24", "c14", "c23")
-
-CountsLike = Union[CountsTable, SimpleNamespace]
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,23 @@ def same_angle(a: float, b: float, tol: float = _ANGLE_TOL) -> bool:
     return min(d, math.pi - d) <= tol
 
 
-def _require_matched_angles(counts: CountsLike) -> None:
+def _ratio(numerator, count, message: str, scale=1):
+    """``numerator / (scale * count)`` where ``count > 0``.
+
+    A scalar count <= 0 raises :class:`InsufficientDataError`; in an array
+    such entries become NaN, without a floating-point warning.
+    """
+    if np.ndim(count) == 0:
+        if count <= 0:
+            raise InsufficientDataError(message)
+        return numerator / (scale * count)
+    return np.divide(numerator, scale * count, where=count > 0,
+                     out=np.full(np.shape(count), np.nan))
+
+
+def _check_retrieval_inputs(counts: CountsTable, eta_td: float) -> None:
+    if eta_td <= 0.0:
+        raise ParameterError("eta_td must be > 0")
     if not same_angle(counts.settings.theta_s, counts.settings.theta_as,
                        tol=1e-6):
         raise ParameterError(
@@ -81,35 +96,28 @@ def _require_matched_angles(counts: CountsLike) -> None:
             "(theta_s = theta_as modulo pi)")
 
 
-def intrinsic_retrieval_qubit(counts: CountsLike, eta_td: float) -> float:
+def intrinsic_retrieval_qubit(counts: CountsTable, eta_td: float) -> float:
     """Spin-wave qubit retrieval efficiency from matched-angle counts.
 
     R = (c13 + c24) / (eta_td * (n_d1 + n_d2)).
     """
-    if eta_td <= 0.0:
-        raise ParameterError("eta_td must be > 0")
-    _require_matched_angles(counts)
-    singles = counts.n_d1 + counts.n_d2
-    if singles <= 0:
-        raise InsufficientDataError("no Stokes singles recorded")
-    return (counts.c13 + counts.c24) / (eta_td * singles)
+    _check_retrieval_inputs(counts, eta_td)
+    return _ratio(counts.c13 + counts.c24, counts.n_d1 + counts.n_d2,
+                  "no Stokes singles recorded", eta_td)
 
 
-def intrinsic_retrieval_mode(counts: CountsLike, mode: str,
+def intrinsic_retrieval_mode(counts: CountsTable, mode: str,
                              eta_td: float) -> float:
     """Retrieval efficiency of one spin-wave mode ("L": D1-D3, "R": D2-D4)."""
-    if eta_td <= 0.0:
-        raise ParameterError("eta_td must be > 0")
-    _require_matched_angles(counts)
+    _check_retrieval_inputs(counts, eta_td)
     if mode == "L":
         coincidences, singles = counts.c13, counts.n_d1
     elif mode == "R":
         coincidences, singles = counts.c24, counts.n_d2
     else:
         raise ParameterError(f"mode must be 'L' or 'R', got {mode!r}")
-    if singles <= 0:
-        raise InsufficientDataError(f"no Stokes singles for mode {mode}")
-    return coincidences / (eta_td * singles)
+    return _ratio(coincidences, singles,
+                  f"no Stokes singles for mode {mode}", eta_td)
 
 
 def retrieval_background_corrected(p_s_as: float, p_s: float, p_as: float,
@@ -138,15 +146,14 @@ def retrieval_background_corrected(p_s_as: float, p_s: float, p_as: float,
     return r_net / eta_as, r_net
 
 
-def correlation_E(counts: CountsLike) -> float:
+def correlation_E(counts: CountsTable) -> float:
     """Polarization correlation E = (c13 + c24 - c14 - c23) / total."""
-    total = counts.c13 + counts.c24 + counts.c14 + counts.c23
-    if total <= 0:
-        raise InsufficientDataError("no coincidences recorded")
-    return (counts.c13 + counts.c24 - counts.c14 - counts.c23) / total
+    return _ratio(counts.c13 + counts.c24 - counts.c14 - counts.c23,
+                  counts.c13 + counts.c24 + counts.c14 + counts.c23,
+                  "no coincidences recorded")
 
 
-def _match_tables(tables: Sequence[CountsLike],
+def _match_tables(tables: Sequence[CountsTable],
                   settings: BellSettings) -> list:
     if len(tables) != 4:
         raise ParameterError(f"CHSH needs exactly 4 tables, got {len(tables)}")
@@ -164,7 +171,7 @@ def _match_tables(tables: Sequence[CountsLike],
     return ordered
 
 
-def bell_S_signed(tables: Sequence[CountsLike],
+def bell_S_signed(tables: Sequence[CountsTable],
                   settings: BellSettings | None = None) -> float:
     """Signed CHSH combination E1 - E2 + E3 + E4 (diagnostic)."""
     settings = settings or BellSettings.canonical()
@@ -173,17 +180,13 @@ def bell_S_signed(tables: Sequence[CountsLike],
     return e1 - e2 + e3 + e4
 
 
-def bell_S(tables: Sequence[CountsLike],
+def bell_S(tables: Sequence[CountsTable],
            settings: BellSettings | None = None, *,
            n_replicas: int = 10_000, seed: int = 0) -> EstimateWithError:
     """CHSH parameter |E1 - E2 + E3 + E4| with a Poisson-MC error bar."""
     settings = settings or BellSettings.canonical()
-
-    def estimator(tbs):
-        return abs(bell_S_signed(tbs, settings))
-
-    return poisson_error(estimator, list(tables), n_replicas=n_replicas,
-                         seed=seed)
+    return poisson_error(lambda tbs: abs(bell_S_signed(tbs, settings)),
+                         list(tables), n_replicas=n_replicas, seed=seed)
 
 
 def visibility_from_S(s: float) -> float:
@@ -198,24 +201,16 @@ def fidelity_from_S(s: float) -> float:
     return (3.0 * visibility_from_S(s) + 1.0) / 4.0
 
 
-def _replica(table: CountsLike, draw: np.ndarray) -> SimpleNamespace:
-    ns = SimpleNamespace(settings=table.settings,
-                         storage_time=getattr(table, "storage_time", 0.0),
-                         n_pulses=table.n_pulses)
-    for field, value in zip(_COUNT_FIELDS, draw):
-        setattr(ns, field, int(value))
-    return ns
-
-
 def poisson_error(estimator: Callable, counts, *,
                   n_replicas: int = 10_000, seed: int = 0) -> EstimateWithError:
     """Error bar from Poisson resampling of every raw detector count.
 
     Each replica redraws all singles and coincidence counts as Poisson
-    variates with means equal to the observed counts and re-evaluates
-    ``estimator``. Returns the estimate on the original counts and the
-    standard deviation over replicas. Replicas where the estimator fails
-    are dropped unless they exceed 1% of the total.
+    variates with means equal to the observed counts. ``estimator`` is
+    evaluated once, on counts whose fields hold one value per replica.
+    Returns the estimate on the original counts and the standard deviation
+    over replicas. Replicas where the estimator fails (NaN) are dropped
+    unless they exceed 1% of the total.
     """
     if n_replicas < 100:
         raise ParameterError("n_replicas must be >= 100")
@@ -228,17 +223,14 @@ def poisson_error(estimator: Callable, counts, *,
     rng = np.random.default_rng(seed)
     draws = rng.poisson(lam, size=(n_replicas, *lam.shape))
 
-    results = np.empty(n_replicas)
-    failures = 0
-    for i in range(n_replicas):
-        replicas = [_replica(tb, draws[i, j]) for j, tb in enumerate(tables)]
-        try:
-            results[i] = estimator(replicas[0] if single else replicas)
-        except (InsufficientDataError, ParameterError, ZeroDivisionError):
-            results[i] = np.nan
-            failures += 1
+    replicas = [SimpleNamespace(**vars(tb) | dict(zip(_COUNT_FIELDS, col.T)))
+                for tb, col in zip(tables, draws.swapaxes(0, 1))]
+    results = np.asarray(estimator(replicas[0] if single else replicas),
+                         dtype=float)
+    failed = np.isnan(results)
+    failures = int(failed.sum())
     if failures > 0.01 * n_replicas:
         raise DegenerateStatisticsError(
             f"{failures}/{n_replicas} resampling replicas failed")
-    sigma = float(np.std(results[~np.isnan(results)]))
+    sigma = float(np.std(results[~failed]))
     return EstimateWithError(value=value, sigma=sigma)

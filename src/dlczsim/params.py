@@ -7,7 +7,7 @@ seconds, angles in radians unless a function name says otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Optional
 
 from .errors import ParameterError
@@ -160,6 +160,10 @@ class CycleTiming:
     interval: float = 1300e-9
 
     def __post_init__(self):
+        for name in (f.name for f in fields(self)):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ParameterError(f"{name} = {value!r} must be finite")
         if self.prep_duration < 0.0:
             raise ParameterError("prep_duration must be >= 0")
         _check_positive("run_duration", self.run_duration)

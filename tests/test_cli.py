@@ -1,6 +1,7 @@
 import hashlib
 import math
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,6 +95,25 @@ def test_lifetime_rejects_non_finite_geometry(key, tmp_path, capsys):
     assert len(err) == 1
     assert key in err[0] and "finite" in err[0]
     assert not (out / "lifetime.kv").exists()
+
+
+@pytest.mark.parametrize("key", ["prep_duration", "run_duration",
+                                 "trial_period", "write_duration"])
+def test_simulate_rejects_non_finite_timing(key, tmp_path, capsys):
+    sample = (Path(__file__).resolve().parents[1] / "sample.conf").read_text()
+    line = next((ln for ln in sample.splitlines()
+                 if ln.startswith(f"timing.{key} ")), None)
+    edited = (sample.replace(line, f"timing.{key} = inf") if line
+              else sample + f"timing.{key} = inf\n")
+    path = tmp_path / "inf.conf"
+    path.write_text(edited)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(path), "--seed", "1",
+                 "--trials", "1000", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert key in err[0] and "finite" in err[0]
+    assert not out.exists()
 
 
 def test_fit_decay_command(config, tmp_path):

@@ -1,6 +1,8 @@
 import math
+import warnings
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -268,3 +270,68 @@ def test_poisson_error_degenerate_statistics():
     with pytest.raises(InsufficientDataError):
         poisson_error(correlation_E, matched_table(c13=0, c24=0),
                       n_replicas=1000, seed=10)
+
+
+COUNT_FIELDS = ("n_d1", "n_d2", "c13", "c24", "c14", "c23")
+VECTORIZED_ESTIMATORS = (
+    correlation_E,
+    lambda c: intrinsic_retrieval_qubit(c, 0.15),
+    lambda c: intrinsic_retrieval_mode(c, "L", 0.15),
+    lambda c: intrinsic_retrieval_mode(c, "R", 0.15),
+)
+
+
+def counts_namespace(values):
+    return SimpleNamespace(settings=AngleSettings(0.0, 0.0), storage_time=0.0,
+                           n_pulses=1000, **dict(zip(COUNT_FIELDS, values)))
+
+
+@given(st.lists(st.tuples(*[st.integers(0, 5)] * 6), min_size=1,
+                max_size=20))
+def test_vectorized_estimators_equal_scalar_calls(rows):
+    columns = counts_namespace(np.array(rows, dtype=np.int64).T)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for estimator in VECTORIZED_ESTIMATORS:
+            got = estimator(columns)
+            assert got.shape == (len(rows),)
+            for value, row in zip(got.tolist(), rows):
+                try:
+                    expected = estimator(counts_namespace(row))
+                except InsufficientDataError:
+                    assert math.isnan(value)
+                else:
+                    assert value.hex() == float(expected).hex()
+
+
+def fail_first(k):
+    """correlation_E with its first ``k`` replicas marked failed."""
+    def estimator(counts):
+        value = correlation_E(counts)
+        if np.ndim(value):
+            value[:k] = np.nan
+        return value
+    return estimator
+
+
+def test_poisson_error_drop_rule_edge():
+    table = matched_table(n_d1=1000, n_d2=1000, c13=15, c24=15, c14=5, c23=5)
+    est = poisson_error(fail_first(1), table, n_replicas=100, seed=11)
+    # the single (n_replicas, n_tables, 6) draw, minus the dropped replica
+    draws = np.random.default_rng(11).poisson(
+        [[getattr(table, f) for f in COUNT_FIELDS]], size=(100, 1, 6))
+    kept = correlation_E(counts_namespace(draws[1:, 0].T))
+    assert est.value == correlation_E(table)
+    assert est.sigma == float(np.std(kept))
+    with pytest.raises(DegenerateStatisticsError, match="2/100"):
+        poisson_error(fail_first(2), table, n_replicas=100, seed=11)
+
+
+@pytest.mark.filterwarnings("error")
+def test_poisson_error_failed_replicas_emit_no_warning():
+    # one coincidence per mode: many replicas lose every coincidence, and
+    # over 1% lose every single
+    table = matched_table(n_d1=2, n_d2=2, c13=1, c24=1)
+    for estimator in VECTORIZED_ESTIMATORS:
+        with pytest.raises(DegenerateStatisticsError):
+            poisson_error(estimator, table, n_replicas=1000, seed=12)
