@@ -85,53 +85,55 @@ def parse_angle_plan(spec: str) -> List[AngleSettings]:
     return plan
 
 
-def _out_dir(args) -> Path:
-    out = args.out or os.environ.get(OUTPUT_DIR_ENV) or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+class _Artifacts:
+    """Everything a command writes, named once: the output directory, the
+    provenance base, the files in write order, the report format, and the
+    closing run manifest and printed report entries."""
 
+    def __init__(self, args, cfg: Optional[Config] = None):
+        self.args = args
+        self.out_name = args.out or os.environ.get(OUTPUT_DIR_ENV) or "."
+        self.out = Path(self.out_name)
+        self.out.mkdir(parents=True, exist_ok=True)
+        self.config_path = args.config if cfg else "none"
+        self.provenance: Dict[str, object] = {
+            "command": args.command,
+            "config_hash": cfg.config_hash if cfg else "none",
+            "seed": getattr(args, "seed", "none"),
+        }
+        self.written: List[str] = []
+        self.entries: Dict[str, object] = {}
 
-def _base_provenance(command: str, config_hash: str, seed) -> Dict[str, object]:
-    return {"command": command, "config_hash": config_hash, "seed": seed}
+    def path(self, name: str) -> Path:
+        self.written.append(name)
+        return self.out / name
 
+    def report(self, name: str, kind: str,
+               entries: Dict[str, object]) -> None:
+        """The command's report, as kv or csv per ``--format``; its
+        entries are also printed by :meth:`finish`."""
+        self.entries = entries
+        if self.args.format == "kv":
+            write_kv(self.path(f"{name}.kv"), kind, entries, self.provenance)
+        else:
+            write_csv(self.path(f"{name}.csv"), kind, ("quantity", "value"),
+                      list(entries.items()), self.provenance)
 
-def _write_manifest(out: Path, command: str, args, config_hash: str, seed,
-                    extra: Dict[str, object]) -> Path:
-    entries: Dict[str, object] = {
-        "command": command,
-        "config_path": getattr(args, "config", None) or "none",
-        "config_hash": config_hash,
-        "seed": seed,
-        "output_dir": str(args.out or os.environ.get(OUTPUT_DIR_ENV) or "."),
-        "version": __version__,
-    }
-    entries.update(extra)
-    path = out / "run_manifest.kv"
-    write_kv(path, "manifest", entries, {})
-    return path
-
-
-def _write_report(out: Path, name: str, kind: str, fmt: str,
-                  entries: Dict[str, object],
-                  provenance: Dict[str, object]) -> Path:
-    if fmt == "kv":
-        path = out / f"{name}.kv"
-        write_kv(path, kind, entries, provenance)
-    else:
-        path = out / f"{name}.csv"
-        write_csv(path, kind, ("quantity", "value"),
-                  list(entries.items()), provenance)
-    return path
-
-
-def _finish(out: Path, command: str, args, config_hash: str, seed,
-            extra: Dict[str, object], entries: Dict[str, object]) -> int:
-    """Write the run manifest, then print the report entries."""
-    _write_manifest(out, command, args, config_hash, seed, extra)
-    for key, value in entries.items():
-        print(f"{key} = {fmt_value(value)}")
-    return EXIT_OK
+    def finish(self, **extra) -> int:
+        """Write the run manifest (``outputs`` last), print the report."""
+        write_kv(self.out / "run_manifest.kv", "manifest", {
+            "command": self.provenance["command"],
+            "config_path": self.config_path,
+            "config_hash": self.provenance["config_hash"],
+            "seed": self.provenance["seed"],
+            "output_dir": self.out_name,
+            "version": __version__,
+            **extra,
+            "outputs": ",".join(self.written),
+        }, {})
+        for key, value in self.entries.items():
+            print(f"{key} = {fmt_value(value)}")
+        return EXIT_OK
 
 
 def _require(section, name: str):
@@ -152,50 +154,44 @@ def cmd_simulate(args) -> int:
     timing = _require(cfg.timing, "timing")
     if args.trials <= 0:
         raise ParameterError("--trials must be > 0")
+    if args.workers < 1:
+        raise ParameterError("--workers must be >= 1")
     t_list = parse_t_list(args.t)
     plan = parse_angle_plan(args.angles)
     if args.records and args.trials > RECORDS_LIMIT:
         raise ParameterError(
             f"--records supports at most {RECORDS_LIMIT} trials per setting")
-    out = _out_dir(args)
+    art = _Artifacts(args, cfg)
 
-    outputs = []
     wall_total = 0.0
     for ti, t in enumerate(t_list):
         result = run_experiment(params, timing, t, plan, args.trials,
-                                args.seed, workers=args.workers,
-                                double_pair=cfg.double_pair, run_tag=ti)
+                                args.seed, double_pair=cfg.double_pair,
+                                run_tag=ti)
         wall_total += result.wall_time
         for ai, table in enumerate(result.tables):
-            prov = _base_provenance("simulate", cfg.config_hash, args.seed)
-            prov.update({
-                "run_tag": ti, "setting_index": ai,
+            prov = {
+                **art.provenance, "run_tag": ti, "setting_index": ai,
                 "t_seconds": t,
                 "theta_s_deg": math.degrees(table.settings.theta_s),
                 "theta_as_deg": math.degrees(table.settings.theta_as),
                 "trials": args.trials,
                 "double_pair": cfg.double_pair,
                 "stream": STREAM_VERSION,
-            })
-            path = out / f"counts_t{ti:02d}_a{ai:02d}.csv"
-            write_counts_csv(path, [table], prov)
-            outputs.append(path.name)
+            }
+            write_counts_csv(art.path(f"counts_t{ti:02d}_a{ai:02d}.csv"),
+                             [table], prov)
             if args.records:
-                rec_path = out / f"trials_t{ti:02d}_a{ai:02d}.csv"
-                _write_records(rec_path, params, t, table.settings,
-                               args.trials, args.seed, ti, ai,
-                               cfg.double_pair, prov)
-                outputs.append(rec_path.name)
+                _write_records(art.path(f"trials_t{ti:02d}_a{ai:02d}.csv"),
+                               params, t, table.settings, args.trials,
+                               args.seed, ti, ai, cfg.double_pair, prov)
 
-    _write_manifest(out, "simulate", args, cfg.config_hash, args.seed, {
-        "trials_per_setting": args.trials,
-        "storage_times_s": ",".join(fmt_value(t) for t in t_list),
-        "angle_plan": args.angles,
-        "trial_rate_per_s": repetition_rate(timing),
-        "simulated_wall_time_s": wall_total,
-        "outputs": ",".join(outputs),
-    })
-    print(f"simulate: wrote {len(outputs)} file(s) to {out} "
+    art.finish(trials_per_setting=args.trials,
+               storage_times_s=",".join(fmt_value(t) for t in t_list),
+               angle_plan=args.angles,
+               trial_rate_per_s=repetition_rate(timing),
+               simulated_wall_time_s=wall_total)
+    print(f"simulate: wrote {len(art.written)} file(s) to {art.out} "
           f"(simulated wall time {fmt_value(wall_total)} s)")
     return EXIT_OK
 
@@ -235,7 +231,7 @@ def cmd_estimate(args) -> int:
     eta_td = _eta_td_for_estimate(args, cfg)
     if args.replicas < 100:
         raise ParameterError("--replicas must be >= 100")
-    out = _out_dir(args)
+    art = _Artifacts(args, cfg)
 
     digest = hashlib.sha256()
     tables: List[CountsTable] = []
@@ -247,10 +243,8 @@ def cmd_estimate(args) -> int:
         raise SchemaError("no counts rows found in the input files")
     inputs_hash = "sha256:" + digest.hexdigest()
 
-    prov = _base_provenance("estimate",
-                            cfg.config_hash if cfg else "none", args.seed)
-    prov.update({"inputs_hash": inputs_hash, "eta_td": eta_td,
-                 "replicas": args.replicas})
+    art.provenance.update({"inputs_hash": inputs_hash, "eta_td": eta_td,
+                           "replicas": args.replicas})
 
     entries: Dict[str, object] = {"eta_td": eta_td}
     retrieval_rows: List[Tuple[float, float, float]] = []
@@ -291,41 +285,27 @@ def cmd_estimate(args) -> int:
         entries["fidelity.value"] = fidelity_from_S(s_est.value)
         entries["fidelity.sigma"] = 0.75 * s_est.sigma / TWO_ROOT_TWO
 
-    outputs = []
-    report = _write_report(out, "estimates", "estimates", args.format,
-                           entries, prov)
-    outputs.append(report.name)
+    art.report("estimates", "estimates", entries)
     if retrieval_rows:
         retrieval_rows.sort(key=lambda row: row[0])
-        path = out / "retrieval.csv"
-        write_csv(path, "decay-samples", ("t_seconds", "R", "sigma_R"),
-                  retrieval_rows, prov)
-        outputs.append(path.name)
-
-    return _finish(out, "estimate", args,
-                   cfg.config_hash if cfg else "none", args.seed, {
-                       "inputs_hash": inputs_hash,
-                       "inputs": ",".join(args.counts),
-                       "outputs": ",".join(outputs),
-                   }, entries)
+        write_csv(art.path("retrieval.csv"), "decay-samples",
+                  ("t_seconds", "R", "sigma_R"), retrieval_rows,
+                  art.provenance)
+    return art.finish(inputs_hash=inputs_hash, inputs=",".join(args.counts))
 
 
 def cmd_fit_decay(args) -> int:
     samples = read_decay_csv(args.data)
     decay, residual = fit_decay(samples)
-    out = _out_dir(args)
-    prov = _base_provenance("fit-decay", "none", "none")
-    prov["inputs"] = args.data
-    entries = {
+    art = _Artifacts(args)
+    art.provenance["inputs"] = args.data
+    art.report("decay_fit", "decay-fit", {
         "r0": decay.r0,
         "tau0_s": decay.tau0,
         "residual": residual,
         "n_samples": len(samples),
-    }
-    report = _write_report(out, "decay_fit", "decay-fit", args.format,
-                           entries, prov)
-    return _finish(out, "fit-decay", args, "none", "none",
-                   {"inputs": args.data, "outputs": report.name}, entries)
+    })
+    return art.finish(inputs=args.data)
 
 
 def cmd_lifetime(args) -> int:
@@ -333,23 +313,19 @@ def cmd_lifetime(args) -> int:
     geometry = _require(cfg.geometry, "geometry")
     theta = coupling_angle(geometry)
     tau = motional_lifetime(geometry)
-    out = _out_dir(args)
-    entries = {
+    art = _Artifacts(args, cfg)
+    art.report("lifetime", "lifetime", {
         "coupling_angle_rad": theta,
         "coupling_angle_deg": math.degrees(theta),
         "motional_lifetime_s": tau,
-    }
-    prov = _base_provenance("lifetime", cfg.config_hash, "none")
-    report = _write_report(out, "lifetime", "lifetime", args.format,
-                           entries, prov)
-    return _finish(out, "lifetime", args, cfg.config_hash, "none",
-                   {"outputs": report.name}, entries)
+    })
+    return art.finish()
 
 
 def cmd_budget(args) -> int:
     cfg = _load_required_config(args)
     chain = _require(cfg.chain, "chain")
-    out = _out_dir(args)
+    art = _Artifacts(args, cfg)
     entries = {
         "t_oc": chain.t_oc,
         "cavity_loss": chain.cavity_loss,
@@ -360,28 +336,21 @@ def cmd_budget(args) -> int:
     if chain.loss_items:
         for name in sorted(chain.loss_items):
             entries[f"loss.{name}"] = chain.loss_items[name]
-    prov = _base_provenance("budget", cfg.config_hash, "none")
-    report = _write_report(out, "budget", "budget", args.format, entries,
-                           prov)
-    return _finish(out, "budget", args, cfg.config_hash, "none",
-                   {"outputs": report.name}, entries)
+    art.report("budget", "budget", entries)
+    return art.finish()
 
 
 def cmd_repeater_sweep(args) -> int:
     if args.preset:
-        if args.preset not in PRESETS:
-            raise ParameterError(f"unknown preset {args.preset!r}")
-        curves = PRESETS[args.preset]
-        config_hash = "none"
+        cfg, curves = None, PRESETS[args.preset]
         chi_source = PRESET_CHI_SOURCE
     else:
         cfg = _load_required_config(args)
         curves = (("config", _require(cfg.repeater, "repeater")),)
-        config_hash = cfg.config_hash
         chi_source = "config"
     if not 0.0 < args.l_min < args.l_max:
         raise ParameterError("need 0 < --l-min < --l-max")
-    out = _out_dir(args)
+    art = _Artifacts(args, cfg)
 
     rows = []
     entries: Dict[str, object] = {}
@@ -408,23 +377,16 @@ def cmd_repeater_sweep(args) -> int:
             else:
                 entries[f"{label}.threshold_crossing_m"] = crossing
 
-    prov = _base_provenance("repeater-sweep", config_hash, "none")
-    prov.update({"chi_source": chi_source, "grid": args.grid,
-                 "l_min_m": args.l_min, "l_max_m": args.l_max,
-                 "steps": args.steps,
-                 "approx_multiplex": args.approx_multiplex})
-    sweep_path = out / "repeater_sweep.csv"
-    write_csv(sweep_path, "repeater-sweep",
+    art.provenance.update({"chi_source": chi_source, "grid": args.grid,
+                           "l_min_m": args.l_min, "l_max_m": args.l_max,
+                           "steps": args.steps,
+                           "approx_multiplex": args.approx_multiplex})
+    write_csv(art.path("repeater_sweep.csv"), "repeater-sweep",
               ("curve", "r0", "distance_m", "rate_per_s", "t_cc_s", "p0",
                "p0_multiplexed", "p_pr", "t_final_s", "underflow"),
-              rows, prov)
-    report = _write_report(out, "repeater_summary", "repeater-summary",
-                           args.format, entries, prov)
-    return _finish(out, "repeater-sweep", args, config_hash, "none", {
-        "preset": args.preset or "none",
-        "chi_source": chi_source,
-        "outputs": ",".join([sweep_path.name, report.name]),
-    }, entries)
+              rows, art.provenance)
+    art.report("repeater_summary", "repeater-summary", entries)
+    return art.finish(preset=args.preset or "none", chi_source=chi_source)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -435,20 +397,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, seed_default=None, seed_required=False):
-        p.add_argument("--config", help="key = value configuration file")
+    def common(p, *, config=True, report=True):
+        """Add --out, and --config (to ``config`` if a group) and --format."""
+        if config:
+            (p if config is True else config).add_argument(
+                "--config", help="key = value configuration file")
         p.add_argument("--out", help=f"output directory (default: "
                        f"${OUTPUT_DIR_ENV} or '.')")
-        p.add_argument("--format", choices=("kv", "csv"), default="kv",
-                       help="report format (default kv)")
-        if seed_required:
-            p.add_argument("--seed", type=int, required=True,
-                           help="RNG seed (required for reproducible runs)")
-        else:
-            p.add_argument("--seed", type=int, default=seed_default)
+        if report:
+            p.add_argument("--format", choices=("kv", "csv"), default="kv",
+                           help="report format (default kv)")
 
     p = sub.add_parser("simulate", help="run the Monte Carlo engine")
-    common(p, seed_required=True)
+    common(p, report=False)
+    p.add_argument("--seed", type=int, required=True,
+                   help="RNG seed (required for reproducible runs)")
     p.add_argument("--trials", type=int, required=True,
                    help="write trials per analyzer setting")
     p.add_argument("--t", default="0",
@@ -463,7 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("estimate", help="estimators on counts CSV files")
-    common(p, seed_default=0)
+    common(p)
+    p.add_argument("--seed", type=int, default=0,
+                   help="RNG seed of the error-bar replicas (default 0)")
     p.add_argument("counts", nargs="+", help="counts CSV files")
     p.add_argument("--eta-td", type=float, default=None,
                    help="total detection efficiency of the read-out chain")
@@ -472,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("fit-decay", help="fit the retrieval decay model")
-    common(p)
+    common(p, config=False)
     p.add_argument("data", help="CSV with t_seconds,R[,sigma_R]")
     p.set_defaults(func=cmd_fit_decay)
 
@@ -485,9 +450,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_budget)
 
     p = sub.add_parser("repeater-sweep", help="repeater rate vs distance")
-    common(p)
-    p.add_argument("--preset", choices=sorted(PRESETS),
-                   help="named parameter preset (overrides --config)")
+    source = p.add_mutually_exclusive_group()
+    common(p, config=source)
+    source.add_argument("--preset", choices=sorted(PRESETS),
+                        help="named parameter preset (excludes --config)")
     p.add_argument("--l-min", type=float, default=1e5,
                    help="sweep start distance, m (default 1e5)")
     p.add_argument("--l-max", type=float, default=2e6,

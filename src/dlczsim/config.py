@@ -16,7 +16,7 @@ from typing import Dict, Optional
 from .errors import ConfigError
 from .params import (CycleTiming, DecayParams, DetectionChain,
                      EnsembleGeometry, ExperimentParams)
-from .repeater import LINK_DIVISOR_CHOICES, RepeaterParams
+from .repeater import RepeaterParams
 
 # Zero-delay visibility calibration: the value implied by a CHSH parameter
 # of 2.5 through V = S / (2 sqrt 2).
@@ -170,60 +170,33 @@ def load_config(path) -> Config:
     raw = parse_kv_lines(data.decode("utf-8"))
     sections = _split_sections(raw)
 
-    def build(section, factory, **extra):
+    def build(section, factory):
         fields = sections.get(section)
         if fields is None:
             return None
         try:
-            return factory(**{**fields, **extra})
-        except ConfigError:
-            raise
+            return factory(**fields)
         except ValueError as exc:
             raise ConfigError(f"section {section!r}: {exc}") from exc
 
-    experiment = None
-    if "experiment" in sections:
-        if "decay" not in sections:
-            raise ConfigError(
-                "section 'experiment' requires section 'decay'")
-        decay = build("decay", DecayParams)
-        fields = dict(sections["experiment"])
-        fields.setdefault("eta_s", fields["eta_as"])
-        fields.setdefault("visibility", DEFAULT_VISIBILITY)
-        fields.setdefault("phase", 0.0)
-        try:
-            experiment = ExperimentParams(
-                chi=fields["chi"], noise_b=fields["noise_b"],
-                noise_c=fields["noise_c"], eta_s=fields["eta_s"],
-                eta_as=fields["eta_as"], v0=fields["visibility"],
-                phase=fields["phase"], decay=decay)
-        except ValueError as exc:
-            raise ConfigError(f"section 'experiment': {exc}") from exc
-    elif "decay" in sections:
-        build("decay", DecayParams)  # validate even when unused
+    if "experiment" in sections and "decay" not in sections:
+        raise ConfigError("section 'experiment' requires section 'decay'")
+    decay = build("decay", DecayParams)  # validated even when unused
 
-    repeater = None
-    if "repeater" in sections:
-        fields = dict(sections["repeater"])
-        divisor = fields.get("link_divisor", "2^n")
-        if divisor not in LINK_DIVISOR_CHOICES:
-            raise ConfigError(
-                f"repeater.link_divisor must be one of "
-                f"{LINK_DIVISOR_CHOICES}, got {divisor!r}")
-        fields["link_divisor"] = divisor
-        try:
-            repeater = RepeaterParams(**fields)
-        except ValueError as exc:
-            raise ConfigError(f"section 'repeater': {exc}") from exc
+    def experiment(eta_as, eta_s=None, visibility=DEFAULT_VISIBILITY,
+                   phase=0.0, **fields):
+        return ExperimentParams(eta_s=eta_as if eta_s is None else eta_s,
+                                eta_as=eta_as, v0=visibility, phase=phase,
+                                decay=decay, **fields)
 
     engine = sections.get("engine", {})
     return Config(
         path=str(path),
         config_hash=digest,
-        experiment=experiment,
+        experiment=build("experiment", experiment),
         chain=build("chain", DetectionChain),
         geometry=build("geometry", EnsembleGeometry),
         timing=build("timing", CycleTiming),
-        repeater=repeater,
+        repeater=build("repeater", RepeaterParams),
         double_pair=bool(engine.get("double_pair", False)),
     )

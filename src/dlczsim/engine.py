@@ -8,8 +8,7 @@ of one trial; the engine samples each trial's outcome from that table.
 Reproducibility contract: every trial's outcome comes from one uniform of a
 counter-based Philox stream keyed by (seed, run_tag, setting index, block
 index) with a fixed block length. Counts are therefore bit-identical for a
-fixed seed; merging blocks is plain integer addition. ``workers`` is
-accepted and validated but has no effect.
+fixed seed; merging blocks is plain integer addition.
 """
 
 from __future__ import annotations
@@ -254,19 +253,6 @@ def _block_outcomes(cdf: np.ndarray, seed: int, run_tag: int,
     return np.searchsorted(cdf[:-1], u, side="right")
 
 
-def run_trial(params: ExperimentParams, t: float, angles: AngleSettings,
-              rng_stream: np.random.Generator, *,
-              trial_index: int = 0, double_pair: bool = False) -> TrialRecord:
-    """Simulate a single write/feed-forward/read trial.
-
-    Draws a fixed number of uniforms from ``rng_stream`` (9, or 13 with
-    double-pair sampling) in the documented role order.
-    """
-    model = _trial_model(params, t, angles, double_pair)
-    u = rng_stream.random(model.n_cols)
-    return TrialRecord.from_outcome(trial_index, t, _decide_one(model, u))
-
-
 def _blocks(n_trials: int) -> Iterator[Tuple[int, int]]:
     """(block index, size) of each RNG block, produced lazily."""
     full, rem = divmod(n_trials, BLOCK_TRIALS)
@@ -300,14 +286,13 @@ def trial_outcome_blocks(params: ExperimentParams, t: float,
 def run_experiment(params: ExperimentParams, timing: CycleTiming, t: float,
                    angle_list: Sequence[AngleSettings],
                    n_trials_per_setting: int, seed: int, *,
-                   workers: int = 1, double_pair: bool = False,
+                   double_pair: bool = False,
                    run_tag: int = 0) -> ExperimentResult:
     """Run ``n_trials_per_setting`` trials at each analyzer setting.
 
     Counts are exact sums over trials; the simulated wall time follows the
     preparation/run duty cycle of ``timing``. Identical (seed, run_tag,
-    settings) always produce identical tables. ``workers`` must be >= 1 and
-    has no effect.
+    settings) always produce identical tables.
     """
     if not angle_list:
         raise ParameterError("angle_list must contain at least one setting")
@@ -315,8 +300,6 @@ def run_experiment(params: ExperimentParams, timing: CycleTiming, t: float,
         raise ParameterError("n_trials_per_setting must be > 0")
     if seed < 0:
         raise ParameterError("seed must be a non-negative integer")
-    if workers < 1:
-        raise ParameterError("workers must be >= 1")
 
     tables = []
     for s_idx, angles in enumerate(angle_list):

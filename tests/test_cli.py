@@ -194,6 +194,8 @@ def test_simulate_validation_errors(config, tmp_path):
                  "--trials", "100", "--out", out]) == 2
     assert main(["simulate", "--config", str(tmp_path / "nope.conf"),
                  "--seed", "1", "--trials", "100", "--out", out]) == 4
+    assert main(["simulate", "--config", config, "--seed", "1",
+                 "--trials", "100", "--workers", "0", "--out", out]) == 2
 
 
 def test_estimate_single_matched_file(config, tmp_path, capsys):
@@ -311,3 +313,50 @@ def test_simulate_estimate_fit_round_trip(tmp_path):
     sig_tau = float(np.std([b[1] for b in boots]))
     assert abs(report["r0"] - 0.77) < 3 * sig_r0
     assert abs(report["tau0_s"] - 1e-3) < 3 * sig_tau
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit-decay", "decay.csv", "--config", "lab.conf"],
+    ["fit-decay", "decay.csv", "--seed", "5"],
+    ["repeater-sweep", "--preset", "fig8", "--config", "lab.conf"],
+    ["simulate", "--config", "lab.conf", "--seed", "1", "--trials", "10",
+     "--format", "csv"],
+    ["budget", "--config", "lab.conf", "--seed", "1"],
+    ["lifetime", "--config", "lab.conf", "--seed", "1"],
+])
+def test_flags_a_command_does_not_read_are_rejected(argv, tmp_path,
+                                                    monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "lab.conf").write_text(CONFIG)
+    (tmp_path / "decay.csv").write_text("t_seconds,R\n0,0.77\n0.0005,0.5\n")
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", "out"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_seedless_manifests_record_no_config_or_seed(tmp_path):
+    data = tmp_path / "decay.csv"
+    data.write_text("t_seconds,R\n0,0.77\n0.00023,0.667\n0.00054,0.50\n")
+    fit, sweep = tmp_path / "fit", tmp_path / "sweep"
+    assert main(["fit-decay", str(data), "--out", str(fit)]) == 0
+    assert main(["repeater-sweep", "--preset", "fig8", "--steps", "5",
+                 "--out", str(sweep)]) == 0
+    for out in (fit, sweep):
+        manifest, _ = read_kv(out / "run_manifest.kv")
+        assert manifest["config_path"] == "none"
+        assert manifest["config_hash"] == "none"
+        assert manifest["seed"] == "none"
+
+
+def test_bad_link_divisor_names_the_repeater_section(tmp_path, capsys):
+    sample = (Path(__file__).resolve().parents[1] / "sample.conf").read_text()
+    path = tmp_path / "divisor.conf"
+    path.write_text(sample + "repeater.link_divisor = 4\n")
+    out = tmp_path / "sweep"
+    assert main(["repeater-sweep", "--config", str(path),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert "repeater" in err[0] and "link_divisor" in err[0]
+    assert not out.exists()

@@ -6,7 +6,7 @@ from scipy import stats
 
 from dlczsim import (AngleSettings, CycleTiming, DecayParams,
                      ExperimentParams, ParameterError, forward_count_probs,
-                     run_experiment, run_trial)
+                     run_experiment)
 from dlczsim.config import DEFAULT_VISIBILITY
 from dlczsim.engine import (BLOCK_TRIALS, _blocks, _cells, _count_matrix,
                             _decide_one, _outcome_table, _trial_model,
@@ -56,15 +56,15 @@ def test_identical_seeds_identical_tables():
     assert a != c
 
 
-def test_worker_count_does_not_change_counts():
+def test_multi_block_runs_are_deterministic():
     params = make_params(chi=0.05, eta_s=0.5, eta_as=0.5)
     plan = [MATCHED, AngleSettings(DEG(45), DEG(22.5))]
     # > BLOCK_TRIALS, so the run spans several blocks
-    n = (1 << 20) + 12_345
-    serial = run_experiment(params, TIMING, 0.0, plan, n, seed=11, workers=1)
-    parallel = run_experiment(params, TIMING, 0.0, plan, n, seed=11,
-                              workers=4)
-    assert serial.tables == parallel.tables
+    n = BLOCK_TRIALS + 12_345
+    first = run_experiment(params, TIMING, 0.0, plan, n, seed=11)
+    again = run_experiment(params, TIMING, 0.0, plan, n, seed=11)
+    assert first.tables == again.tables
+    assert all(table.n_pulses == n for table in first.tables)
 
 
 def exact_count_probs(params, t, angles, double_pair):
@@ -136,15 +136,15 @@ def test_blocks_are_lazy_and_cover_the_remainder():
     assert list(_blocks(5)) == [(0, 5)]
 
 
-def test_run_trial_record_fields():
-    params = make_params(chi=0.0, noise_b=0.0)
-    rec = run_trial(params, 1e-6, MATCHED, np.random.default_rng(0),
-                    trial_index=5)
-    assert rec.trial_index == 5
-    assert rec.stokes_click is None
-    assert rec.antistokes_click is None
-    assert not rec.pair_created
-    assert rec.storage_time == 1e-6
+def test_trial_record_fields_without_excitation_or_noise():
+    params = make_params(chi=0.0, noise_b=0.0, noise_c=0.0)
+    records = list(iter_trial_records(params, 1e-6, MATCHED, 6, seed=0))
+    assert [rec.trial_index for rec in records] == list(range(6))
+    for rec in records:
+        assert rec.stokes_click is None
+        assert rec.antistokes_click is None
+        assert not rec.pair_created
+        assert rec.storage_time == 1e-6
 
 
 def test_empirical_stokes_rate_matches_forward_model():
