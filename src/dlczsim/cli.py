@@ -10,6 +10,7 @@ dependence.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import os
@@ -253,22 +254,23 @@ def cmd_estimate(args) -> int:
         entries[f"{tag}.theta_s_deg"] = math.degrees(tb.settings.theta_s)
         entries[f"{tag}.theta_as_deg"] = math.degrees(tb.settings.theta_as)
         entries[f"{tag}.storage_time_s"] = tb.storage_time
-        total_coinc = tb.c13 + tb.c24 + tb.c14 + tb.c23
-        if total_coinc > 0:
-            e_est = poisson_error(correlation_E, tb,
+        estimators = {}
+        if tb.c13 + tb.c24 + tb.c14 + tb.c23 > 0:
+            estimators["E"] = correlation_E
+        matched = same_angle(tb.settings.theta_s, tb.settings.theta_as,
+                             tol=1e-6)
+        if matched:
+            estimators.update(
+                r_qubit=lambda c: intrinsic_retrieval_qubit(c, eta_td),
+                r_l=lambda c: intrinsic_retrieval_mode(c, "L", eta_td),
+                r_r=lambda c: intrinsic_retrieval_mode(c, "R", eta_td))
+        # one Poisson draw per table, shared by its estimators
+        estimates = poisson_error(tuple(estimators.values()), tb,
                                   n_replicas=args.replicas, seed=args.seed)
-            entries[f"{tag}.E"] = e_est.value
-            entries[f"{tag}.E_sigma"] = e_est.sigma
-        if same_angle(tb.settings.theta_s, tb.settings.theta_as, tol=1e-6):
-            retrieval = (
-                ("r_qubit", lambda c: intrinsic_retrieval_qubit(c, eta_td)),
-                ("r_l", lambda c: intrinsic_retrieval_mode(c, "L", eta_td)),
-                ("r_r", lambda c: intrinsic_retrieval_mode(c, "R", eta_td)))
-            for name, estimator in retrieval:
-                est = poisson_error(estimator, tb, n_replicas=args.replicas,
-                                    seed=args.seed)
-                entries[f"{tag}.{name}"] = est.value
-                entries[f"{tag}.{name}_sigma"] = est.sigma
+        for name, est in zip(estimators, estimates):
+            entries[f"{tag}.{name}"] = est.value
+            entries[f"{tag}.{name}_sigma"] = est.sigma
+        if matched:
             retrieval_rows.append((tb.storage_time, entries[f"{tag}.r_qubit"],
                                    entries[f"{tag}.r_qubit_sigma"]))
 
@@ -469,9 +471,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built at the first :func:`main` call of a process."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (InsufficientDataError, DegenerateDataError,

@@ -57,13 +57,17 @@ def _as_sample_arrays(samples) -> Tuple[np.ndarray, np.ndarray,
         sigma = None
     elif widths == {3}:
         sigma = np.array([row[2] for row in rows], dtype=float)
-        if np.any(sigma <= 0.0):
-            raise ParameterError("sample uncertainties must be > 0")
     else:
         raise ParameterError(
             "samples must be uniformly (t, R) or (t, R, sigma)")
     t = np.array([row[0] for row in rows], dtype=float)
     r = np.array([row[1] for row in rows], dtype=float)
+    for name, values in (("storage times", t), ("efficiencies", r),
+                         ("uncertainties", sigma)):
+        if values is not None and not np.all(np.isfinite(values)):
+            raise ParameterError(f"sample {name} must be finite")
+    if sigma is not None and np.any(sigma <= 0.0):
+        raise ParameterError("sample uncertainties must be > 0")
     if np.any(t < 0.0):
         raise ParameterError("storage times must be >= 0")
     if np.any(r < 0.0):
@@ -74,40 +78,48 @@ def _as_sample_arrays(samples) -> Tuple[np.ndarray, np.ndarray,
     return t, r, sigma
 
 
+def _max(values):
+    """Largest of ``values``; NaN if any is NaN (as ``np.max``)."""
+    values = list(values)
+    return math.nan if any(v != v for v in values) else max(values)
+
+
 def _nelder_mead(fun, x0, *, rel_tol=FIT_REL_TOL, max_iter=FIT_MAX_ITER,
                  steps=(0.02, 0.1)):
     """Minimal Nelder-Mead simplex descent for a handful of parameters.
 
-    Converges when the simplex objective spread falls below ``rel_tol``
-    relative to the best value; raises if the iteration budget runs out.
-    A simplex collapsed to machine precision also counts as converged
-    (an exact fit drives the objective to rounding noise, where no
-    relative criterion can ever be met).
+    Vertices are tuples of floats. Converges when the simplex objective
+    spread falls below ``rel_tol`` relative to the best value; raises if
+    the iteration budget runs out. A simplex collapsed to machine
+    precision also counts as converged (an exact fit drives the objective
+    to rounding noise, where no relative criterion can ever be met).
     """
     n = len(x0)
-    simplex = [np.array(x0, dtype=float)]
-    for i in range(n):
-        v = simplex[0].copy()
-        v[i] += steps[i]
-        simplex.append(v)
+    simplex = [tuple(float(c) for c in x0)]
+    simplex += [tuple(c + steps[i] if j == i else c
+                      for j, c in enumerate(simplex[0])) for i in range(n)]
     f = [fun(v) for v in simplex]
 
     for _ in range(max_iter):
-        order = np.argsort(f, kind="stable")
+        # stable, NaN last (as np.argsort(kind="stable"))
+        order = sorted(range(n + 1), key=lambda i: (f[i] != f[i], f[i]))
         simplex = [simplex[i] for i in order]
         f = [f[i] for i in order]
         if f[-1] - f[0] <= rel_tol * (abs(f[0]) + 1e-300):
             return simplex[0], f[0]
-        spread = max(float(np.max(np.abs(v - simplex[0])))
+        best = simplex[0]
+        spread = max(_max(abs(a - b) for a, b in zip(v, best))
                      for v in simplex[1:])
-        if spread <= 1e-14 * (1.0 + float(np.max(np.abs(simplex[0])))):
-            return simplex[0], f[0]
+        if spread <= 1e-14 * (1.0 + _max(abs(c) for c in best)):
+            return best, f[0]
 
-        centroid = np.mean(simplex[:-1], axis=0)
-        reflected = centroid + (centroid - simplex[-1])
+        centroid = tuple(sum(c[1:], c[0]) / n for c in zip(*simplex[:-1]))
+        worst = simplex[-1]
+        reflected = tuple(c + (c - w) for c, w in zip(centroid, worst))
         f_r = fun(reflected)
         if f_r < f[0]:
-            expanded = centroid + 2.0 * (centroid - simplex[-1])
+            expanded = tuple(c + 2.0 * (c - w)
+                             for c, w in zip(centroid, worst))
             f_e = fun(expanded)
             if f_e < f_r:
                 simplex[-1], f[-1] = expanded, f_e
@@ -116,13 +128,14 @@ def _nelder_mead(fun, x0, *, rel_tol=FIT_REL_TOL, max_iter=FIT_MAX_ITER,
         elif f_r < f[-2]:
             simplex[-1], f[-1] = reflected, f_r
         else:
-            contracted = centroid + 0.5 * (simplex[-1] - centroid)
+            contracted = tuple(c + 0.5 * (w - c)
+                               for c, w in zip(centroid, worst))
             f_c = fun(contracted)
             if f_c < f[-1]:
                 simplex[-1], f[-1] = contracted, f_c
             else:
-                best = simplex[0]
-                simplex = [best] + [best + 0.5 * (v - best)
+                simplex = [best] + [tuple(b + 0.5 * (x - b)
+                                          for b, x in zip(best, v))
                                     for v in simplex[1:]]
                 f = [f[0]] + [fun(v) for v in simplex[1:]]
     raise FitConvergenceError(
@@ -153,16 +166,22 @@ def fit_decay(samples: Sequence[Sequence[float]], *,
         model = r0 * (np.exp(-u * u) + np.exp(-u)) / 2.0
         return float(np.sum(w * (model - r) ** 2))
 
-    r0_lo = min(float(np.max(r)), 1.0)
-    r0_grid = np.linspace(r0_lo, 1.0, GRID_POINTS)
-    tau_grid = np.geomspace(t_max / 10.0, 10.0 * t_max, GRID_POINTS)
+    # The whole grid at once, with the objective's float operations: the
+    # taus are exp(log(tau)), as the simplex evaluates them.
+    r0_grid = np.linspace(min(float(np.max(r)), 1.0), 1.0, GRID_POINTS)
+    log_taus = [math.log(tau) for tau in
+                np.geomspace(t_max / 10.0, 10.0 * t_max, GRID_POINTS)]
+    u = t / np.array([math.exp(x) for x in log_taus])[:, None]
+    decay = (np.exp(-u * u) + np.exp(-u))[:, None, :]  # (tau, 1, sample)
+    model = r0_grid[:, None] * decay / 2.0  # (tau, r0, sample)
+    grid = np.sum(w * (model - r) ** 2, axis=-1).tolist()
+    r0s = r0_grid.tolist()
     best_f, best_x = math.inf, None
-    for tau in tau_grid:  # tau ascending: ties keep the smallest tau0
-        for r0 in r0_grid:
-            x = (r0, math.log(tau))
-            fval = objective(x)
+    # tau ascending: ties keep the smallest tau0
+    for log_tau, row in zip(log_taus, grid):
+        for r0, fval in zip(r0s, row):
             if fval < best_f * (1.0 - GRID_TIE_REL) or best_x is None:
-                best_f, best_x = fval, x
+                best_f, best_x = fval, (r0, log_tau)
 
     x_opt, f_opt = _nelder_mead(objective, best_x, rel_tol=rel_tol,
                                 max_iter=max_iter)

@@ -12,7 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Callable, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -201,8 +201,9 @@ def fidelity_from_S(s: float) -> float:
     return (3.0 * visibility_from_S(s) + 1.0) / 4.0
 
 
-def poisson_error(estimator: Callable, counts, *,
-                  n_replicas: int = 10_000, seed: int = 0) -> EstimateWithError:
+def poisson_error(estimator: Callable | Tuple[Callable, ...], counts, *,
+                  n_replicas: int = 10_000, seed: int = 0
+                  ) -> EstimateWithError | List[EstimateWithError]:
     """Error bar from Poisson resampling of every raw detector count.
 
     Each replica redraws all singles and coincidence counts as Poisson
@@ -211,12 +212,20 @@ def poisson_error(estimator: Callable, counts, *,
     Returns the estimate on the original counts and the standard deviation
     over replicas. Replicas where the estimator fails (NaN) are dropped
     unless they exceed 1% of the total.
+
+    ``estimator`` may also be a tuple of estimators, all evaluated on the
+    one draw; the result is then a list with, for each estimator, what a
+    call with it alone and the same seed returns (its own failure rule
+    included). The point estimates come first, so one that raises costs
+    no draw.
     """
+    several = isinstance(estimator, tuple)
+    estimators = estimator if several else (estimator,)
     if n_replicas < 100:
         raise ParameterError("n_replicas must be >= 100")
     single = not isinstance(counts, (list, tuple))
     tables = [counts] if single else list(counts)
-    value = float(estimator(counts))
+    values = [float(e(counts)) for e in estimators]
 
     lam = np.array([[getattr(tb, f) for f in _COUNT_FIELDS] for tb in tables],
                    dtype=float)
@@ -225,12 +234,15 @@ def poisson_error(estimator: Callable, counts, *,
 
     replicas = [SimpleNamespace(**vars(tb) | dict(zip(_COUNT_FIELDS, col.T)))
                 for tb, col in zip(tables, draws.swapaxes(0, 1))]
-    results = np.asarray(estimator(replicas[0] if single else replicas),
-                         dtype=float)
-    failed = np.isnan(results)
-    failures = int(failed.sum())
-    if failures > 0.01 * n_replicas:
-        raise DegenerateStatisticsError(
-            f"{failures}/{n_replicas} resampling replicas failed")
-    sigma = float(np.std(results[~failed]))
-    return EstimateWithError(value=value, sigma=sigma)
+    estimates = []
+    for e, value in zip(estimators, values):
+        results = np.asarray(e(replicas[0] if single else replicas),
+                             dtype=float)
+        failed = np.isnan(results)
+        failures = int(failed.sum())
+        if failures > 0.01 * n_replicas:
+            raise DegenerateStatisticsError(
+                f"{failures}/{n_replicas} resampling replicas failed")
+        sigma = float(np.std(results[~failed]))
+        estimates.append(EstimateWithError(value=value, sigma=sigma))
+    return estimates if several else estimates[0]

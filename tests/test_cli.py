@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dlczsim import fit_decay
+from dlczsim import cli, fit_decay
 from dlczsim.cli import main
 from dlczsim.datafiles import read_counts_csv, read_kv
 
@@ -128,6 +128,22 @@ def test_fit_decay_command(config, tmp_path):
     assert main(["fit-decay", str(data), "--out", str(out),
                  "--format", "csv"]) == 0
     assert (out / "decay_fit.csv").exists()
+
+
+@pytest.mark.parametrize("column", ["t_seconds", "R", "sigma_R"])
+def test_fit_decay_rejects_non_finite_samples(column, tmp_path, capsys):
+    rows = [["0", "0.77", "0.01"], ["0.00023", "0.667", "0.01"],
+            ["0.00054", "0.50", "0.01"]]
+    rows[1][["t_seconds", "R", "sigma_R"].index(column)] = "inf"
+    data = tmp_path / "decay.csv"
+    data.write_text("t_seconds,R,sigma_R\n"
+                    + "".join(",".join(row) + "\n" for row in rows))
+    out = tmp_path / "fit"
+    assert main(["fit-decay", str(data), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert "finite" in err[0]
+    assert not out.exists()
 
 
 def test_simulate_writes_counts_with_provenance(config, tmp_path):
@@ -360,3 +376,58 @@ def test_bad_link_divisor_names_the_repeater_section(tmp_path, capsys):
     assert len(err) == 1
     assert "repeater" in err[0] and "link_divisor" in err[0]
     assert not out.exists()
+
+
+def test_cached_parser_leaks_no_state(tmp_path, monkeypatch, capsys):
+    """A sequence of calls through the one cached parser parses and writes
+    exactly what a freshly built parser gives for each call."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "lab.conf").write_text(CONFIG)
+    calls = [
+        ["simulate", "--config", "../lab.conf", "--seed", "5",
+         "--trials", "2000", "--t", "0,0.0003,0.0008", "--records",
+         "--out", "sim"],
+        ["simulate", "--config", "../lab.conf", "--seed", "6",
+         "--trials", "2000", "--out", "sim2"],
+        ["estimate", "--eta-td", "0.5", "--seed", "5", "--replicas", "200",
+         "sim/counts_t00_a00.csv", "sim/counts_t01_a00.csv",
+         "sim/counts_t02_a00.csv", "--out", "est5"],
+        ["estimate", "--eta-td", "0.5", "--replicas", "200",
+         "sim/counts_t00_a00.csv", "sim/counts_t01_a00.csv",
+         "sim/counts_t02_a00.csv", "--out", "est0"],
+        ["estimate", "--eta-td", "0.5", "--bogus", "sim/counts_t00_a00.csv"],
+        ["fit-decay", "est0/retrieval.csv", "--format", "csv",
+         "--out", "fit"],
+        ["fit-decay", "est5/retrieval.csv", "--out", "fit"],
+    ]
+
+    def run(parser_for, where):
+        (tmp_path / where).mkdir()
+        monkeypatch.chdir(tmp_path / where)
+        seen = []
+        for argv in calls:
+            try:
+                ns = vars(parser_for().parse_args(argv))
+            except SystemExit as exc:
+                ns = {"exit": exc.code}
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            streams = capsys.readouterr()
+            files = {str(f): hashlib.sha256(f.read_bytes()).hexdigest()
+                     for f in sorted(Path(".").rglob("*")) if f.is_file()}
+            seen.append((ns, code, streams.out, streams.err, files))
+        return seen
+
+    cached = run(cli._parser, "cached")
+    assert cli._parser() is cli._parser()
+    with monkeypatch.context() as fresh:
+        fresh.setattr(cli, "_parser", cli.build_parser)
+        assert run(cli.build_parser, "fresh") == cached
+    namespaces = [ns for ns, *_ in cached]
+    assert namespaces[0]["records"] and not namespaces[1]["records"]
+    assert namespaces[2]["seed"] == 5 and namespaces[3]["seed"] == 0
+    assert namespaces[4] == {"exit": 2}
+    assert [code for _, code, *_ in cached] == [0, 0, 0, 0, ("exit", 2),
+                                                0, 0]

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from dlczsim import (DecayParams, DegenerateDataError, EnsembleGeometry,
                      FitConvergenceError, ParameterError, fit_decay,
                      motional_lifetime, retrieval_decay)
+from dlczsim.decoherence import _max, _nelder_mead
 
 MEASURED_DECAY = DecayParams(r0=0.77, tau0=1e-3)
 # The three efficiency/storage-time points quoted for the measured decay
@@ -141,3 +144,141 @@ def test_fit_iteration_budget():
     samples = _model_samples(0.5, 2e-3, np.linspace(0.0, 6e-3, 12))
     with pytest.raises(FitConvergenceError):
         fit_decay(samples, max_iter=1)
+
+
+def _fit_outcome(samples):
+    """float.hex of (r0, tau0, residual), or the error a fit raises."""
+    try:
+        fitted, residual = fit_decay(samples)
+    except (FitConvergenceError, DegenerateDataError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return " ".join(float(v).hex() for v in (fitted.r0, fitted.tau0,
+                                              residual))
+
+
+def _pin_corpus():
+    """Seeded (t, R[, sigma]) sets, n = 3-40, half of them weighted."""
+    rng = np.random.default_rng(20260518)
+    sets = []
+    for i in range(200):
+        n = int(rng.integers(3, 41))
+        t_max = float(10.0 ** rng.uniform(-5.0, -2.0))
+        t = np.sort(rng.uniform(0.0, t_max, n))
+        truth = DecayParams(float(rng.uniform(0.05, 0.95)),
+                            t_max * float(10.0 ** rng.uniform(-1.0, 1.0)))
+        sigma = 0.002 + 0.03 * rng.random(n)
+        r = np.abs(retrieval_decay(truth, t) + sigma * rng.standard_normal(n))
+        columns = (t, r, sigma) if i % 2 else (t, r)
+        sets.append(list(zip(*(c.tolist() for c in columns))))
+    times = np.linspace(0.0, 6e-3, 12)
+    sets.append(_model_samples(0.5, 2e-3, times))  # collapsed-simplex exit
+    sets.append(_model_samples(0.77, 1e-3, np.linspace(0.0, 3e-3, 40)))
+    sets.append(_model_samples(1.0, 4e-4, times[:3]))
+    sets.append([(t, 0.5) for t in times.tolist()])  # flat: tau0 runs away
+    sets.append([(t, 0.0) for t in times.tolist()])  # all zero: grid ties
+    return sets
+
+
+# sha256 over the outcomes of _pin_corpus, recorded with the scalar grid
+# and numpy-array simplex; any change of the fitter's float operation order
+# shows up here.
+PINNED_FIT_CORPUS = (
+    "26382700dad41ccfc277e30765430de78a8998d3fa345971b951fc17ebb5d924")
+
+
+def test_fit_results_are_bit_pinned():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outcomes = [_fit_outcome(s) for s in _pin_corpus()]
+    flat, zero = outcomes[-2:]
+    assert float.fromhex(flat.split()[1]) > 1e11
+    assert float.fromhex(zero.split()[0]) == 0.0
+    with pytest.warns(RuntimeWarning):  # 1 / sigma^2 overflows to inf
+        outcomes.append(_fit_outcome(
+            [(t, r, 1e-200) for t, r in REPORTED_POINTS]))
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == PINNED_FIT_CORPUS
+
+
+@pytest.mark.parametrize("column", [0, 1, 2])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_fit_rejects_non_finite_samples(column, bad):
+    samples = [list(row) + [0.01] for row in REPORTED_POINTS]
+    samples[1][column] = bad
+    with pytest.raises(ParameterError, match="finite"):
+        fit_decay(samples)
+
+
+def _numpy_nelder_mead(fun, x0, rel_tol=1e-12, max_iter=10_000,
+                       steps=(0.02, 0.1)):
+    """The simplex as written on numpy arrays: the reference for NaN order
+    (np.argsort puts NaN last) and NaN spread (np.max propagates it)."""
+    simplex = [np.array(x0, dtype=float)]
+    for i in range(len(x0)):
+        v = simplex[0].copy()
+        v[i] += steps[i]
+        simplex.append(v)
+    f = [fun(v) for v in simplex]
+    for _ in range(max_iter):
+        order = np.argsort(f, kind="stable")
+        simplex = [simplex[i] for i in order]
+        f = [f[i] for i in order]
+        if f[-1] - f[0] <= rel_tol * (abs(f[0]) + 1e-300):
+            return simplex[0], f[0]
+        spread = max(float(np.max(np.abs(v - simplex[0])))
+                     for v in simplex[1:])
+        if spread <= 1e-14 * (1.0 + float(np.max(np.abs(simplex[0])))):
+            return simplex[0], f[0]
+        centroid = np.mean(simplex[:-1], axis=0)
+        reflected = centroid + (centroid - simplex[-1])
+        f_r = fun(reflected)
+        if f_r < f[0]:
+            expanded = centroid + 2.0 * (centroid - simplex[-1])
+            f_e = fun(expanded)
+            if f_e < f_r:
+                simplex[-1], f[-1] = expanded, f_e
+            else:
+                simplex[-1], f[-1] = reflected, f_r
+        elif f_r < f[-2]:
+            simplex[-1], f[-1] = reflected, f_r
+        else:
+            contracted = centroid + 0.5 * (simplex[-1] - centroid)
+            f_c = fun(contracted)
+            if f_c < f[-1]:
+                simplex[-1], f[-1] = contracted, f_c
+            else:
+                best = simplex[0]
+                simplex = [best] + [best + 0.5 * (v - best)
+                                    for v in simplex[1:]]
+                f = [f[0]] + [fun(v) for v in simplex[1:]]
+    raise FitConvergenceError("budget")
+
+
+def _bowl(x):
+    return float((x[0] - 0.2) ** 2 + 3.0 * (x[1] - 1.0) ** 2)
+
+
+@pytest.mark.parametrize("fun", [
+    _bowl,
+    lambda x: math.nan if x[0] > 0.25 else _bowl(x),
+    lambda x: math.nan if x[1] < 0.95 else _bowl(x),
+    lambda x: math.inf if x[0] < 0.15 else _bowl(x),
+    lambda x: math.nan if abs(x[0] - 0.2) < 0.01 else _bowl(x),
+    lambda x: math.nan if x[0] > 0.19 else -math.inf if x[1] > 1.2 else 0.0,
+])
+@pytest.mark.parametrize("x0", [(0.1, 0.0), (0.3, 1.5), (0.25, 0.9)])
+def test_simplex_on_floats_matches_numpy_reference(fun, x0):
+    def outcome(minimize):
+        try:
+            x, fx = minimize(fun, x0, max_iter=300)
+        except FitConvergenceError:
+            return "no convergence"
+        return [float(c).hex() for c in (*x, fx)]
+    assert outcome(_nelder_mead) == outcome(_numpy_nelder_mead)
+
+
+@pytest.mark.parametrize("values", [[1.0, math.nan], [math.nan, 1.0],
+                                    [2.0, 1.0], [0.0, math.inf],
+                                    [math.nan, math.inf]])
+def test_simplex_spread_propagates_nan_like_numpy(values):
+    assert repr(_max(values)) == repr(float(np.max(values)))

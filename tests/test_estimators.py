@@ -327,6 +327,31 @@ def test_poisson_error_drop_rule_edge():
         poisson_error(fail_first(2), table, n_replicas=100, seed=11)
 
 
+def test_poisson_error_shares_one_draw_among_estimators():
+    table = matched_table(n_d1=1000, n_d2=1000, c13=15, c24=15, c14=5, c23=5)
+    estimators = (correlation_E, fail_first(1),
+                  lambda c: intrinsic_retrieval_qubit(c, 0.5),
+                  lambda c: intrinsic_retrieval_mode(c, "R", 0.5))
+    assert poisson_error(estimators, table, n_replicas=200, seed=4) == [
+        poisson_error(e, table, n_replicas=200, seed=4) for e in estimators]
+    # each estimator keeps its own failure rule; the first to fail raises
+    with pytest.raises(DegenerateStatisticsError, match="3/200"):
+        poisson_error((fail_first(2), fail_first(3), fail_first(4)), table,
+                      n_replicas=200, seed=4)
+    assert poisson_error((), table, n_replicas=200) == []
+
+
+def test_raising_point_estimate_costs_no_draw(monkeypatch):
+    def no_draws(seed):
+        raise AssertionError("drew replicas for a failed point estimate")
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(ParameterError, match="exactly 4 tables"):
+        bell_S([matched_table()] * 3)
+    with pytest.raises(InsufficientDataError):
+        poisson_error((correlation_E, correlation_E),
+                      matched_table(c13=0, c24=0))
+
+
 @pytest.mark.filterwarnings("error")
 def test_poisson_error_failed_replicas_emit_no_warning():
     # one coincidence per mode: many replicas lose every coincidence, and
