@@ -11,7 +11,7 @@ from .decoherence import fit_decay, motional_lifetime, retrieval_decay
 from .entanglement import (AngleSettings, ForwardProbs, JointOutcomeProbs,
                            forward_count_probs, projection_probs)
 from .engine import (CountsTable, ExperimentResult, TrialRecord,
-                     iter_trial_records, run_experiment)
+                     exact_count_probs, iter_trial_records, run_experiment)
 from .estimators import (BellSettings, EstimateWithError, bell_S,
                          bell_S_signed, correlation_E, fidelity_from_S,
                          intrinsic_retrieval_mode, intrinsic_retrieval_qubit,

@@ -39,9 +39,11 @@ from .repeater import (PRESETS, PRESET_CHI_SOURCE, sweep_distance,
 
 OUTPUT_DIR_ENV = "DLCZSIM_OUT"
 RECORDS_LIMIT = 1_000_000  # per-trial CSVs above this are refused
+RECORDS_CHUNK = 1 << 16  # trials rendered per text chunk of --records
 # Version of the engine's random streams, recorded in simulate provenance:
-# v2 samples one uniform per trial from the exact outcome table.
-STREAM_VERSION = "v2"
+# v3 draws one multinomial histogram per RNG block from the exact outcome
+# table; records are a seeded arrangement of that histogram.
+STREAM_VERSION = "v3"
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -199,8 +201,9 @@ def cmd_simulate(args) -> int:
 
 def _write_records(path, params, t, angles, n_trials, seed, run_tag,
                    setting_index, double_pair, provenance) -> None:
-    """Per-trial CSV, one text chunk per RNG block: each row is the trial
-    index followed by the pre-rendered cells of the trial's outcome."""
+    """Per-trial CSV in text chunks of at most ``RECORDS_CHUNK`` trials:
+    each row is the trial index followed by the pre-rendered cells of the
+    trial's outcome."""
     outcomes, blocks = trial_outcome_blocks(
         params, t, angles, n_trials, seed, setting_index=setting_index,
         double_pair=double_pair, run_tag=run_tag)
@@ -208,12 +211,17 @@ def _write_records(path, params, t, angles, n_trials, seed, run_tag,
     tails = ["".join(f",{fmt_value(v)}" for v in (
         r.storage_time, r.stokes_click or "none", r.antistokes_click or "none",
         r.pair_created)) + "\n" for r in kinds]
-    chunks = ("".join([f"{i}{tails[k]}"
-                       for i, k in enumerate(draw().tolist(), start=first)])
-              for first, draw in blocks)
+
+    def chunks():
+        for first, draw in blocks:
+            trials = draw()
+            for lo in range(0, len(trials), RECORDS_CHUNK):
+                yield "".join([f"{i}{tails[k]}" for i, k in enumerate(
+                    trials[lo:lo + RECORDS_CHUNK].tolist(), start=first + lo)])
+
     write_csv(path, "trials",
               ("trial_index", "storage_time_s", "stokes_click",
-               "antistokes_click", "pair_created"), chunks, provenance)
+               "antistokes_click", "pair_created"), chunks(), provenance)
 
 
 def _eta_td_for_estimate(args, cfg: Optional[Config]) -> float:

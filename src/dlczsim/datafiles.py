@@ -43,13 +43,17 @@ def _provenance_block(kind: str, provenance: Mapping[str, object]) -> str:
 def write_csv(path, kind: str, columns: Sequence[str],
               rows: Iterable[Union[str, Sequence]],
               provenance: Mapping[str, object]) -> None:
-    """Write a CSV; a ``str`` item of ``rows`` is pre-rendered text."""
-    out = [_provenance_block(kind, provenance)]
-    out.append(",".join(columns) + "\n")
-    for row in rows:
-        out.append(row if isinstance(row, str)
-                   else ",".join(fmt_value(v) for v in row) + "\n")
-    Path(path).write_text("".join(out), encoding="utf-8", newline="\n")
+    """Write a CSV; a ``str`` item of ``rows`` is pre-rendered text.
+
+    ``rows`` is consumed lazily: each item goes to the open file before the
+    next is requested, so a caller's chunks are never all held at once.
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as out:
+        out.write(_provenance_block(kind, provenance))
+        out.write(",".join(columns) + "\n")
+        for row in rows:
+            out.write(row if isinstance(row, str)
+                      else ",".join(fmt_value(v) for v in row) + "\n")
 
 
 def write_kv(path, kind: str, entries: Mapping[str, object],

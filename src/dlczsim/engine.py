@@ -3,12 +3,16 @@
 The trial logic is written once, in :func:`_decide_one`. Running it on
 interval-valued draws (:func:`_cells`) splits the unit cube of its uniforms
 into cells of constant outcome, which gives the exact outcome distribution
-of one trial; the engine samples each trial's outcome from that table.
+of one trial. A block's trials are i.i.d. draws from that table, so the
+block's outcome histogram is one multinomial draw.
 
-Reproducibility contract: every trial's outcome comes from one uniform of a
-counter-based Philox stream keyed by (seed, run_tag, setting index, block
-index) with a fixed block length. Counts are therefore bit-identical for a
-fixed seed; merging blocks is plain integer addition.
+Reproducibility contract: each RNG block of a setting draws its histogram
+from a counter-based Philox stream keyed by (seed, run_tag, setting index,
+block index) with a fixed block length; merging blocks is plain integer
+addition. Per-trial records arrange that same histogram in a uniformly
+random order drawn from a second stream (the block key plus one element),
+so the records always tally to the counts, and counts never depend on
+whether records are written.
 """
 
 from __future__ import annotations
@@ -228,12 +232,12 @@ def _cells(model: _TrialModel) -> Iterator[tuple]:
 
 
 def _outcome_table(model: _TrialModel) -> Tuple[List[_Outcome], np.ndarray]:
-    """Sorted outcomes of one trial and their cumulative probabilities."""
+    """Sorted outcomes of one trial and their probabilities."""
     probs = {}
     for outcome, weight, _, _ in _cells(model):
         probs[outcome] = probs.get(outcome, 0.0) + weight
     outcomes = sorted(probs)
-    return outcomes, np.cumsum([probs[o] for o in outcomes])
+    return outcomes, np.array([probs[o] for o in outcomes])
 
 
 def _count_matrix(outcomes: Sequence[_Outcome]) -> np.ndarray:
@@ -244,13 +248,36 @@ def _count_matrix(outcomes: Sequence[_Outcome]) -> np.ndarray:
                      for s, d1, a, d3, _ in outcomes], dtype=np.int64)
 
 
-def _block_outcomes(cdf: np.ndarray, seed: int, run_tag: int,
-                    setting_index: int, block: int, n: int) -> np.ndarray:
-    """Outcome index of each trial in one block, one Philox uniform each."""
-    ss = np.random.SeedSequence(
-        entropy=seed, spawn_key=(run_tag, setting_index, block))
-    u = np.random.Generator(np.random.Philox(ss)).random(n)
-    return np.searchsorted(cdf[:-1], u, side="right")
+def exact_count_probs(params: ExperimentParams, t: float,
+                      angles: AngleSettings, *,
+                      double_pair: bool = False) -> np.ndarray:
+    """Exact per-trial probabilities of (n_d1, n_d2, c13, c24, c14, c23)."""
+    outcomes, probs = _outcome_table(
+        _trial_model(params, t, angles, double_pair))
+    return probs @ _count_matrix(outcomes)
+
+
+def _block_rng(seed: int, *key: int) -> np.random.Generator:
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
+    return np.random.Generator(np.random.Philox(ss))
+
+
+def _block_histogram(probs: np.ndarray, seed: int, run_tag: int,
+                     setting_index: int, block: int, size: int) -> np.ndarray:
+    """Outcome histogram of one block's ``size`` trials: one multinomial."""
+    return _block_rng(seed, run_tag, setting_index, block).multinomial(
+        size, probs)
+
+
+def _block_arrangement(probs: np.ndarray, seed: int, run_tag: int,
+                       setting_index: int, block: int,
+                       size: int) -> np.ndarray:
+    """Outcome index of each trial of one block: the block's histogram in
+    a uniformly random order, drawn from the block key plus one element."""
+    hist = _block_histogram(probs, seed, run_tag, setting_index, block, size)
+    trials = np.repeat(np.arange(len(hist), dtype=np.uint8), hist)
+    _block_rng(seed, run_tag, setting_index, block, 1).shuffle(trials)
+    return trials
 
 
 def _blocks(n_trials: int) -> Iterator[Tuple[int, int]]:
@@ -268,15 +295,16 @@ def trial_outcome_blocks(params: ExperimentParams, t: float,
                          run_tag: int = 0) -> Tuple[List[_Outcome], Iterator]:
     """Outcome table of one setting and its trials' outcomes, block by block.
 
-    Returns the sorted outcomes and, per RNG block of the engine's one
-    stream, (first trial index, draw): ``draw()`` gives each trial's outcome
-    index, on call, so that a caller holds one block at a time.
+    Returns the sorted outcomes and, per RNG block, (first trial index,
+    draw): ``draw()`` gives each trial's outcome index, on call, so that a
+    caller holds one block at a time. A block's outcomes tally to the
+    histogram :func:`run_experiment` counts for the same block.
     """
     if n_trials <= 0:
         raise ParameterError("n_trials must be > 0")
-    outcomes, cdf = _outcome_table(
+    outcomes, probs = _outcome_table(
         _trial_model(params, t, angles, double_pair))
-    blocks = ((block * BLOCK_TRIALS, partial(_block_outcomes, cdf, seed,
+    blocks = ((block * BLOCK_TRIALS, partial(_block_arrangement, probs, seed,
                                              run_tag, setting_index, block,
                                              size))
               for block, size in _blocks(n_trials))
@@ -290,8 +318,8 @@ def run_experiment(params: ExperimentParams, timing: CycleTiming, t: float,
                    run_tag: int = 0) -> ExperimentResult:
     """Run ``n_trials_per_setting`` trials at each analyzer setting.
 
-    Counts are exact sums over trials; the simulated wall time follows the
-    preparation/run duty cycle of ``timing``. Identical (seed, run_tag,
+    Counts sum one multinomial histogram per RNG block; the simulated wall
+    time follows the preparation/run duty cycle of ``timing``. Identical (seed, run_tag,
     settings) always produce identical tables.
     """
     if not angle_list:
@@ -303,11 +331,10 @@ def run_experiment(params: ExperimentParams, timing: CycleTiming, t: float,
 
     tables = []
     for s_idx, angles in enumerate(angle_list):
-        outcomes, blocks = trial_outcome_blocks(
-            params, t, angles, n_trials_per_setting, seed,
-            setting_index=s_idx, double_pair=double_pair, run_tag=run_tag)
-        hist = sum(np.bincount(draw(), minlength=len(outcomes))
-                   for _, draw in blocks)
+        outcomes, probs = _outcome_table(
+            _trial_model(params, t, angles, double_pair))
+        hist = sum(_block_histogram(probs, seed, run_tag, s_idx, block, size)
+                   for block, size in _blocks(n_trials_per_setting))
         counts = (int(v) for v in hist @ _count_matrix(outcomes))
         tables.append(CountsTable(angles, t, n_trials_per_setting, *counts))
 
@@ -321,7 +348,8 @@ def iter_trial_records(params: ExperimentParams, t: float,
                        angles: AngleSettings, n_trials: int, seed: int, *,
                        setting_index: int = 0, double_pair: bool = False,
                        run_tag: int = 0) -> Iterator[TrialRecord]:
-    """Yield per-trial records using the same streams as the engine."""
+    """Yield per-trial records; they tally to :func:`run_experiment`'s
+    counts for the same seed, run tag and setting."""
     outcomes, blocks = trial_outcome_blocks(
         params, t, angles, n_trials, seed, setting_index=setting_index,
         double_pair=double_pair, run_tag=run_tag)

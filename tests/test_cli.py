@@ -156,7 +156,7 @@ def test_simulate_writes_counts_with_provenance(config, tmp_path):
                      "run_manifest.kv"]
     tables, provenance = read_counts_csv(out / "counts_t01_a00.csv")
     assert provenance["seed"] == "42"
-    assert provenance["stream"] == "v2"
+    assert provenance["stream"] == "v3"
     assert provenance["config_hash"].startswith("sha256:")
     assert tables[0].storage_time == 0.00054
     assert tables[0].n_pulses == 20000
@@ -198,6 +198,18 @@ def test_simulate_records_gate_feed_forward(config, tmp_path):
     for row in rows:
         if row[as_idx] != "none":
             assert row[s_idx] != "none"
+
+
+def test_records_bytes_do_not_depend_on_the_chunk_size(config, tmp_path,
+                                                       monkeypatch):
+    argv = ["simulate", "--config", config, "--seed", "3", "--trials",
+            "5000", "--records"]
+    assert main(argv + ["--out", str(tmp_path / "one")]) == 0
+    monkeypatch.setattr(cli, "RECORDS_CHUNK", 7)  # 715 chunks, the last short
+    assert main(argv + ["--out", str(tmp_path / "many")]) == 0
+    name = "trials_t00_a00.csv"
+    assert ((tmp_path / "one" / name).read_bytes()
+            == (tmp_path / "many" / name).read_bytes())
 
 
 def test_simulate_validation_errors(config, tmp_path):

@@ -243,3 +243,23 @@ def test_write_csv_deterministic_bytes(tmp_path):
     write_csv(a, "sweep", ("i", "v", "s"), rows, {"seed": 0})
     write_csv(b, "sweep", ("i", "v", "s"), rows, {"seed": 0})
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_write_csv_consumes_rows_lazily(tmp_path):
+    # chunks larger than the write buffer reach the file as they come;
+    # the short header may wait in the buffer until the first chunk
+    path = tmp_path / "trials.csv"
+    chunks = [f"{i}," + "x" * 20_000 + "\n" for i in range(4)]
+    header = "# dlczsim trials v1\n# seed = 0\ni,s\n"
+    seen = []
+
+    def rows():
+        for i, chunk in enumerate(chunks):
+            seen.append(path.read_text())
+            yield chunk
+
+    write_csv(path, "trials", ("i", "s"), rows(), {"seed": 0})
+    assert header.startswith(seen[0])
+    for i in range(1, len(chunks)):
+        assert seen[i] == header + "".join(chunks[:i])
+    assert path.read_text() == header + "".join(chunks)

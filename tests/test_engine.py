@@ -8,9 +8,9 @@ from dlczsim import (AngleSettings, CycleTiming, DecayParams,
                      ExperimentParams, ParameterError, forward_count_probs,
                      run_experiment)
 from dlczsim.config import DEFAULT_VISIBILITY
-from dlczsim.engine import (BLOCK_TRIALS, _blocks, _cells, _count_matrix,
-                            _decide_one, _outcome_table, _trial_model,
-                            iter_trial_records)
+from dlczsim.engine import (BLOCK_TRIALS, _blocks, _cells, _decide_one,
+                            _outcome_table, _trial_model, exact_count_probs,
+                            iter_trial_records, trial_outcome_blocks)
 
 DEG = math.radians
 TIMING = CycleTiming(prep_duration=42e-3, run_duration=8e-3,
@@ -67,13 +67,6 @@ def test_multi_block_runs_are_deterministic():
     assert all(table.n_pulses == n for table in first.tables)
 
 
-def exact_count_probs(params, t, angles, double_pair):
-    """Per-trial probabilities of (n_d1, n_d2, c13, c24, c14, c23)."""
-    outcomes, cdf = _outcome_table(_trial_model(params, t, angles,
-                                                double_pair))
-    return np.diff(cdf, prepend=0.0) @ _count_matrix(outcomes)
-
-
 def test_outcome_table_is_exact_for_decide_one():
     params = make_params(chi=0.3, noise_b=0.05, noise_c=0.2, eta_s=0.6,
                          eta_as=0.7, v0=0.9)
@@ -81,8 +74,8 @@ def test_outcome_table_is_exact_for_decide_one():
     for double_pair in (False, True):
         model = _trial_model(params, 0.1e-3, angles, double_pair)
         cells = list(_cells(model))
-        outcomes, cdf = _outcome_table(model)
-        assert abs(cdf[-1] - 1.0) < 1e-12
+        outcomes, probs = _outcome_table(model)
+        assert abs(probs.sum() - 1.0) < 1e-12
         assert all(weight > 0.0 for _, weight, _, _ in cells)
 
         # every uniform row lies in exactly one cell, whose outcome is the
@@ -102,7 +95,8 @@ def test_outcome_table_is_exact_for_decide_one():
                                double_pair=double_pair).tables[0]
         observed = np.array([table.n_d1, table.n_d2, table.c13, table.c24,
                              table.c14, table.c23])
-        p = exact_count_probs(params, 0.1e-3, angles, double_pair)
+        p = exact_count_probs(params, 0.1e-3, angles,
+                              double_pair=double_pair)
         z = (observed - n * p) / np.sqrt(n * p * (1 - p))
         assert np.all(np.abs(z) <= 4), (double_pair, z)
 
@@ -122,10 +116,73 @@ def test_analytic_model_gap_to_exact_table_is_pinned(double_pair, angles,
     # herald conditioning of the feed-forward read; it also ignores
     # double pairs. The gap at the sample.conf operating point:
     params = make_params(v0=DEFAULT_VISIBILITY)
-    exact = exact_count_probs(params, 0.0, angles, double_pair)
+    exact = exact_count_probs(params, 0.0, angles, double_pair=double_pair)
     f = forward_count_probs(params, 0.0, angles)
     analytic = np.array([f.p_d1, f.p_d2, f.p13, f.p24, f.p14, f.p23])
     assert analytic / exact - 1 == pytest.approx(gaps, abs=5e-4)
+
+
+@pytest.mark.parametrize("double_pair", [False, True])
+def test_counts_at_1e9_trials_follow_the_exact_table(double_pair):
+    # one multinomial per RNG block, so 1e9 trials cost ~1e3 draws
+    params = make_params(chi=0.05, eta_s=0.5, eta_as=0.5)
+    plan = [MATCHED, AngleSettings(DEG(45), DEG(22.5))]
+    n = 10**9
+    result = run_experiment(params, TIMING, 0.2e-3, plan, n, seed=37,
+                            double_pair=double_pair)
+    for angles, table in zip(plan, result.tables):
+        observed = np.array([table.n_d1, table.n_d2, table.c13, table.c24,
+                             table.c14, table.c23])
+        p = exact_count_probs(params, 0.2e-3, angles,
+                              double_pair=double_pair)
+        z = (observed - n * p) / np.sqrt(n * p * (1 - p))
+        assert np.all(np.abs(z) <= 4), (double_pair, angles, z)
+
+
+def test_records_tally_equals_counts_across_blocks():
+    params = make_params(chi=0.05, eta_s=0.5, eta_as=0.5)
+    plan = [MATCHED, AngleSettings(DEG(45), DEG(22.5))]
+    n = BLOCK_TRIALS + 12_345
+    result = run_experiment(params, TIMING, 0.3e-3, plan, n, seed=41,
+                            double_pair=True, run_tag=2)
+    for s_idx, (angles, table) in enumerate(zip(plan, result.tables)):
+        outcomes, blocks = trial_outcome_blocks(
+            params, 0.3e-3, angles, n, 41, setting_index=s_idx,
+            double_pair=True, run_tag=2)
+        firsts, hist = [], np.zeros(len(outcomes), dtype=np.int64)
+        for first, draw in blocks:
+            firsts.append(first)
+            hist += np.bincount(draw(), minlength=len(outcomes))
+        assert firsts == [0, BLOCK_TRIALS]
+        tally = {name: 0 for name in ("n_d1", "n_d2", "c13", "c24", "c14",
+                                      "c23")}
+        for (s, d1, a, d3, _), count in zip(outcomes, hist.tolist()):
+            if s:
+                tally["n_d1" if d1 else "n_d2"] += count
+            if s and a:
+                tally[("c13" if d3 else "c14") if d1
+                      else ("c23" if d3 else "c24")] += count
+        assert tally == {name: getattr(table, name) for name in tally}
+
+
+def test_records_order_is_uniform_given_the_histogram():
+    # the mean position of each outcome's trials is that of a uniformly
+    # random subset of the block (sampling without replacement)
+    params = make_params(chi=0.3, noise_b=0.05, noise_c=0.2, eta_s=0.6,
+                         eta_as=0.7)
+    size = 200_000
+    outcomes, blocks = trial_outcome_blocks(params, 0.0, MATCHED, size, 43,
+                                            double_pair=True)
+    (_, draw), = blocks
+    trials = draw()
+    positions = np.arange(size)
+    for k in range(len(outcomes)):
+        c = int(np.count_nonzero(trials == k))
+        if c < 100:
+            continue
+        var = (size ** 2 - 1) / 12 / c * (size - c) / (size - 1)
+        z = (positions[trials == k].mean() - (size - 1) / 2) / math.sqrt(var)
+        assert abs(z) <= 4, (outcomes[k], c, z)
 
 
 def test_blocks_are_lazy_and_cover_the_remainder():
