@@ -2,9 +2,9 @@
 repeater-sweep.
 
 Exit codes: 0 success, 2 validation error (parameters, config, schema),
-3 numeric failure (fit, degenerate statistics), 4 I/O error. Outputs are
-deterministic for a fixed (config, seed): no timestamps, no worker-count
-dependence.
+3 numeric failure (fit, degenerate statistics, overflow), 4 I/O error.
+Outputs are deterministic for a fixed (config, seed): no timestamps, no
+worker-count dependence.
 """
 
 from __future__ import annotations
@@ -358,8 +358,10 @@ def cmd_repeater_sweep(args) -> int:
         cfg = _load_required_config(args)
         curves = (("config", _require(cfg.repeater, "repeater")),)
         chi_source = "config"
-    if not 0.0 < args.l_min < args.l_max:
-        raise ParameterError("need 0 < --l-min < --l-max")
+    if not 0.0 < args.l_min < args.l_max < math.inf:
+        raise ParameterError("need 0 < --l-min < --l-max, both finite")
+    if args.threshold is not None and not 0.0 < args.threshold < math.inf:
+        raise ParameterError("--threshold must be finite and > 0")
     art = _Artifacts(args, cfg)
 
     rows = []
@@ -492,6 +494,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (InsufficientDataError, DegenerateDataError,
             DegenerateStatisticsError, FitConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except ArithmeticError as exc:  # overflow, division by zero
+        print(f"error: numeric failure ({type(exc).__name__}: {exc})",
+              file=sys.stderr)
         return EXIT_NUMERIC
     except (ParameterError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -140,12 +140,25 @@ def _parse_int(path, lineno, column, text) -> int:
             "is not an integer")
 
 
+def _degrees(theta: float) -> float:
+    """``theta`` in degrees, read back as exactly ``theta``: of
+    math.degrees(theta) and its two neighbours, the first whose
+    math.radians is ``theta`` (one exists for every angle made by
+    ``AngleSettings.from_degrees``)."""
+    deg = math.degrees(theta)
+    for candidate in (deg, math.nextafter(deg, math.inf),
+                      math.nextafter(deg, -math.inf)):
+        if math.radians(candidate) == theta:
+            return candidate
+    return deg
+
+
 def write_counts_csv(path, tables: Sequence[CountsTable],
                      provenance: Mapping[str, object]) -> None:
     rows = []
     for tb in tables:
-        rows.append((math.degrees(tb.settings.theta_s),
-                     math.degrees(tb.settings.theta_as),
+        rows.append((_degrees(tb.settings.theta_s),
+                     _degrees(tb.settings.theta_as),
                      tb.storage_time, tb.n_pulses, tb.n_d1, tb.n_d2,
                      tb.c13, tb.c24, tb.c14, tb.c23))
     write_csv(path, "counts", COUNTS_COLUMNS, rows, provenance)

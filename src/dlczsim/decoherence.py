@@ -29,8 +29,9 @@ def retrieval_decay(p: DecayParams, t):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise ParameterError("storage time must be >= 0")
-    x = t / p.tau0
-    out = p.r0 * (np.exp(-x * x) + np.exp(-x)) / 2.0
+    with np.errstate(over="ignore"):  # x * x -> inf: exp(-inf) = 0 exactly
+        x = t / p.tau0
+        out = p.r0 * (np.exp(-x * x) + np.exp(-x)) / 2.0
     return float(out) if out.ndim == 0 else out
 
 
@@ -79,9 +80,8 @@ def _as_sample_arrays(samples) -> Tuple[np.ndarray, np.ndarray,
 
 
 def _max(values):
-    """Largest of ``values``; NaN if any is NaN (as ``np.max``)."""
-    values = list(values)
-    return math.nan if any(v != v for v in values) else max(values)
+    """Largest of the list ``values``; NaN if any is NaN (as ``np.max``)."""
+    return math.nan if any(map(math.isnan, values)) else max(values)
 
 
 def _nelder_mead(fun, x0, *, rel_tol=FIT_REL_TOL, max_iter=FIT_MAX_ITER,
@@ -108,18 +108,18 @@ def _nelder_mead(fun, x0, *, rel_tol=FIT_REL_TOL, max_iter=FIT_MAX_ITER,
         if f[-1] - f[0] <= rel_tol * (abs(f[0]) + 1e-300):
             return simplex[0], f[0]
         best = simplex[0]
-        spread = max(_max(abs(a - b) for a, b in zip(v, best))
-                     for v in simplex[1:])
-        if spread <= 1e-14 * (1.0 + _max(abs(c) for c in best)):
+        spread = max([_max([abs(a - b) for a, b in zip(v, best)])
+                      for v in simplex[1:]])
+        if spread <= 1e-14 * (1.0 + _max([abs(c) for c in best])):
             return best, f[0]
 
-        centroid = tuple(sum(c[1:], c[0]) / n for c in zip(*simplex[:-1]))
+        centroid = tuple([sum(c[1:], c[0]) / n for c in zip(*simplex[:-1])])
         worst = simplex[-1]
-        reflected = tuple(c + (c - w) for c, w in zip(centroid, worst))
+        reflected = tuple([c + (c - w) for c, w in zip(centroid, worst)])
         f_r = fun(reflected)
         if f_r < f[0]:
-            expanded = tuple(c + 2.0 * (c - w)
-                             for c, w in zip(centroid, worst))
+            expanded = tuple([c + 2.0 * (c - w)
+                              for c, w in zip(centroid, worst)])
             f_e = fun(expanded)
             if f_e < f_r:
                 simplex[-1], f[-1] = expanded, f_e
@@ -128,14 +128,14 @@ def _nelder_mead(fun, x0, *, rel_tol=FIT_REL_TOL, max_iter=FIT_MAX_ITER,
         elif f_r < f[-2]:
             simplex[-1], f[-1] = reflected, f_r
         else:
-            contracted = tuple(c + 0.5 * (w - c)
-                               for c, w in zip(centroid, worst))
+            contracted = tuple([c + 0.5 * (w - c)
+                                for c, w in zip(centroid, worst)])
             f_c = fun(contracted)
             if f_c < f[-1]:
                 simplex[-1], f[-1] = contracted, f_c
             else:
-                simplex = [best] + [tuple(b + 0.5 * (x - b)
-                                          for b, x in zip(best, v))
+                simplex = [best] + [tuple([b + 0.5 * (x - b)
+                                           for b, x in zip(best, v)])
                                     for v in simplex[1:]]
                 f = [f[0]] + [fun(v) for v in simplex[1:]]
     raise FitConvergenceError(
@@ -157,14 +157,27 @@ def fit_decay(samples: Sequence[Sequence[float]], *,
     if t_max <= 0.0:
         raise DegenerateDataError("samples need a positive storage time")
 
+    # The objective's arrays live in one buffer: [u*u | u], negated and
+    # exponentiated in one call; every float operation and its order are
+    # those of r0 * (exp(-u*u) + exp(-u)) / 2, then sum(w * (model - r)**2).
+    buf = np.empty(2 * t.size)
+    acc, ratio = buf[:t.size], buf[t.size:]  # ratio: u = t / tau
+
     def objective(x):
         r0, log_tau = x
         if not 0.0 <= r0 <= 1.0:
             return math.inf
-        tau = math.exp(log_tau)
-        u = t / tau
-        model = r0 * (np.exp(-u * u) + np.exp(-u)) / 2.0
-        return float(np.sum(w * (model - r) ** 2))
+        np.divide(t, math.exp(log_tau), out=ratio)
+        np.multiply(ratio, ratio, out=acc)
+        np.negative(buf, out=buf)
+        np.exp(buf, out=buf)
+        np.add(acc, ratio, out=acc)
+        np.multiply(r0, acc, out=acc)
+        np.divide(acc, 2.0, out=acc)
+        np.subtract(acc, r, out=acc)
+        np.square(acc, out=acc)
+        np.multiply(w, acc, out=acc)
+        return float(np.add.reduce(acc))
 
     # The whole grid at once, with the objective's float operations: the
     # taus are exp(log(tau)), as the simplex evaluates them.

@@ -230,19 +230,27 @@ def poisson_error(estimator: Callable | Tuple[Callable, ...], counts, *,
     lam = np.array([[getattr(tb, f) for f in _COUNT_FIELDS] for tb in tables],
                    dtype=float)
     rng = np.random.default_rng(seed)
-    draws = rng.poisson(lam, size=(n_replicas, *lam.shape))
+    try:
+        draws = rng.poisson(lam, size=(n_replicas, *lam.shape))
+    except ValueError as exc:  # a count beyond numpy's Poisson range
+        raise ParameterError(f"counts up to {float(lam.max())!r} cannot "
+                             f"be Poisson-resampled: {exc}") from exc
 
     replicas = [SimpleNamespace(**vars(tb) | dict(zip(_COUNT_FIELDS, col.T)))
                 for tb, col in zip(tables, draws.swapaxes(0, 1))]
     estimates = []
     for e, value in zip(estimators, values):
-        results = np.asarray(e(replicas[0] if single else replicas),
-                             dtype=float)
-        failed = np.isnan(results)
-        failures = int(failed.sum())
-        if failures > 0.01 * n_replicas:
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            results = np.asarray(e(replicas[0] if single else replicas),
+                                 dtype=float)
+            failed = np.isnan(results)
+            failures = int(failed.sum())
+            if failures > 0.01 * n_replicas:
+                raise DegenerateStatisticsError(
+                    f"{failures}/{n_replicas} resampling replicas failed")
+            sigma = float(np.std(results[~failed]))
+        if not (math.isfinite(value) and math.isfinite(sigma)):
             raise DegenerateStatisticsError(
-                f"{failures}/{n_replicas} resampling replicas failed")
-        sigma = float(np.std(results[~failed]))
+                f"estimate {value!r} with spread {sigma!r} is not finite")
         estimates.append(EstimateWithError(value=value, sigma=sigma))
     return estimates if several else estimates[0]

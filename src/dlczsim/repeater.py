@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import ParameterError
 
@@ -47,10 +47,11 @@ class RepeaterParams:
             raise ParameterError("nest_level must be >= 0")
         if self.modes < 1:
             raise ParameterError("modes must be >= 1")
-        for name in ("distance", "attenuation_length", "fiber_speed",
-                     "tau0"):
-            if not getattr(self, name) > 0.0:
-                raise ParameterError(f"{name} must be > 0")
+        for name in ("distance", "attenuation_length", "fiber_speed"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ParameterError(f"{name} must be finite and > 0")
+        if not self.tau0 > 0.0:
+            raise ParameterError("tau0 must be > 0")
         for name in ("chi", "eta_fc", "eta_td", "r0"):
             value = getattr(self, name)
             if not 0.0 < value <= 1.0:
@@ -88,15 +89,17 @@ class RateBreakdown:
 
 
 def elementary_probs(p: RepeaterParams, *,
+                     distance: Optional[float] = None,
                      approx_multiplex: bool = False
                      ) -> Tuple[float, float, float]:
-    """(T_cc, P0, P0^(N)) for one elementary link.
+    """(T_cc, P0, P0^(N)) for one elementary link, at ``distance``
+    (default ``p.distance``).
 
     P0 = chi^2 exp(-L0/L_att) eta_FC^2 eta_TD^2 / 2; the 1/2 accounts for
     double-excitation events. The multiplexed probability is the exact
     1 - (1 - P0)^N unless ``approx_multiplex`` asks for the N*P0 form.
     """
-    l0 = p.link_length
+    l0 = (p.distance if distance is None else distance) / p.n_links
     t_cc = l0 / p.fiber_speed
     p0 = (p.chi ** 2 * math.exp(-l0 / p.attenuation_length)
           * p.eta_fc ** 2 * p.eta_td ** 2) / 2.0
@@ -109,41 +112,48 @@ def elementary_probs(p: RepeaterParams, *,
     return t_cc, p0, p0_n
 
 
-def swap_chain(p: RepeaterParams, *,
+def swap_chain(p: RepeaterParams, *, distance: Optional[float] = None,
                approx_multiplex: bool = False) -> RateBreakdown:
-    """Evaluate the full nested-swap recursion for one parameter set."""
-    t_cc, p0, p0_n = elementary_probs(p, approx_multiplex=approx_multiplex)
-    dead = RateBreakdown(t_cc=t_cc, p0=p0, p0_multiplexed=p0_n,
-                         swap_probs=(), stage_times=(), p_pr=0.0, rate=0.0,
-                         underflow=True, n_links=p.n_links)
-    if p0_n <= 0.0:
-        return dead
+    """Evaluate the full nested-swap recursion for one parameter set, at
+    ``distance`` (default ``p.distance``; the caller checks it is finite
+    and > 0).
 
-    t = t_cc / p0_n
-    stage_times: List[float] = [t]
+    When memory decay zeroes the rate, the breakdown is flagged
+    ``underflow`` and keeps the stages reached so far.
+    """
+    t_cc, p0, p0_n = elementary_probs(p, distance=distance,
+                                      approx_multiplex=approx_multiplex)
     swap_probs: List[float] = []
-    swap_factor = p.r0 ** 2 * p.eta_td ** 2 / 2.0
-    for _ in range(p.nest_level):
-        if t / p.tau0 > UNDERFLOW_RATIO:
-            return replace(dead, swap_probs=tuple(swap_probs),
-                           stage_times=tuple(stage_times))
-        p_j = swap_factor * math.exp(-2.0 * t / p.tau0)
-        if p_j <= 0.0:
-            return replace(dead, swap_probs=tuple(swap_probs),
-                           stage_times=tuple(stage_times))
-        swap_probs.append(p_j)
-        t = t / p_j
+    stage_times: List[float] = []
+    p_pr = rate = 0.0
+    underflow = True
+    if p0_n > 0.0:
+        t = t_cc / p0_n
         stage_times.append(t)
-
-    if t / p.tau0 > UNDERFLOW_RATIO:
-        return replace(dead, swap_probs=tuple(swap_probs),
-                       stage_times=tuple(stage_times))
-    p_pr = p.r0 ** 2 * math.exp(-2.0 * t / p.tau0) / 2.0
-    rate = (1.0 / t_cc) * p0_n * math.prod(swap_probs) * p_pr
+        swap_factor = p.r0 ** 2 * p.eta_td ** 2 / 2.0
+        for _ in range(p.nest_level):
+            if t / p.tau0 > UNDERFLOW_RATIO:
+                break
+            p_j = swap_factor * math.exp(-2.0 * t / p.tau0)
+            if p_j <= 0.0:
+                break
+            swap_probs.append(p_j)
+            t = t / p_j
+            stage_times.append(t)
+        else:
+            if not t / p.tau0 > UNDERFLOW_RATIO:
+                p_pr = p.r0 ** 2 * math.exp(-2.0 * t / p.tau0) / 2.0
+                rate = (1.0 / t_cc) * p0_n * math.prod(swap_probs) * p_pr
+                underflow = False
     return RateBreakdown(t_cc=t_cc, p0=p0, p0_multiplexed=p0_n,
                          swap_probs=tuple(swap_probs),
                          stage_times=tuple(stage_times), p_pr=p_pr,
-                         rate=rate, underflow=False, n_links=p.n_links)
+                         rate=rate, underflow=underflow, n_links=p.n_links)
+
+
+def _check_span(l_min: float, l_max: float) -> None:
+    if not 0.0 < l_min < l_max < math.inf:
+        raise ParameterError("need 0 < l_min < l_max, both finite")
 
 
 def sweep_distance(p: RepeaterParams, l_min: float, l_max: float,
@@ -151,8 +161,7 @@ def sweep_distance(p: RepeaterParams, l_min: float, l_max: float,
                    approx_multiplex: bool = False
                    ) -> Tuple[List[Tuple[float, RateBreakdown]], bool]:
     """Rate over a distance grid. Returns (points, monotone_non_increasing)."""
-    if not 0.0 < l_min < l_max:
-        raise ParameterError("need 0 < l_min < l_max")
+    _check_span(l_min, l_max)
     if steps < 2:
         raise ParameterError("steps must be >= 2")
     if grid == "log":
@@ -164,10 +173,12 @@ def sweep_distance(p: RepeaterParams, l_min: float, l_max: float,
     else:
         raise ParameterError(f"grid must be 'log' or 'linear', got {grid!r}")
     distances[-1] = l_max
+    if not all(0.0 < dist < math.inf for dist in distances):
+        raise ParameterError(
+            f"distance grid on [{l_min!r}, {l_max!r}] leaves (0, inf)")
 
-    points = [(dist,
-               swap_chain(replace(p, distance=dist),
-                          approx_multiplex=approx_multiplex))
+    points = [(dist, swap_chain(p, distance=dist,
+                                approx_multiplex=approx_multiplex))
               for dist in distances]
     rates = [bd.rate for _, bd in points]
     monotone = all(a >= b for a, b in zip(rates, rates[1:]))
@@ -179,17 +190,18 @@ def threshold_crossing_distance(p: RepeaterParams, threshold: float,
                                 rel_tol: float = 1e-12,
                                 max_iter: int = 200) -> float:
     """Distance at which the (decreasing) rate crosses ``threshold``."""
-    if threshold <= 0.0:
-        raise ParameterError("threshold must be > 0")
+    if not 0.0 < threshold < math.inf:
+        raise ParameterError("threshold must be finite and > 0")
+    _check_span(l_min, l_max)
     lo, hi = l_min, l_max
-    rate_lo = swap_chain(replace(p, distance=lo)).rate
-    rate_hi = swap_chain(replace(p, distance=hi)).rate
+    rate_lo = swap_chain(p, distance=lo).rate
+    rate_hi = swap_chain(p, distance=hi).rate
     if not (rate_lo > threshold > rate_hi):
         raise ParameterError(
             f"threshold {threshold!r} not bracketed on [{l_min!r}, {l_max!r}]")
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
-        if swap_chain(replace(p, distance=mid)).rate > threshold:
+        if swap_chain(p, distance=mid).rate > threshold:
             lo = mid
         else:
             hi = mid

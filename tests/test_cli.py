@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dlczsim import cli, fit_decay
+from dlczsim import AngleSettings, CountsTable, cli, fit_decay
 from dlczsim.cli import main
-from dlczsim.datafiles import read_counts_csv, read_kv
+from dlczsim.datafiles import read_counts_csv, read_kv, write_counts_csv
 
 CONFIG = """\
 experiment.chi = 0.05
@@ -443,3 +443,120 @@ def test_cached_parser_leaks_no_state(tmp_path, monkeypatch, capsys):
     assert namespaces[4] == {"exit": 2}
     assert [code for _, code, *_ in cached] == [0, 0, 0, 0, ("exit", 2),
                                                 0, 0]
+
+
+def _sample_conf(**edits):
+    """sample.conf with the named ``section__key`` lines replaced."""
+    text = (Path(__file__).resolve().parents[1] / "sample.conf").read_text()
+    for name, value in edits.items():
+        key = name.replace("__", ".")
+        line = next(ln for ln in text.splitlines()
+                    if ln.startswith(f"{key} "))
+        text = text.replace(line, f"{key} = {value}")
+    return text
+
+
+@pytest.mark.parametrize("key", ["distance", "attenuation_length",
+                                 "fiber_speed"])
+def test_repeater_sweep_rejects_non_finite_geometry(key, tmp_path, capsys):
+    path = tmp_path / "inf.conf"
+    path.write_text(_sample_conf(**{f"repeater__{key}": "inf"}))
+    out = tmp_path / "sweep"
+    assert main(["repeater-sweep", "--config", str(path),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert "'repeater'" in err[0] and key in err[0] and "finite" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--l-max", "inf"], ["--l-max", "inf", "--threshold", "1e-4"],
+    ["--l-min", "nan"], ["--threshold", "inf"], ["--threshold", "nan"],
+    ["--threshold", "0"],
+])
+def test_repeater_sweep_rejects_non_finite_inputs(flags, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert main(["repeater-sweep", "--preset", "fig8", *flags,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "finite" in err[0]
+    assert not out.exists()
+
+
+# Extreme but finite inputs, one command line each, with the exit code
+# they give. {conf} is sample.conf with the listed edits; {dir} holds the
+# data files written by the test.
+EXTREME_INPUTS = {
+    "trial_period_1e-320": (
+        {"timing__trial_period": "1e-320"}, 3,
+        "simulate --config {conf} --seed 1 --trials 1000"),
+    "decay_tau0_1e-300": (
+        {"decay__tau0": "1e-300"}, 0,
+        "simulate --config {conf} --seed 1 --trials 1000 --t 0,1e-3"),
+    "experiment_chi_near_1": (
+        {"experiment__chi": "0.99998"}, 0,
+        "simulate --config {conf} --seed 1 --trials 1000 --angles canonical"
+        " --records"),
+    "eta_as_1e-320": (
+        {"experiment__eta_as": "1e-320"}, 0,
+        "simulate --config {conf} --seed 1 --trials 1000"),
+    "counts_above_poisson_range": (
+        {}, 2, "estimate --eta-td 0.5 --replicas 100 {dir}/huge.csv"),
+    "one_replica": (
+        {}, 2, "estimate --eta-td 0.5 --replicas 1 {dir}/counts.csv"),
+    "eta_td_1e-300": (  # finite R = 1e299, whose spread overflows
+        {}, 3, "estimate --eta-td 1e-300 --replicas 100 {dir}/counts.csv"),
+    "eta_td_1e-310": (  # R itself overflows
+        {}, 3, "estimate --eta-td 1e-310 --replicas 100 {dir}/counts.csv"),
+    "storage_times_1e-300": ({}, 0, "fit-decay {dir}/tiny_t.csv"),
+    "storage_times_1e300": ({}, 0, "fit-decay {dir}/huge_t.csv"),
+    "temperature_1e-320": (
+        {"geometry__temperature": "1e-320"}, 3, "lifetime --config {conf}"),
+    "wavelength_1e-320": (
+        {"geometry__wavelength": "1e-320"}, 0, "lifetime --config {conf}"),
+    "t_oc_1e-320": ({"chain__t_oc": "1e-320"}, 0, "budget --config {conf}"),
+    "repeater_chi_near_1": (
+        {"repeater__chi": "0.999999999"}, 0,
+        "repeater-sweep --config {conf} --threshold 1e-300"),
+    "repeater_tau0_1e-300": (
+        {"repeater__tau0": "1e-300"}, 0,
+        "repeater-sweep --config {conf} --threshold 1e-4"),
+    "fiber_speed_1e-308": (
+        {"repeater__fiber_speed": "1e-308"}, 0,
+        "repeater-sweep --config {conf}"),
+    "modes_1e21": (
+        {"repeater__modes": "1000000000000000000000"}, 0,
+        "repeater-sweep --config {conf}"),
+    "log_grid_overflow": (
+        {}, 2, "repeater-sweep --preset fig8 --l-min 1e-320"),
+    "l_max_1e308": (
+        {}, 0, "repeater-sweep --preset fig8 --l-max 1e308 --threshold 1e-4"),
+}
+
+
+@pytest.mark.filterwarnings("error")  # a warning is not a clean exit
+@pytest.mark.parametrize("case", sorted(EXTREME_INPUTS))
+def test_extreme_finite_inputs_exit_cleanly(case, tmp_path, capsys):
+    edits, expected, line = EXTREME_INPUTS[case]
+    (tmp_path / "x.conf").write_text(_sample_conf(**edits))
+    table = dict(settings=AngleSettings(0.0, 0.0), storage_time=0.0,
+                 n_pulses=100_000, n_d1=700, n_d2=720, c13=80, c24=70,
+                 c14=10, c23=0)
+    write_counts_csv(tmp_path / "counts.csv", [CountsTable(**table)], {})
+    write_counts_csv(tmp_path / "huge.csv", [CountsTable(**{
+        **table, "n_pulses": 10 ** 23, "n_d1": 10 ** 22})], {})
+    for name, times in (("tiny_t", "0,1e-300,2e-300,5e-300"),
+                        ("huge_t", "0,1e300,2e300,5e300")):
+        (tmp_path / f"{name}.csv").write_text("t_seconds,R\n" + "".join(
+            f"{t},{r}\n" for t, r in zip(times.split(","),
+                                         (0.77, 0.6, 0.5, 0.3))))
+    argv = line.format(conf=tmp_path / "x.conf", dir=tmp_path).split()
+    code = main(argv + ["--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code in (0, 2, 3, 4)
+    assert code == expected
+    if code:
+        assert len(err) == 1 and err[0].startswith("error: ")
+    else:
+        assert err == []

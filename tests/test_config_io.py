@@ -2,6 +2,7 @@ import hashlib
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from dlczsim import (AngleSettings, ConfigError, CountsTable, SchemaError,
                      load_config)
@@ -176,6 +177,30 @@ def test_counts_roundtrip(tmp_path):
     assert loaded == tables
     assert provenance["seed"] == "7"
     assert provenance["config_hash"] == "sha256:x"
+
+
+@st.composite
+def counts_tables(draw):
+    """A valid CountsTable: angles from any non-NaN degrees (the unit of
+    the file), any non-NaN storage time, counts >= 0 within the
+    singles/coincidence invariants."""
+    angle = st.floats(allow_nan=False)
+    count = st.integers(min_value=0, max_value=2 ** 70)
+    c13, c14, c23, c24 = (draw(count) for _ in range(4))
+    n_d1, n_d2 = c13 + c14 + draw(count), c23 + c24 + draw(count)
+    return CountsTable(
+        settings=AngleSettings.from_degrees(draw(angle), draw(angle)),
+        storage_time=draw(st.floats(allow_nan=False)),
+        n_pulses=n_d1 + n_d2 + draw(count), n_d1=n_d1, n_d2=n_d2,
+        c13=c13, c24=c24, c14=c14, c23=c23)
+
+
+@given(st.lists(counts_tables(), min_size=1, max_size=4))
+def test_counts_roundtrip_property(tmp_path_factory, tables):
+    path = tmp_path_factory.mktemp("counts") / "counts.csv"
+    write_counts_csv(path, tables, {"seed": 7})
+    loaded, _ = read_counts_csv(path)
+    assert loaded == tables
 
 
 def test_counts_schema_missing_column(tmp_path):

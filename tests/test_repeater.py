@@ -7,7 +7,8 @@ from dlczsim import (ParameterError, RepeaterParams, calibrate_chi,
                      elementary_probs, swap_chain, sweep_distance,
                      threshold_crossing_distance)
 from dlczsim.repeater import (PRESET_CHI_CALIBRATED, PRESET_HIGH_RETRIEVAL,
-                              PRESET_LOW_RETRIEVAL)
+                              PRESET_LOW_RETRIEVAL, PRESETS, RateBreakdown,
+                              UNDERFLOW_RATIO)
 
 
 def make_params(**overrides):
@@ -169,3 +170,126 @@ def test_params_validation():
         make_params(link_divisor="4")
     with pytest.raises(ParameterError):
         make_params(nest_level=0, link_divisor="n")
+
+
+@pytest.mark.parametrize("name", ["distance", "attenuation_length",
+                                  "fiber_speed"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 0.0])
+def test_params_reject_non_finite_geometry(name, bad):
+    with pytest.raises(ParameterError, match=name):
+        make_params(**{name: bad})
+
+
+def test_params_accept_infinite_lifetime_only():
+    assert make_params(tau0=math.inf).tau0 == math.inf
+    for bad in (math.nan, 0.0, -math.inf):
+        with pytest.raises(ParameterError, match="tau0"):
+            make_params(tau0=bad)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_sweep_inputs_must_be_finite(bad):
+    p = make_params(chi=0.05)
+    for l_min, l_max in ((bad, 1e6), (1e5, bad)):
+        with pytest.raises(ParameterError):
+            sweep_distance(p, l_min, l_max, 10)
+        with pytest.raises(ParameterError):
+            threshold_crossing_distance(p, 1e-4, l_min, l_max)
+    with pytest.raises(ParameterError, match="threshold"):
+        threshold_crossing_distance(p, bad, 1e5, 1e6)
+
+
+def test_log_grid_that_overflows_is_rejected():
+    # finite ends whose ratio overflows would put inf on the grid
+    with pytest.raises(ParameterError, match="grid"):
+        sweep_distance(make_params(), 1e-320, 1e6, 10)
+
+
+def _reference_swap_chain(p, approx_multiplex):
+    """The swap recursion as first written: a dead template, copied with
+    the stages reached so far at each underflow exit."""
+    t_cc, p0, p0_n = elementary_probs(p, approx_multiplex=approx_multiplex)
+    dead = RateBreakdown(t_cc=t_cc, p0=p0, p0_multiplexed=p0_n,
+                         swap_probs=(), stage_times=(), p_pr=0.0, rate=0.0,
+                         underflow=True, n_links=p.n_links)
+    if p0_n <= 0.0:
+        return dead
+    t = t_cc / p0_n
+    stage_times, swap_probs = [t], []
+    swap_factor = p.r0 ** 2 * p.eta_td ** 2 / 2.0
+    for _ in range(p.nest_level):
+        if t / p.tau0 > UNDERFLOW_RATIO:
+            return replace(dead, swap_probs=tuple(swap_probs),
+                           stage_times=tuple(stage_times))
+        p_j = swap_factor * math.exp(-2.0 * t / p.tau0)
+        if p_j <= 0.0:
+            return replace(dead, swap_probs=tuple(swap_probs),
+                           stage_times=tuple(stage_times))
+        swap_probs.append(p_j)
+        t = t / p_j
+        stage_times.append(t)
+    if t / p.tau0 > UNDERFLOW_RATIO:
+        return replace(dead, swap_probs=tuple(swap_probs),
+                       stage_times=tuple(stage_times))
+    p_pr = p.r0 ** 2 * math.exp(-2.0 * t / p.tau0) / 2.0
+    rate = (1.0 / t_cc) * p0_n * math.prod(swap_probs) * p_pr
+    return RateBreakdown(t_cc=t_cc, p0=p0, p0_multiplexed=p0_n,
+                         swap_probs=tuple(swap_probs),
+                         stage_times=tuple(stage_times), p_pr=p_pr,
+                         rate=rate, underflow=False, n_links=p.n_links)
+
+
+def _reference_crossing(p, threshold, l_min, l_max, rel_tol=1e-12,
+                        max_iter=200):
+    """Bisection on parameter sets rebuilt at every distance; None when
+    the threshold is not bracketed."""
+    def rate(distance):
+        return swap_chain(replace(p, distance=distance)).rate
+    lo, hi = l_min, l_max
+    if not rate(lo) > threshold > rate(hi):
+        return None
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        if rate(mid) > threshold:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= rel_tol * hi:
+            break
+    return 0.5 * (lo + hi)
+
+
+# The curves of the benchmark's analytic workload (nest level 1-6 x modes
+# x tau0 at the calibrated chi) and both fig8 presets.
+BENCH_CURVES = [
+    make_params(nest_level=nest, modes=modes, tau0=tau0,
+                chi=PRESET_CHI_CALIBRATED)
+    for nest in range(1, 7) for modes in (1, 100, 1000)
+    for tau0 in (0.01, 1.0, 16.0, math.inf)
+] + [params for _, params in PRESETS["fig8"]]
+
+
+def test_bench_curves_reach_every_exit_of_the_recursion():
+    points = [bd for p in BENCH_CURVES
+              for _, bd in sweep_distance(p, 1e5, 2e6, 80)[0]]
+    assert len(points) == 74 * 80
+    partial = [bd for bd in points if bd.underflow and bd.stage_times]
+    assert partial and any(bd.swap_probs for bd in partial)
+    assert any(not bd.underflow for bd in points)
+
+
+@pytest.mark.parametrize("p", BENCH_CURVES, ids=lambda p: (
+    f"n{p.nest_level}-N{p.modes}-tau{p.tau0}-r{p.r0}"))
+def test_sweep_at_a_distance_equals_rebuilt_parameter_sets(p):
+    for approx in (False, True):
+        points, _ = sweep_distance(p, 1e5, 2e6, 80, approx_multiplex=approx)
+        assert [d for d, _ in points][::79] == [1e5, 2e6]
+        for distance, bd in points:
+            rebuilt = replace(p, distance=distance)
+            assert bd == swap_chain(rebuilt, approx_multiplex=approx)
+            assert bd == _reference_swap_chain(rebuilt, approx)
+    try:
+        crossing = threshold_crossing_distance(p, 1e-4, 1e5, 2e6)
+    except ParameterError:
+        crossing = None
+    assert crossing == _reference_crossing(p, 1e-4, 1e5, 2e6)
