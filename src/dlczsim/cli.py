@@ -34,8 +34,8 @@ from .estimators import (BellSettings, bell_S, correlation_E,
                          intrinsic_retrieval_qubit, poisson_error,
                          visibility_from_S, TWO_ROOT_TWO, same_angle)
 from .params import coupling_angle, repetition_rate
-from .repeater import (PRESETS, PRESET_CHI_SOURCE, sweep_distance,
-                       threshold_crossing_distance)
+from .repeater import (PRESETS, PRESET_CHI_SOURCE, SWEEP_MAX_STEPS,
+                       sweep_distance, threshold_crossing_distance)
 
 OUTPUT_DIR_ENV = "DLCZSIM_OUT"
 RECORDS_LIMIT = 1_000_000  # per-trial CSVs above this are refused
@@ -58,6 +58,8 @@ def parse_t_list(spec: str) -> List[float]:
         raise ParameterError(f"cannot parse storage times {spec!r}")
     if not values:
         raise ParameterError("empty storage-time list")
+    if not all(math.isfinite(t) for t in values):
+        raise ParameterError("storage times must be finite")
     if any(t < 0.0 for t in values):
         raise ParameterError("storage times must be >= 0")
     return values
@@ -79,13 +81,23 @@ def parse_angle_plan(spec: str) -> List[AngleSettings]:
             raise ParameterError(
                 f"angle pair {part!r} is not 'thetaS:thetaAS' (degrees)")
         try:
-            plan.append(AngleSettings.from_degrees(float(pieces[0]),
-                                                   float(pieces[1])))
+            degrees = [float(piece) for piece in pieces]
         except ValueError:
             raise ParameterError(f"cannot parse angle pair {part!r}")
+        if not all(map(math.isfinite, degrees)):
+            raise ParameterError(f"angle pair {part!r} must be finite")
+        plan.append(AngleSettings.from_degrees(*degrees))
     if not plan:
         raise ParameterError("empty angle plan")
     return plan
+
+
+def non_negative_int(text: str) -> int:
+    """argparse type of ``--seed``: a decimal integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
 
 
 class _Artifacts:
@@ -240,7 +252,6 @@ def cmd_estimate(args) -> int:
     eta_td = _eta_td_for_estimate(args, cfg)
     if args.replicas < 100:
         raise ParameterError("--replicas must be >= 100")
-    art = _Artifacts(args, cfg)
 
     digest = hashlib.sha256()
     tables: List[CountsTable] = []
@@ -252,6 +263,7 @@ def cmd_estimate(args) -> int:
         raise SchemaError("no counts rows found in the input files")
     inputs_hash = "sha256:" + digest.hexdigest()
 
+    art = _Artifacts(args, cfg)
     art.provenance.update({"inputs_hash": inputs_hash, "eta_td": eta_td,
                            "replicas": args.replicas})
 
@@ -362,7 +374,6 @@ def cmd_repeater_sweep(args) -> int:
         raise ParameterError("need 0 < --l-min < --l-max, both finite")
     if args.threshold is not None and not 0.0 < args.threshold < math.inf:
         raise ParameterError("--threshold must be finite and > 0")
-    art = _Artifacts(args, cfg)
 
     rows = []
     entries: Dict[str, object] = {}
@@ -389,6 +400,7 @@ def cmd_repeater_sweep(args) -> int:
             else:
                 entries[f"{label}.threshold_crossing_m"] = crossing
 
+    art = _Artifacts(args, cfg)
     art.provenance.update({"chi_source": chi_source, "grid": args.grid,
                            "l_min_m": args.l_min, "l_max_m": args.l_max,
                            "steps": args.steps,
@@ -422,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run the Monte Carlo engine")
     common(p, report=False)
-    p.add_argument("--seed", type=int, required=True,
+    p.add_argument("--seed", type=non_negative_int, required=True,
                    help="RNG seed (required for reproducible runs)")
     p.add_argument("--trials", type=int, required=True,
                    help="write trials per analyzer setting")
@@ -439,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="estimators on counts CSV files")
     common(p)
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=non_negative_int, default=0,
                    help="RNG seed of the error-bar replicas (default 0)")
     p.add_argument("counts", nargs="+", help="counts CSV files")
     p.add_argument("--eta-td", type=float, default=None,
@@ -470,7 +482,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sweep start distance, m (default 1e5)")
     p.add_argument("--l-max", type=float, default=2e6,
                    help="sweep end distance, m (default 2e6)")
-    p.add_argument("--steps", type=int, default=80)
+    p.add_argument("--steps", type=int, default=80,
+                   help=f"distance grid points, 2 to {SWEEP_MAX_STEPS} "
+                        "(default 80)")
     p.add_argument("--grid", choices=("log", "linear"), default="log")
     p.add_argument("--threshold", type=float, default=None,
                    help="also report the crossing distance for this rate")

@@ -1,13 +1,16 @@
 """Flat key-value configuration files with dotted section names.
 
 Format: one ``section.key = value`` per line, ``#`` comments, blank lines
-ignored. Unknown keys are hard errors; a silent typo in a physics parameter
-is worse than a rejected file.
+ignored. A section's keys are the parameters of the class that builds it
+(``_BUILDERS``) annotated ``float``, ``int``, ``bool`` or ``str``; those
+without a default are required. Unknown keys are hard errors; a silent
+typo in a physics parameter is worse than a rejected file.
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,65 +25,34 @@ from .repeater import RepeaterParams
 # of 2.5 through V = S / (2 sqrt 2).
 DEFAULT_VISIBILITY = 2.5 / (2.0 * math.sqrt(2.0))
 
-_FLOAT, _INT, _BOOL, _STR = "float", "int", "bool", "str"
 
-# key -> (type, required within its section)
-_SCHEMA: Dict[str, Dict[str, tuple]] = {
-    "experiment": {
-        "chi": (_FLOAT, True),
-        "noise_b": (_FLOAT, True),
-        "noise_c": (_FLOAT, True),
-        "eta_s": (_FLOAT, False),  # defaults to eta_as
-        "eta_as": (_FLOAT, True),
-        "visibility": (_FLOAT, False),
-        "phase": (_FLOAT, False),
-    },
-    "decay": {
-        "r0": (_FLOAT, True),
-        "tau0": (_FLOAT, True),
-    },
-    "chain": {
-        "t_oc": (_FLOAT, True),
-        "cavity_loss": (_FLOAT, True),
-        "eta_smf": (_FLOAT, True),
-        "eta_filter": (_FLOAT, True),
-        "eta_mmf": (_FLOAT, True),
-        "eta_d": (_FLOAT, True),
-    },
-    "geometry": {
-        "wavelength": (_FLOAT, True),
-        "temperature": (_FLOAT, True),
-        "atomic_mass": (_FLOAT, True),
-        "bd_separation": (_FLOAT, True),
-        "f_btd": (_FLOAT, True),
-        "f0": (_FLOAT, True),
-    },
-    "timing": {
-        "prep_duration": (_FLOAT, True),
-        "run_duration": (_FLOAT, True),
-        "trial_period": (_FLOAT, True),
-        "write_duration": (_FLOAT, False),
-        "read_duration": (_FLOAT, False),
-        "clean_duration": (_FLOAT, False),
-        "interval": (_FLOAT, False),
-    },
-    "engine": {
-        "double_pair": (_BOOL, False),
-    },
-    "repeater": {
-        "nest_level": (_INT, True),
-        "modes": (_INT, True),
-        "distance": (_FLOAT, True),
-        "attenuation_length": (_FLOAT, True),
-        "fiber_speed": (_FLOAT, True),
-        "chi": (_FLOAT, True),
-        "eta_fc": (_FLOAT, True),
-        "eta_td": (_FLOAT, True),
-        "r0": (_FLOAT, True),
-        "tau0": (_FLOAT, True),
-        "link_divisor": (_STR, False),
-    },
-}
+def _experiment(decay, chi: float, noise_b: float, noise_c: float,
+                eta_as: float, eta_s: float = None,
+                visibility: float = DEFAULT_VISIBILITY,
+                phase: float = 0.0) -> ExperimentParams:
+    """ExperimentParams under the file's names: ``visibility`` is ``v0``,
+    and ``eta_s`` defaults to ``eta_as``."""
+    return ExperimentParams(chi=chi, noise_b=noise_b, noise_c=noise_c,
+                            eta_s=eta_as if eta_s is None else eta_s,
+                            eta_as=eta_as, v0=visibility, phase=phase,
+                            decay=decay)
+
+
+def _engine(double_pair: bool = False) -> bool:
+    return double_pair
+
+
+_BUILDERS = {"experiment": _experiment, "decay": DecayParams,
+             "chain": DetectionChain, "geometry": EnsembleGeometry,
+             "timing": CycleTiming, "engine": _engine,
+             "repeater": RepeaterParams}
+
+# section -> key -> (type, required), read from the builder's signature
+_KEYS: Dict[str, Dict[str, tuple]] = {
+    section: {name: (param.annotation, param.default is param.empty)
+              for name, param in inspect.signature(build).parameters.items()
+              if param.annotation in ("float", "int", "bool", "str")}
+    for section, build in _BUILDERS.items()}
 
 
 @dataclass(frozen=True)
@@ -119,11 +91,11 @@ def parse_kv_lines(text: str) -> Dict[str, str]:
 
 def _convert(key: str, value: str, kind: str):
     try:
-        if kind == _FLOAT:
+        if kind == "float":
             return float(value)
-        if kind == _INT:
+        if kind == "int":
             return int(value, 10)
-        if kind == _BOOL:
+        if kind == "bool":
             low = value.lower()
             if low in ("true", "false"):
                 return low == "true"
@@ -141,22 +113,33 @@ def _split_sections(raw: Dict[str, str]):
             name = key[len("chain.loss."):]
             if not name:
                 raise ConfigError(f"unknown key {key!r}")
-            loss_items[name] = _convert(key, value, _FLOAT)
+            loss_items[name] = _convert(key, value, "float")
             continue
         section, _, field = key.partition(".")
-        if section not in _SCHEMA or field not in _SCHEMA[section]:
+        if field not in _KEYS.get(section, ()):
             raise ConfigError(f"unknown key {key!r}")
-        kind, _required = _SCHEMA[section][field]
-        sections.setdefault(section, {})[field] = _convert(key, value, kind)
+        sections.setdefault(section, {})[field] = _convert(
+            key, value, _KEYS[section][field][0])
     if loss_items:
         sections.setdefault("chain", {})["loss_items"] = loss_items
     for section, fields in sections.items():
-        for field, (kind, required) in _SCHEMA[section].items():
+        for field, (kind, required) in _KEYS[section].items():
             if required and field not in fields:
                 raise ConfigError(
                     f"section {section!r} is missing required key "
                     f"'{section}.{field}'")
     return sections
+
+
+def _build(sections, section: str, **context):
+    """The section's object from its keys, or None when the file has none."""
+    fields = sections.get(section)
+    if fields is None:
+        return None
+    try:
+        return _BUILDERS[section](**context, **fields)
+    except ValueError as exc:
+        raise ConfigError(f"section {section!r}: {exc}") from exc
 
 
 def load_config(path) -> Config:
@@ -167,36 +150,16 @@ def load_config(path) -> Config:
     except OSError as exc:
         raise OSError(f"cannot read config file {path}: {exc}") from exc
     digest = "sha256:" + hashlib.sha256(data).hexdigest()
-    raw = parse_kv_lines(data.decode("utf-8"))
-    sections = _split_sections(raw)
-
-    def build(section, factory):
-        fields = sections.get(section)
-        if fields is None:
-            return None
-        try:
-            return factory(**fields)
-        except ValueError as exc:
-            raise ConfigError(f"section {section!r}: {exc}") from exc
-
+    sections = _split_sections(parse_kv_lines(data.decode("utf-8")))
     if "experiment" in sections and "decay" not in sections:
         raise ConfigError("section 'experiment' requires section 'decay'")
-    decay = build("decay", DecayParams)  # validated even when unused
-
-    def experiment(eta_as, eta_s=None, visibility=DEFAULT_VISIBILITY,
-                   phase=0.0, **fields):
-        return ExperimentParams(eta_s=eta_as if eta_s is None else eta_s,
-                                eta_as=eta_as, v0=visibility, phase=phase,
-                                decay=decay, **fields)
-
-    engine = sections.get("engine", {})
+    decay = _build(sections, "decay")  # validated even when unused
     return Config(
-        path=str(path),
-        config_hash=digest,
-        experiment=build("experiment", experiment),
-        chain=build("chain", DetectionChain),
-        geometry=build("geometry", EnsembleGeometry),
-        timing=build("timing", CycleTiming),
-        repeater=build("repeater", RepeaterParams),
-        double_pair=bool(engine.get("double_pair", False)),
+        path=str(path), config_hash=digest,
+        experiment=_build(sections, "experiment", decay=decay),
+        chain=_build(sections, "chain"),
+        geometry=_build(sections, "geometry"),
+        timing=_build(sections, "timing"),
+        repeater=_build(sections, "repeater"),
+        double_pair=bool(_build(sections, "engine")),
     )

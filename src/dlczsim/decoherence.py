@@ -19,6 +19,7 @@ from .params import (BOLTZMANN_K, DecayParams, EnsembleGeometry,
 GRID_POINTS = 25
 FIT_MAX_ITER = 10_000
 FIT_REL_TOL = 1e-12
+SIMPLEX_STEPS = (0.02, 0.1)  # initial simplex offsets in (r0, log tau0)
 # Grid cells whose objectives agree within this relative margin are tied;
 # ties resolve to the smallest tau0 for determinism.
 GRID_TIE_REL = 1e-9
@@ -27,7 +28,7 @@ GRID_TIE_REL = 1e-9
 def retrieval_decay(p: DecayParams, t):
     """Retrieval efficiency after storage time ``t`` (scalar or array), s."""
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
+    if not np.all(t >= 0.0):  # NaN fails too
         raise ParameterError("storage time must be >= 0")
     with np.errstate(over="ignore"):  # x * x -> inf: exp(-inf) = 0 exactly
         x = t / p.tau0
@@ -84,19 +85,18 @@ def _max(values):
     return math.nan if any(map(math.isnan, values)) else max(values)
 
 
-def _nelder_mead(fun, x0, *, rel_tol=FIT_REL_TOL, max_iter=FIT_MAX_ITER,
-                 steps=(0.02, 0.1)):
+def _nelder_mead(fun, x0, *, max_iter=FIT_MAX_ITER):
     """Minimal Nelder-Mead simplex descent for a handful of parameters.
 
     Vertices are tuples of floats. Converges when the simplex objective
-    spread falls below ``rel_tol`` relative to the best value; raises if
+    spread falls below ``FIT_REL_TOL`` relative to the best value; raises if
     the iteration budget runs out. A simplex collapsed to machine
     precision also counts as converged (an exact fit drives the objective
     to rounding noise, where no relative criterion can ever be met).
     """
     n = len(x0)
     simplex = [tuple(float(c) for c in x0)]
-    simplex += [tuple(c + steps[i] if j == i else c
+    simplex += [tuple(c + SIMPLEX_STEPS[i] if j == i else c
                       for j, c in enumerate(simplex[0])) for i in range(n)]
     f = [fun(v) for v in simplex]
 
@@ -105,7 +105,7 @@ def _nelder_mead(fun, x0, *, rel_tol=FIT_REL_TOL, max_iter=FIT_MAX_ITER,
         order = sorted(range(n + 1), key=lambda i: (f[i] != f[i], f[i]))
         simplex = [simplex[i] for i in order]
         f = [f[i] for i in order]
-        if f[-1] - f[0] <= rel_tol * (abs(f[0]) + 1e-300):
+        if f[-1] - f[0] <= FIT_REL_TOL * (abs(f[0]) + 1e-300):
             return simplex[0], f[0]
         best = simplex[0]
         spread = max([_max([abs(a - b) for a, b in zip(v, best)])
@@ -143,8 +143,7 @@ def _nelder_mead(fun, x0, *, rel_tol=FIT_REL_TOL, max_iter=FIT_MAX_ITER,
 
 
 def fit_decay(samples: Sequence[Sequence[float]], *,
-              max_iter: int = FIT_MAX_ITER,
-              rel_tol: float = FIT_REL_TOL) -> Tuple[DecayParams, float]:
+              max_iter: int = FIT_MAX_ITER) -> Tuple[DecayParams, float]:
     """Least-squares fit of (t, R[, sigma]) samples to the decay model.
 
     Returns the fitted parameters and the minimized (weighted) sum of
@@ -196,7 +195,6 @@ def fit_decay(samples: Sequence[Sequence[float]], *,
             if fval < best_f * (1.0 - GRID_TIE_REL) or best_x is None:
                 best_f, best_x = fval, (r0, log_tau)
 
-    x_opt, f_opt = _nelder_mead(objective, best_x, rel_tol=rel_tol,
-                                max_iter=max_iter)
+    x_opt, f_opt = _nelder_mead(objective, best_x, max_iter=max_iter)
     r0_fit = min(max(float(x_opt[0]), 0.0), 1.0)
     return DecayParams(r0_fit, math.exp(float(x_opt[1]))), f_opt

@@ -20,6 +20,10 @@ UNDERFLOW_RATIO = 700.0
 
 LINK_DIVISOR_CHOICES = ("2^n", "n")
 
+SWEEP_MAX_STEPS = 10_000  # sweep_distance keeps one RateBreakdown a point
+BISECT_MAX_ITER = 200
+CROSSING_REL_TOL = 1e-12  # relative bracket width ending a crossing search
+
 
 @dataclass(frozen=True)
 class RepeaterParams:
@@ -162,8 +166,8 @@ def sweep_distance(p: RepeaterParams, l_min: float, l_max: float,
                    ) -> Tuple[List[Tuple[float, RateBreakdown]], bool]:
     """Rate over a distance grid. Returns (points, monotone_non_increasing)."""
     _check_span(l_min, l_max)
-    if steps < 2:
-        raise ParameterError("steps must be >= 2")
+    if not 2 <= steps <= SWEEP_MAX_STEPS:
+        raise ParameterError(f"steps must be in [2, {SWEEP_MAX_STEPS}]")
     if grid == "log":
         ratio = (l_max / l_min) ** (1.0 / (steps - 1))
         distances = [l_min * ratio ** i for i in range(steps)]
@@ -186,9 +190,7 @@ def sweep_distance(p: RepeaterParams, l_min: float, l_max: float,
 
 
 def threshold_crossing_distance(p: RepeaterParams, threshold: float,
-                                l_min: float, l_max: float, *,
-                                rel_tol: float = 1e-12,
-                                max_iter: int = 200) -> float:
+                                l_min: float, l_max: float) -> float:
     """Distance at which the (decreasing) rate crosses ``threshold``."""
     if not 0.0 < threshold < math.inf:
         raise ParameterError("threshold must be finite and > 0")
@@ -199,19 +201,18 @@ def threshold_crossing_distance(p: RepeaterParams, threshold: float,
     if not (rate_lo > threshold > rate_hi):
         raise ParameterError(
             f"threshold {threshold!r} not bracketed on [{l_min!r}, {l_max!r}]")
-    for _ in range(max_iter):
+    for _ in range(BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if swap_chain(p, distance=mid).rate > threshold:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= rel_tol * hi:
+        if hi - lo <= CROSSING_REL_TOL * hi:
             break
     return 0.5 * (lo + hi)
 
 
-def calibrate_chi(p: RepeaterParams, target_rate: float, *,
-                  max_iter: int = 200) -> float:
+def calibrate_chi(p: RepeaterParams, target_rate: float) -> float:
     """Excitation probability that puts the rate at ``target_rate`` for
     the parameter set's distance (rate is increasing in chi)."""
     if target_rate <= 0.0:
@@ -219,7 +220,7 @@ def calibrate_chi(p: RepeaterParams, target_rate: float, *,
     lo, hi = 1e-6, 1.0
     if swap_chain(replace(p, chi=hi)).rate < target_rate:
         raise ParameterError("target rate unreachable at chi = 1")
-    for _ in range(max_iter):
+    for _ in range(BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if swap_chain(replace(p, chi=mid)).rate < target_rate:
             lo = mid

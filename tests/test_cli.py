@@ -484,6 +484,47 @@ def test_repeater_sweep_rejects_non_finite_inputs(flags, tmp_path, capsys):
     assert not out.exists()
 
 
+# Invalid command lines that fail before any output: the exit code each
+# gives. {conf} is sample.conf; {dir} holds counts.csv.
+INVALID_INPUTS = {
+    "t_nan": ("simulate --config {conf} --seed 1 --trials 10 --t nan", 2),
+    "t_inf": ("simulate --config {conf} --seed 1 --trials 10 --t 0,inf", 2),
+    "angle_inf": (
+        "simulate --config {conf} --seed 1 --trials 10 --angles inf:0", 2),
+    "angle_nan": (
+        "simulate --config {conf} --seed 1 --trials 10 --angles 0:0,0:nan",
+        2),
+    "simulate_seed_negative": (
+        "simulate --config {conf} --seed -1 --trials 10", 2),
+    "estimate_seed_negative": (
+        "estimate --eta-td 0.5 --seed -1 {dir}/counts.csv", 2),
+    "estimate_missing_input": (
+        "estimate --eta-td 0.5 {dir}/counts.csv {dir}/missing.csv", 4),
+    "sweep_steps_above_limit": (
+        "repeater-sweep --preset fig8 --steps 10001", 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_INPUTS))
+def test_invalid_inputs_leave_no_output(case, tmp_path, capsys):
+    line, expected = INVALID_INPUTS[case]
+    (tmp_path / "x.conf").write_text(_sample_conf())
+    write_counts_csv(tmp_path / "counts.csv", [CountsTable(
+        settings=AngleSettings(0.0, 0.0), storage_time=0.0, n_pulses=1000,
+        n_d1=7, n_d2=7, c13=1, c24=1, c14=0, c23=0)], {})
+    argv = line.format(conf=tmp_path / "x.conf", dir=tmp_path).split()
+    out = tmp_path / "out"
+    try:
+        code = main(argv + ["--out", str(out)])
+    except SystemExit as exc:  # argparse rejects the value
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == expected
+    assert "Traceback" not in err
+    assert len([ln for ln in err.splitlines() if "error:" in ln]) == 1
+    assert not out.exists()
+
+
 # Extreme but finite inputs, one command line each, with the exit code
 # they give. {conf} is sample.conf with the listed edits; {dir} holds the
 # data files written by the test.

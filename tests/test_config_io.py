@@ -1,5 +1,7 @@
 import hashlib
 import math
+import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -158,6 +160,97 @@ def test_out_of_range_value_names_section(tmp_path):
                                         "chain.eta_d = 1.68"))
     with pytest.raises(ConfigError, match="chain"):
         load_config(path)
+
+
+REQUIRED = None
+# The config format: every section.key with its type and, for an optional
+# key, the value it takes when omitted (as config text).
+CONFIG_KEYS = {
+    "experiment.chi": ("float", REQUIRED),
+    "experiment.noise_b": ("float", REQUIRED),
+    "experiment.noise_c": ("float", REQUIRED),
+    "experiment.eta_s": ("float", "0.15"),  # = experiment.eta_as
+    "experiment.eta_as": ("float", REQUIRED),
+    "experiment.visibility": ("float", repr(DEFAULT_VISIBILITY)),
+    "experiment.phase": ("float", "0"),
+    "decay.r0": ("float", REQUIRED),
+    "decay.tau0": ("float", REQUIRED),
+    "chain.t_oc": ("float", REQUIRED),
+    "chain.cavity_loss": ("float", REQUIRED),
+    "chain.eta_smf": ("float", REQUIRED),
+    "chain.eta_filter": ("float", REQUIRED),
+    "chain.eta_mmf": ("float", REQUIRED),
+    "chain.eta_d": ("float", REQUIRED),
+    "geometry.wavelength": ("float", REQUIRED),
+    "geometry.temperature": ("float", REQUIRED),
+    "geometry.atomic_mass": ("float", REQUIRED),
+    "geometry.bd_separation": ("float", REQUIRED),
+    "geometry.f_btd": ("float", REQUIRED),
+    "geometry.f0": ("float", REQUIRED),
+    "timing.prep_duration": ("float", REQUIRED),
+    "timing.run_duration": ("float", REQUIRED),
+    "timing.trial_period": ("float", REQUIRED),
+    "timing.write_duration": ("float", "300e-9"),
+    "timing.read_duration": ("float", "300e-9"),
+    "timing.clean_duration": ("float", "200e-9"),
+    "timing.interval": ("float", "1300e-9"),
+    "engine.double_pair": ("bool", "false"),
+    "repeater.nest_level": ("int", REQUIRED),
+    "repeater.modes": ("int", REQUIRED),
+    "repeater.distance": ("float", REQUIRED),
+    "repeater.attenuation_length": ("float", REQUIRED),
+    "repeater.fiber_speed": ("float", REQUIRED),
+    "repeater.chi": ("float", REQUIRED),
+    "repeater.eta_fc": ("float", REQUIRED),
+    "repeater.eta_td": ("float", REQUIRED),
+    "repeater.r0": ("float", REQUIRED),
+    "repeater.tau0": ("float", REQUIRED),
+    "repeater.link_divisor": ("str", "2^n"),
+}
+BAD_VALUE = {"float": "zebra", "int": "4.5", "bool": "yes"}
+
+
+def test_config_keys_are_pinned(tmp_path):
+    """Every key of the format is accepted with its type; a missing
+    required key is named, the first of its section's in the order above;
+    an omitted optional key takes its default."""
+    lines = dict(ln.split(" = ") for ln in FULL_CONFIG.splitlines()
+                 if " = " in ln)
+    lines.update((key, default) for key, (_, default) in CONFIG_KEYS.items()
+                 if key not in lines and default is not REQUIRED)
+    assert set(CONFIG_KEYS) <= set(lines)
+    path = tmp_path / "keys.conf"
+
+    def load(drop=(), **edits):
+        path.write_text("".join(f"{key} = {value}\n"
+                                for key, value in {**lines, **edits}.items()
+                                if key not in drop))
+        return replace(load_config(path), path="", config_hash="")
+
+    full = load()
+    keys = list(CONFIG_KEYS)
+    for i, (key, (kind, default)) in enumerate(CONFIG_KEYS.items()):
+        section = key.partition(".")[0] + "."
+        if default is REQUIRED:
+            # missing alone, and with every later required key of its
+            # section, as long as the section keeps a key
+            later = tuple(k for k in keys[i:] if k.startswith(section)
+                          and CONFIG_KEYS[k][1] is REQUIRED)
+            for drop in ((key,), later):
+                if any(k.startswith(section) and k not in drop
+                       for k in lines):
+                    with pytest.raises(ConfigError,
+                                       match=re.escape(f"'{key}'")):
+                        load(drop=drop)
+        else:
+            assert load(drop=(key,)) == full
+        if kind in BAD_VALUE:
+            with pytest.raises(ConfigError, match="cannot parse"):
+                load(**{key: BAD_VALUE[kind]})
+    assert load(**{"repeater.link_divisor": "n"}).repeater.link_divisor == "n"
+    for key in ("experiment.v0", "experiment.decay", "chain.loss_items"):
+        with pytest.raises(ConfigError, match="unknown key"):
+            load(**{key: "1"})
 
 
 def make_table(**overrides):

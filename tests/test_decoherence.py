@@ -47,6 +47,10 @@ def test_decay_domain_errors():
     with pytest.raises(ParameterError):
         retrieval_decay(MEASURED_DECAY, -1e-6)
     with pytest.raises(ParameterError):
+        retrieval_decay(MEASURED_DECAY, math.nan)
+    with pytest.raises(ParameterError):
+        retrieval_decay(MEASURED_DECAY, np.array([0.0, math.nan]))
+    with pytest.raises(ParameterError):
         DecayParams(0.77, 0.0)
     with pytest.raises(ParameterError):
         DecayParams(1.2, 1e-3)

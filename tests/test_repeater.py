@@ -132,6 +132,8 @@ def test_sweep_validation():
         sweep_distance(p, 1e6, 1e5, 10)
     with pytest.raises(ParameterError):
         sweep_distance(p, 1e5, 1e6, 1)
+    with pytest.raises(ParameterError, match="10000"):
+        sweep_distance(p, 1e5, 1e6, 10_001)
     with pytest.raises(ParameterError):
         sweep_distance(p, 1e5, 1e6, 10, grid="cubic")
 
