@@ -18,6 +18,8 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import __version__
 from .config import Config, load_config
 from .datafiles import (fmt_value, read_counts_csv, read_decay_csv,
@@ -32,14 +34,17 @@ from .errors import (DegenerateDataError, DegenerateStatisticsError,
 from .estimators import (BellSettings, bell_S, correlation_E,
                          fidelity_from_S, intrinsic_retrieval_mode,
                          intrinsic_retrieval_qubit, poisson_error,
-                         visibility_from_S, TWO_ROOT_TWO, same_angle)
+                         visibility_from_S, REPLICAS_MAX, TWO_ROOT_TWO,
+                         same_angle)
 from .params import coupling_angle, repetition_rate
 from .repeater import (PRESETS, PRESET_CHI_SOURCE, SWEEP_MAX_STEPS,
                        sweep_distance, threshold_crossing_distance)
 
 OUTPUT_DIR_ENV = "DLCZSIM_OUT"
 RECORDS_LIMIT = 1_000_000  # per-trial CSVs above this are refused
-RECORDS_CHUNK = 1 << 16  # trials rendered per text chunk of --records
+RECORDS_CHUNK = 1 << 14  # trials rendered per text chunk of --records
+_INDEX_DIGITS = len(str(RECORDS_LIMIT - 1))  # widest trial index of a record
+_ASCII_DIGITS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
 # Version of the engine's random streams, recorded in simulate provenance:
 # v3 draws one multinomial histogram per RNG block from the exact outcome
 # table; records are a seeded arrangement of that histogram.
@@ -220,26 +225,69 @@ def _write_records(path, params, t, angles, n_trials, seed, run_tag,
         params, t, angles, n_trials, seed, setting_index=setting_index,
         double_pair=double_pair, run_tag=run_tag)
     kinds = (TrialRecord.from_outcome(0, t, o) for o in outcomes)
-    tails = ["".join(f",{fmt_value(v)}" for v in (
+    table = _tail_table(["".join(f",{fmt_value(v)}" for v in (
         r.storage_time, r.stokes_click or "none", r.antistokes_click or "none",
-        r.pair_created)) + "\n" for r in kinds]
+        r.pair_created)) + "\n" for r in kinds])
 
     def chunks():
         for first, draw in blocks:
             trials = draw()
             for lo in range(0, len(trials), RECORDS_CHUNK):
-                yield "".join([f"{i}{tails[k]}" for i, k in enumerate(
-                    trials[lo:lo + RECORDS_CHUNK].tolist(), start=first + lo)])
+                yield _render_rows(table, first + lo,
+                                   trials[lo:lo + RECORDS_CHUNK])
 
     write_csv(path, "trials",
               ("trial_index", "storage_time_s", "stokes_click",
                "antistokes_click", "pair_created"), chunks(), provenance)
 
 
+def _tail_table(tails: Sequence[str]) -> np.ndarray:
+    """Row tails as ASCII bytes, one row per outcome, NUL-padded on the
+    left by room for the trial index and on the right to the longest."""
+    encoded = [tail.encode("ascii") for tail in tails]
+    table = np.zeros((len(encoded), _INDEX_DIGITS + max(map(len, encoded))),
+                     dtype=np.uint8)
+    for row, tail in zip(table, encoded):
+        row[_INDEX_DIGITS:_INDEX_DIGITS + len(tail)] = np.frombuffer(
+            tail, dtype=np.uint8)
+    return table
+
+
+def _render_rows(table: np.ndarray, start: int, trials: np.ndarray) -> str:
+    """The rows ``f"{start + i}{tails[trials[i]]}"`` as one string, where
+    ``table`` is ``_tail_table(tails)`` and every index is below
+    ``RECORDS_LIMIT``. The index digits fill the room left of the gathered
+    tails, and every NUL byte (a digit the index lacks, or tail padding) is
+    dropped."""
+    n = len(trials)
+    width = len(str(start + n - 1))
+    rows = table[:, _INDEX_DIGITS - width:].take(trials, axis=0)
+    for j in range(width):
+        rows[:, j] = _digit_column(start, n, 10 ** (width - 1 - j))
+    return rows[rows != 0].tobytes().decode("ascii")
+
+
+def _digit_column(start: int, n: int, place: int) -> np.ndarray:
+    """ASCII digit at ``place`` (a power of ten) of each index ``start``,
+    ..., ``start + n - 1``; NUL where the index has no digit there.
+
+    Consecutive indices keep a digit for runs of ``place``, so the column
+    repeats one digit per run and divides nothing per index.
+    """
+    skip = start % place
+    runs = (skip + n - 1) // place + 1
+    first = start // place % 10
+    digits = np.tile(_ASCII_DIGITS, (first + runs - 1) // 10 + 1)[
+        first:first + runs]
+    if 1 < place and start < place:  # the first run lies below ``place``
+        digits[0] = 0
+    return np.repeat(digits, place)[skip:skip + n]
+
+
 def _eta_td_for_estimate(args, cfg: Optional[Config]) -> float:
     if args.eta_td is not None:
-        if args.eta_td <= 0.0:
-            raise ParameterError("--eta-td must be > 0")
+        if not 0.0 < args.eta_td < math.inf:
+            raise ParameterError("--eta-td must be finite and > 0")
         return args.eta_td
     if cfg is not None and cfg.chain is not None:
         return cfg.chain.eta_td
@@ -250,8 +298,8 @@ def _eta_td_for_estimate(args, cfg: Optional[Config]) -> float:
 def cmd_estimate(args) -> int:
     cfg = load_config(args.config) if args.config else None
     eta_td = _eta_td_for_estimate(args, cfg)
-    if args.replicas < 100:
-        raise ParameterError("--replicas must be >= 100")
+    if not 100 <= args.replicas <= REPLICAS_MAX:
+        raise ParameterError(f"--replicas must be in [100, {REPLICAS_MAX}]")
 
     digest = hashlib.sha256()
     tables: List[CountsTable] = []
@@ -457,7 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta-td", type=float, default=None,
                    help="total detection efficiency of the read-out chain")
     p.add_argument("--replicas", type=int, default=10_000,
-                   help="Poisson-MC replicas for error bars")
+                   help=f"Poisson-MC replicas for error bars, 100 to "
+                   f"{REPLICAS_MAX}")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("fit-decay", help="fit the retrieval decay model")

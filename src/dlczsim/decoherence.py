@@ -74,7 +74,7 @@ def _as_sample_arrays(samples) -> Tuple[np.ndarray, np.ndarray,
         raise ParameterError("storage times must be >= 0")
     if np.any(r < 0.0):
         raise ParameterError("efficiencies must be >= 0")
-    if np.unique(t).size < 3:
+    if len(set(t.tolist())) < 3:  # np.unique would import numpy.ma
         raise DegenerateDataError(
             "samples need at least 3 distinct storage times")
     return t, r, sigma

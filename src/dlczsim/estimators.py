@@ -21,6 +21,7 @@ from .errors import (DegenerateStatisticsError, InsufficientDataError,
                      ParameterError)
 
 TWO_ROOT_TWO = 2.0 * math.sqrt(2.0)
+REPLICAS_MAX = 1_000_000  # poisson_error holds 6 int64 draws a replica per table
 _ANGLE_TOL = 1e-9
 _COUNT_FIELDS = ("n_d1", "n_d2", "c13", "c24", "c14", "c23")
 
@@ -221,8 +222,8 @@ def poisson_error(estimator: Callable | Tuple[Callable, ...], counts, *,
     """
     several = isinstance(estimator, tuple)
     estimators = estimator if several else (estimator,)
-    if n_replicas < 100:
-        raise ParameterError("n_replicas must be >= 100")
+    if not 100 <= n_replicas <= REPLICAS_MAX:
+        raise ParameterError(f"n_replicas must be in [100, {REPLICAS_MAX}]")
     single = not isinstance(counts, (list, tuple))
     tables = [counts] if single else list(counts)
     values = [float(e(counts)) for e in estimators]

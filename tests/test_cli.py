@@ -1,6 +1,8 @@
 import hashlib
 import math
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +132,22 @@ def test_fit_decay_command(config, tmp_path):
     assert (out / "decay_fit.csv").exists()
 
 
+def test_fit_decay_does_not_import_numpy_ma(tmp_path):
+    # numpy.ma is a costly import that no command needs
+    data = tmp_path / "decay.csv"
+    data.write_text("t_seconds,R\n0,0.77\n0.00023,0.667\n0.00054,0.50\n")
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import sys\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "from dlczsim.cli import main\n"
+            f"assert main(['fit-decay', {str(data)!r}, '--out', "
+            f"{str(tmp_path / 'fit')!r}]) == 0\n"
+            "assert 'numpy.ma' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("column", ["t_seconds", "R", "sigma_R"])
 def test_fit_decay_rejects_non_finite_samples(column, tmp_path, capsys):
     rows = [["0", "0.77", "0.01"], ["0.00023", "0.667", "0.01"],
@@ -210,6 +228,24 @@ def test_records_bytes_do_not_depend_on_the_chunk_size(config, tmp_path,
     name = "trials_t00_a00.csv"
     assert ((tmp_path / "one" / name).read_bytes()
             == (tmp_path / "many" / name).read_bytes())
+
+
+@pytest.mark.parametrize("start,n", [
+    (0, 1), (0, 10), (9, 2), (99_990, 20), (3, 9_000),
+    (cli.RECORDS_LIMIT - 1, 1), (cli.RECORDS_LIMIT - 1_234, 1_234),
+    (cli.RECORDS_LIMIT - cli.RECORDS_CHUNK, cli.RECORDS_CHUNK)])
+def test_records_renderer_matches_the_row_join(start, n):
+    # tails as _write_records builds them, of unequal widths
+    tails = [f",0.00105,{s},{a},{p}\n" for s in ("none", "D1", "D1D2")
+             for a in ("none", "D3", "D3D4") for p in (0, 1)][:14]
+    rng = np.random.default_rng(start + n)
+    trials = rng.integers(0, len(tails), n).astype(np.uint8)
+    widths = [len(tail) for tail in tails]
+    trials[0], trials[-1] = np.argmax(widths), np.argmin(widths)
+    expected = "".join(f"{i}{tails[k]}" for i, k in
+                       enumerate(trials.tolist(), start=start))
+    got = cli._render_rows(cli._tail_table(tails), start, trials)
+    assert got.splitlines(True) == expected.splitlines(True)
 
 
 def test_simulate_validation_errors(config, tmp_path):
@@ -502,6 +538,10 @@ INVALID_INPUTS = {
         "estimate --eta-td 0.5 {dir}/counts.csv {dir}/missing.csv", 4),
     "sweep_steps_above_limit": (
         "repeater-sweep --preset fig8 --steps 10001", 2),
+    "estimate_eta_td_inf": ("estimate --eta-td inf {dir}/counts.csv", 2),
+    "estimate_eta_td_nan": ("estimate --eta-td nan {dir}/counts.csv", 2),
+    "estimate_replicas_above_limit": (
+        "estimate --eta-td 0.5 --replicas 1000000000 {dir}/counts.csv", 2),
 }
 
 

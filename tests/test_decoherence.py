@@ -138,6 +138,8 @@ def test_fit_input_validation():
         fit_decay([(0.0, 0.7), (1e-3, 0.5)])  # too few points
     with pytest.raises(DegenerateDataError):
         fit_decay([(1e-3, 0.7), (1e-3, 0.6), (1e-3, 0.5)])
+    with pytest.raises(DegenerateDataError):  # -0.0 and 0.0 are one time
+        fit_decay([(-0.0, 0.7), (0.0, 0.6), (1e-3, 0.5)])
     with pytest.raises(ParameterError):
         fit_decay([(0.0, 0.7, 0.0), (1e-3, 0.5, 0.01), (2e-3, 0.3, 0.01)])
     with pytest.raises(ParameterError):

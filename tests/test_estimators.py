@@ -16,6 +16,7 @@ from dlczsim import (AngleSettings, BellSettings, DecayParams,
                      visibility_from_S)
 from dlczsim.config import DEFAULT_VISIBILITY
 from dlczsim.engine import CountsTable
+from dlczsim.estimators import REPLICAS_MAX
 
 DEG = math.radians
 TWO_ROOT_TWO = 2.0 * math.sqrt(2.0)
@@ -256,9 +257,18 @@ def test_poisson_error_is_deterministic():
     assert a == b
 
 
-def test_poisson_error_validates_replicas():
+def test_poisson_error_validates_replicas(monkeypatch):
     with pytest.raises(ParameterError):
         poisson_error(correlation_E, matched_table(), n_replicas=50, seed=0)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("replicas drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    for n in (REPLICAS_MAX + 1, 10**9):  # refused before any draw
+        with pytest.raises(ParameterError, match=str(REPLICAS_MAX)):
+            poisson_error(correlation_E, matched_table(), n_replicas=n,
+                          seed=0)
 
 
 def test_poisson_error_degenerate_statistics():
