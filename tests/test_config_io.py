@@ -345,6 +345,151 @@ def test_decay_csv_names_missing_column(tmp_path):
         read_decay_csv(path)
 
 
+COUNTS_HEADER = ("theta_s_deg,theta_as_deg,storage_time_s,n_pulses,"
+                 "n_d1,n_d2,c13,c24,c14,c23")
+PERMUTED_HEADER = ("c23,n_pulses,theta_as_deg,c14,n_d2,storage_time_s,"
+                   "c24,theta_s_deg,c13,n_d1")
+
+# Faulty files, one per case: (reader, text, message). {path} stands for
+# the file. Non-finite cells are covered by their own tests.
+READER_FAULTS = {
+    "counts_no_header": (read_counts_csv, "# seed = 1\n\n",
+                         "{path}: no header row found"),
+    "counts_empty": (read_counts_csv, "", "{path}: no header row found"),
+    "counts_missing": (
+        read_counts_csv, COUNTS_HEADER.replace(",c23", "") + "\n",
+        "{path}: missing column 'c23'"),
+    "counts_missing_first_in_schema_order": (
+        read_counts_csv,
+        PERMUTED_HEADER.replace(",c14", "").replace(",n_d1", "") + "\n",
+        "{path}: missing column 'n_d1'"),
+    "counts_unexpected": (read_counts_csv, COUNTS_HEADER + ",extra\n",
+                          "{path}: unexpected column 'extra'"),
+    "counts_duplicate": (read_counts_csv, COUNTS_HEADER + ",n_d1\n",
+                         "{path}: duplicate column 'n_d1'"),
+    "counts_missing_before_unexpected": (
+        read_counts_csv, "extra," + COUNTS_HEADER.replace(",c24", "") + "\n",
+        "{path}: missing column 'c24'"),
+    "counts_duplicate_before_unexpected": (
+        read_counts_csv, COUNTS_HEADER + ",c13,extra\n",
+        "{path}: duplicate column 'c13'"),
+    "counts_unexpected_before_duplicate": (
+        read_counts_csv, "extra," + COUNTS_HEADER + ",c13\n",
+        "{path}: unexpected column 'extra'"),
+    "counts_unexpected_twice": (
+        read_counts_csv, COUNTS_HEADER + ",extra,extra\n",
+        "{path}: unexpected column 'extra'"),
+    "counts_short_row": (
+        read_counts_csv, COUNTS_HEADER + "\n0,0,0,100,1,1,0,0,0\n",
+        "{path}: line 2: expected 10 fields, got 9"),
+    "counts_long_row": (
+        read_counts_csv, COUNTS_HEADER + "\n0,0,0,100,1,1,0,0,0,0,0\n",
+        "{path}: line 2: expected 10 fields, got 11"),
+    "counts_short_row_before_bad_cell": (
+        read_counts_csv, COUNTS_HEADER + "\nx,0,0,100,1,1,0,0,0\n",
+        "{path}: line 2: expected 10 fields, got 9"),
+    "counts_line_numbers_count_comments": (
+        read_counts_csv, "# seed = 1\n\n" + COUNTS_HEADER
+        + "\n0,0,0,100,1,1,0,0,0,0\n\n0,0,0,100,1,1,0,0,0\n",
+        "{path}: line 6: expected 10 fields, got 9"),
+    "counts_bad_float": (
+        read_counts_csv, COUNTS_HEADER + "\n0,abc,0,100,1,1,0,0,0,0\n",
+        "{path}: line 2: {path}: line 2, column 'theta_as_deg': "
+        "'abc' is not a number"),
+    "counts_empty_float": (
+        read_counts_csv, COUNTS_HEADER + "\n0,0,,100,1,1,0,0,0,0\n",
+        "{path}: line 2: {path}: line 2, column 'storage_time_s': "
+        "'' is not a number"),
+    "counts_bad_int": (
+        read_counts_csv, COUNTS_HEADER + "\n0,0,0,100,1.5,1,0,0,0,0\n",
+        "{path}: line 2: {path}: line 2, column 'n_d1': "
+        "'1.5' is not an integer"),
+    "counts_hex_int": (
+        read_counts_csv, COUNTS_HEADER + "\n0,0,0,0x10,1,1,0,0,0,0\n",
+        "{path}: line 2: {path}: line 2, column 'n_pulses': "
+        "'0x10' is not an integer"),
+    "counts_first_bad_cell_in_schema_order": (
+        read_counts_csv, PERMUTED_HEADER + "\nx,0,0,0,1,0,0,y,0,1\n",
+        "{path}: line 2: {path}: line 2, column 'theta_s_deg': "
+        "'y' is not a number"),
+    "counts_earlier_row_first": (
+        read_counts_csv, COUNTS_HEADER
+        + "\n0,0,0,100,1,1,0,0,0,q\n0,0,0,100,1,1,0,0,0\n",
+        "{path}: line 2: {path}: line 2, column 'c23': "
+        "'q' is not an integer"),
+    "counts_invariant": (
+        read_counts_csv, COUNTS_HEADER + "\n0,0,0,100,1,1,5,0,0,0\n",
+        "{path}: line 2: more D1 coincidences than D1 singles"),
+    "counts_negative": (
+        read_counts_csv, COUNTS_HEADER + "\n0,0,0,100,-1,1,0,0,0,0\n",
+        "{path}: line 2: n_d1 must be >= 0"),
+    "counts_invariant_after_good_row": (
+        read_counts_csv, COUNTS_HEADER
+        + "\n0,0,0,100,1,1,0,0,0,0\n0,0,0,10,9,9,0,0,0,0\n",
+        "{path}: line 3: more Stokes singles than pulses"),
+    "counts_invariant_before_later_bad_cell": (
+        read_counts_csv, COUNTS_HEADER
+        + "\n0,0,0,100,1,1,5,0,0,0\n0,0,0,100,x,1,0,0,0,0\n",
+        "{path}: line 2: more D1 coincidences than D1 singles"),
+    "decay_no_header": (read_decay_csv, "# t = 0\n",
+                        "{path}: no header row found"),
+    "decay_missing": (read_decay_csv, "t_seconds,efficiency\n0,0.77\n",
+                      "{path}: missing column 'R'"),
+    "decay_missing_both": (read_decay_csv, "sigma_R\n0.01\n",
+                           "{path}: missing column 't_seconds'"),
+    "decay_unexpected": (read_decay_csv, "R,t_seconds,sigma\n0.7,0,0.1\n",
+                         "{path}: unexpected column 'sigma'"),
+    "decay_duplicate": (read_decay_csv, "t_seconds,R,sigma_R,R\n",
+                        "{path}: duplicate column 'R'"),
+    "decay_short_row": (read_decay_csv, "t_seconds,R,sigma_R\n0,0.7\n",
+                        "{path}: line 2: expected 3 fields, got 2"),
+    "decay_long_row": (read_decay_csv, "t_seconds,R\n0,0.77\n1,0.5,0.1\n",
+                       "{path}: line 3: expected 2 fields, got 3"),
+    "decay_bad_float": (
+        read_decay_csv, "t_seconds,R\n0,0.77\n0.001,abc\n",
+        "{path}: line 3, column 'R': 'abc' is not a number"),
+    "decay_bad_sigma": (
+        read_decay_csv, "sigma_R,t_seconds,R\n1e-2%,0,0.77\n",
+        "{path}: line 2, column 'sigma_R': '1e-2%' is not a number"),
+    "decay_t_parsed_before_r": (
+        read_decay_csv, "R,t_seconds\nr,t\n",
+        "{path}: line 2, column 't_seconds': 't' is not a number"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(READER_FAULTS))
+def test_reader_faults_are_pinned(case, tmp_path):
+    reader, text, message = READER_FAULTS[case]
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    with pytest.raises(SchemaError) as info:
+        reader(path)
+    assert str(info.value) == message.format(path=path)
+
+
+def test_reader_values_are_pinned(tmp_path):
+    path = tmp_path / "counts.csv"
+    path.write_text("# dlczsim counts v1\n# seed = 7\n# note = a = b\n"
+                    + PERMUTED_HEADER + "\n"
+                    " 3 ,+100, 1e3,1,7,2.5e-4,2,5,4,1_0 \n\n"
+                    "0,10,-45,0,0,0,0,0,0,0\n")
+    tables, provenance = read_counts_csv(path)
+    assert tables == [
+        CountsTable(AngleSettings.from_degrees(5.0, 1000.0), 2.5e-4, 100,
+                    10, 7, 4, 2, 1, 3),
+        CountsTable(AngleSettings.from_degrees(0.0, -45.0), 0.0, 10,
+                    0, 0, 0, 0, 0, 0)]
+    assert provenance == {"seed": "7", "note": "a = b"}
+    path.write_text("R,t_seconds\n0.77,0\n0.5,5.4e-4\n")
+    assert read_decay_csv(path) == [(0.0, 0.77), (5.4e-4, 0.5)]
+    path.write_text("sigma_R,R,t_seconds\n0.01,0.77,0\n1_0,5e-1,1E-3\n")
+    assert read_decay_csv(path) == [(0.0, 0.77, 0.01), (1e-3, 0.5, 10.0)]
+    path.write_text("t_seconds,R,sigma_R\n")
+    assert read_decay_csv(path) == []
+    path.write_text(COUNTS_HEADER + "\n")
+    assert read_counts_csv(path) == ([], {})
+
+
 def test_kv_roundtrip(tmp_path):
     path = tmp_path / "report.kv"
     write_kv(path, "budget", {"eta_td": 0.1507, "ok": True},
