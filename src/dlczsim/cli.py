@@ -22,8 +22,9 @@ import numpy as np
 
 from . import __version__
 from .config import Config, load_config
-from .datafiles import (fmt_value, read_counts_csv, read_decay_csv,
-                        write_counts_csv, write_csv, write_kv)
+from .datafiles import (DECAY_COLUMNS, DECAY_SIGMA_COLUMN, fmt_value,
+                        read_counts_csv, read_decay_csv, write_counts_csv,
+                        write_csv, write_kv)
 from .decoherence import fit_decay, motional_lifetime
 from .engine import (CountsTable, TrialRecord, run_experiment,
                      trial_outcome_blocks)
@@ -113,8 +114,6 @@ class _Artifacts:
     def __init__(self, args, cfg: Optional[Config] = None):
         self.args = args
         self.out_name = args.out or os.environ.get(OUTPUT_DIR_ENV) or "."
-        self.out = Path(self.out_name)
-        self.out.mkdir(parents=True, exist_ok=True)
         self.config_path = args.config if cfg else "none"
         self.provenance: Dict[str, object] = {
             "command": args.command,
@@ -123,6 +122,14 @@ class _Artifacts:
         }
         self.written: List[str] = []
         self.entries: Dict[str, object] = {}
+
+    @functools.cached_property
+    def out(self) -> Path:
+        """The output directory, made with the command's first file, so a
+        command that fails before it writes leaves none."""
+        out = Path(self.out_name)
+        out.mkdir(parents=True, exist_ok=True)
+        return out
 
     def path(self, name: str) -> Path:
         self.written.append(name)
@@ -172,8 +179,6 @@ def cmd_simulate(args) -> int:
     cfg = _load_required_config(args)
     params = _require(cfg.experiment, "experiment")
     timing = _require(cfg.timing, "timing")
-    if args.trials <= 0:
-        raise ParameterError("--trials must be > 0")
     if args.workers < 1:
         raise ParameterError("--workers must be >= 1")
     t_list = parse_t_list(args.t)
@@ -298,8 +303,6 @@ def _eta_td_for_estimate(args, cfg: Optional[Config]) -> float:
 def cmd_estimate(args) -> int:
     cfg = load_config(args.config) if args.config else None
     eta_td = _eta_td_for_estimate(args, cfg)
-    if not 100 <= args.replicas <= REPLICAS_MAX:
-        raise ParameterError(f"--replicas must be in [100, {REPLICAS_MAX}]")
 
     digest = hashlib.sha256()
     tables: List[CountsTable] = []
@@ -359,7 +362,7 @@ def cmd_estimate(args) -> int:
     if retrieval_rows:
         retrieval_rows.sort(key=lambda row: row[0])
         write_csv(art.path("retrieval.csv"), "decay-samples",
-                  ("t_seconds", "R", "sigma_R"), retrieval_rows,
+                  DECAY_COLUMNS + (DECAY_SIGMA_COLUMN,), retrieval_rows,
                   art.provenance)
     return art.finish(inputs_hash=inputs_hash, inputs=",".join(args.counts))
 
@@ -418,8 +421,6 @@ def cmd_repeater_sweep(args) -> int:
         cfg = _load_required_config(args)
         curves = (("config", _require(cfg.repeater, "repeater")),)
         chi_source = "config"
-    if not 0.0 < args.l_min < args.l_max < math.inf:
-        raise ParameterError("need 0 < --l-min < --l-max, both finite")
     if args.threshold is not None and not 0.0 < args.threshold < math.inf:
         raise ParameterError("--threshold must be finite and > 0")
 

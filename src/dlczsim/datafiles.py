@@ -18,10 +18,15 @@ from .errors import SchemaError
 
 FORMAT_VERSION = "v1"
 
-COUNTS_COLUMNS = ("theta_s_deg", "theta_as_deg", "storage_time_s",
-                  "n_pulses", "n_d1", "n_d2", "c13", "c24", "c14", "c23")
+# Column -> type of each input CSV, in parse order (for the counts, the
+# order of CountsTable's fields).
+COUNTS_KINDS = dict(theta_s_deg=float, theta_as_deg=float,
+                    storage_time_s=float, n_pulses=int, n_d1=int, n_d2=int,
+                    c13=int, c24=int, c14=int, c23=int)
+COUNTS_COLUMNS = tuple(COUNTS_KINDS)
 DECAY_COLUMNS = ("t_seconds", "R")
 DECAY_SIGMA_COLUMN = "sigma_R"
+DECAY_KINDS = dict.fromkeys(DECAY_COLUMNS + (DECAY_SIGMA_COLUMN,), float)
 
 
 def fmt_value(value) -> str:
@@ -94,50 +99,50 @@ def read_kv(path) -> Tuple[Dict[str, str], Dict[str, str]]:
     return entries, provenance
 
 
-def _read_rows(path) -> Tuple[List[str], List[Tuple[int, List[str]]],
-                              Dict[str, str]]:
-    """Header cells, (line number, cells) of each data row, provenance."""
+_NOT_A = {float: "a number", int: "an integer"}
+
+
+def _read_rows(path, kinds: Mapping[str, type], optional: Sequence[str] = ()
+               ) -> Tuple[Dict[str, str], Iterable[Tuple[int, dict]]]:
+    """Provenance, and per data row (line number, {column: value}) parsed
+    in ``kinds`` order by each column's type; a float must be finite.
+    Header faults raise at once: missing columns (all of ``kinds`` but
+    ``optional`` are required), then unexpected or duplicate ones in
+    header order. Rows are checked as they are consumed."""
     provenance, body = _read_lines(path)
     if not body:
         raise SchemaError(f"{path}: no header row found")
-    rows = [(n, [c.strip() for c in line.split(",")]) for n, line in body]
-    return rows[0][1], rows[1:], provenance
-
-
-def _column_map(path, header: Sequence[str], required: Sequence[str],
-                optional: Sequence[str] = ()) -> Dict[str, int]:
-    for column in required:
-        if column not in header:
+    header = [c.strip() for c in body[0][1].split(",")]
+    for column in kinds:
+        if column not in header and column not in optional:
             raise SchemaError(f"{path}: missing column {column!r}")
-    allowed = set(required) | set(optional)
     for column in header:
-        if column not in allowed:
+        if column not in kinds:
             raise SchemaError(f"{path}: unexpected column {column!r}")
         if header.count(column) > 1:
             raise SchemaError(f"{path}: duplicate column {column!r}")
-    return {column: header.index(column) for column in header}
+    present = [(c, kinds[c], header.index(c)) for c in kinds if c in header]
 
-
-def _parse_float(path, lineno, column, text) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise SchemaError(
-            f"{path}: line {lineno}, column {column!r}: {text!r} "
-            "is not a number")
-    if math.isnan(value):
-        raise SchemaError(
-            f"{path}: line {lineno}, column {column!r}: NaN not allowed")
-    return value
-
-
-def _parse_int(path, lineno, column, text) -> int:
-    try:
-        return int(text, 10)
-    except ValueError:
-        raise SchemaError(
-            f"{path}: line {lineno}, column {column!r}: {text!r} "
-            "is not an integer")
+    def rows():
+        for lineno, line in body[1:]:
+            cells = [c.strip() for c in line.split(",")]
+            if len(cells) != len(header):
+                raise SchemaError(f"{path}: line {lineno}: expected "
+                                  f"{len(header)} fields, got {len(cells)}")
+            values = {}
+            for column, kind, i in present:
+                try:
+                    values[column] = kind(cells[i])
+                except ValueError:
+                    fault = _NOT_A[kind]
+                else:
+                    if kind is int or math.isfinite(values[column]):
+                        continue
+                    fault = "finite"
+                raise SchemaError(f"{path}: line {lineno}, column "
+                                  f"{column!r}: {cells[i]!r} is not {fault}")
+            yield lineno, values
+    return provenance, rows()
 
 
 def _degrees(theta: float) -> float:
@@ -165,30 +170,14 @@ def write_counts_csv(path, tables: Sequence[CountsTable],
 
 
 def read_counts_csv(path) -> Tuple[List[CountsTable], Dict[str, str]]:
-    header, rows, provenance = _read_rows(path)
-    col = _column_map(path, header, COUNTS_COLUMNS)
+    provenance, rows = _read_rows(path, COUNTS_KINDS)
     tables = []
-    for lineno, row in rows:
-        if len(row) != len(header):
-            raise SchemaError(
-                f"{path}: line {lineno}: expected {len(header)} fields, "
-                f"got {len(row)}")
-
-        def fval(name):
-            return _parse_float(path, lineno, name, row[col[name]])
-
-        def ival(name):
-            return _parse_int(path, lineno, name, row[col[name]])
-
+    for lineno, values in rows:
+        theta_s, theta_as, storage_time, *counts = values.values()
         try:
             tables.append(CountsTable(
-                settings=AngleSettings.from_degrees(
-                    fval("theta_s_deg"), fval("theta_as_deg")),
-                storage_time=fval("storage_time_s"),
-                n_pulses=ival("n_pulses"),
-                n_d1=ival("n_d1"), n_d2=ival("n_d2"),
-                c13=ival("c13"), c24=ival("c24"),
-                c14=ival("c14"), c23=ival("c23")))
+                AngleSettings.from_degrees(theta_s, theta_as), storage_time,
+                *counts))
         except ValueError as exc:
             raise SchemaError(f"{path}: line {lineno}: {exc}") from exc
     return tables, provenance
@@ -196,22 +185,5 @@ def read_counts_csv(path) -> Tuple[List[CountsTable], Dict[str, str]]:
 
 def read_decay_csv(path) -> List[Tuple[float, ...]]:
     """Read (t_seconds, R[, sigma_R]) samples for the decay fit."""
-    header, rows, _ = _read_rows(path)
-    col = _column_map(path, header, DECAY_COLUMNS,
-                      optional=(DECAY_SIGMA_COLUMN,))
-    with_sigma = DECAY_SIGMA_COLUMN in col
-    samples: List[Tuple[float, ...]] = []
-    for lineno, row in rows:
-        if len(row) != len(header):
-            raise SchemaError(
-                f"{path}: line {lineno}: expected {len(header)} fields, "
-                f"got {len(row)}")
-        t = _parse_float(path, lineno, "t_seconds", row[col["t_seconds"]])
-        r = _parse_float(path, lineno, "R", row[col["R"]])
-        if with_sigma:
-            sigma = _parse_float(path, lineno, DECAY_SIGMA_COLUMN,
-                                 row[col[DECAY_SIGMA_COLUMN]])
-            samples.append((t, r, sigma))
-        else:
-            samples.append((t, r))
-    return samples
+    _, rows = _read_rows(path, DECAY_KINDS, optional=(DECAY_SIGMA_COLUMN,))
+    return [tuple(values.values()) for _, values in rows]

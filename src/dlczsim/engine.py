@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -231,13 +231,18 @@ def _cells(model: _TrialModel) -> Iterator[tuple]:
         yield outcome, probe.weight, probe.lo, probe.hi
 
 
-def _outcome_table(model: _TrialModel) -> Tuple[List[_Outcome], np.ndarray]:
-    """Sorted outcomes of one trial and their probabilities."""
+@lru_cache(maxsize=64)
+def _outcome_table(model: _TrialModel
+                   ) -> Tuple[Tuple[_Outcome, ...], np.ndarray]:
+    """Sorted outcomes of one trial and their (read-only) probabilities.
+    Memoized: ``simulate --records`` asks for each setting's table twice."""
     probs = {}
     for outcome, weight, _, _ in _cells(model):
         probs[outcome] = probs.get(outcome, 0.0) + weight
-    outcomes = sorted(probs)
-    return outcomes, np.array([probs[o] for o in outcomes])
+    outcomes = tuple(sorted(probs))
+    table = np.array([probs[o] for o in outcomes])
+    table.flags.writeable = False
+    return outcomes, table
 
 
 def _count_matrix(outcomes: Sequence[_Outcome]) -> np.ndarray:
@@ -292,7 +297,8 @@ def _blocks(n_trials: int) -> Iterator[Tuple[int, int]]:
 def trial_outcome_blocks(params: ExperimentParams, t: float,
                          angles: AngleSettings, n_trials: int, seed: int, *,
                          setting_index: int = 0, double_pair: bool = False,
-                         run_tag: int = 0) -> Tuple[List[_Outcome], Iterator]:
+                         run_tag: int = 0
+                         ) -> Tuple[Tuple[_Outcome, ...], Iterator]:
     """Outcome table of one setting and its trials' outcomes, block by block.
 
     Returns the sorted outcomes and, per RNG block, (first trial index,

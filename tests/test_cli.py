@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dlczsim import AngleSettings, CountsTable, cli, fit_decay
+from dlczsim import AngleSettings, CountsTable, cli, engine, fit_decay
 from dlczsim.cli import main
-from dlczsim.datafiles import read_counts_csv, read_kv, write_counts_csv
+from dlczsim.datafiles import (COUNTS_COLUMNS, read_counts_csv, read_kv,
+                               write_counts_csv)
 
 CONFIG = """\
 experiment.chi = 0.05
@@ -162,6 +163,42 @@ def test_fit_decay_rejects_non_finite_samples(column, tmp_path, capsys):
     assert len(err) == 1
     assert "finite" in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("column",
+                         ["theta_s_deg", "theta_as_deg", "storage_time_s"])
+def test_estimate_rejects_non_finite_counts_cells(column, value, tmp_path,
+                                                  capsys):
+    cells = dict(zip(COUNTS_COLUMNS, "0,0,0,100000,700,720,80,70,10,0"
+                     .split(",")))
+    cells[column] = value
+    data = tmp_path / "counts.csv"
+    data.write_text(",".join(cells) + "\n" + ",".join(cells.values()) + "\n")
+    out = tmp_path / "est"
+    assert main(["estimate", "--eta-td", "0.5", "--replicas", "100",
+                 str(data), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {data}: line 2, column {column!r}: {value!r} is not finite"]
+    assert not out.exists()
+
+
+def test_records_reuse_each_settings_outcome_table(config, tmp_path,
+                                                    monkeypatch):
+    built = []
+
+    def cells(model):
+        built.append(model)
+        return original(model)
+
+    original = engine._cells
+    monkeypatch.setattr(engine, "_cells", cells)
+    engine._outcome_table.cache_clear()
+    assert main(["simulate", "--config", config, "--seed", "3", "--trials",
+                 "1000", "--records", "--out", str(tmp_path / "sim")]) == 0
+    assert len(built) == 1
+    outcomes, probs = engine._outcome_table(built[0])
+    assert isinstance(outcomes, tuple) and not probs.flags.writeable
 
 
 def test_simulate_writes_counts_with_provenance(config, tmp_path):
@@ -542,6 +579,10 @@ INVALID_INPUTS = {
     "estimate_eta_td_nan": ("estimate --eta-td nan {dir}/counts.csv", 2),
     "estimate_replicas_above_limit": (
         "estimate --eta-td 0.5 --replicas 1000000000 {dir}/counts.csv", 2),
+    "estimate_no_stokes_singles_for_mode": (
+        "estimate --eta-td 0.5 {dir}/no_d2.csv", 3),
+    "estimate_eta_td_tiny": (
+        "estimate --eta-td 1e-300 --replicas 100 {dir}/counts.csv", 3),
 }
 
 
@@ -552,6 +593,9 @@ def test_invalid_inputs_leave_no_output(case, tmp_path, capsys):
     write_counts_csv(tmp_path / "counts.csv", [CountsTable(
         settings=AngleSettings(0.0, 0.0), storage_time=0.0, n_pulses=1000,
         n_d1=7, n_d2=7, c13=1, c24=1, c14=0, c23=0)], {})
+    write_counts_csv(tmp_path / "no_d2.csv", [CountsTable(
+        settings=AngleSettings(0.0, 0.0), storage_time=0.0, n_pulses=1000,
+        n_d1=1, n_d2=0, c13=0, c24=0, c14=0, c23=0)], {})
     argv = line.format(conf=tmp_path / "x.conf", dir=tmp_path).split()
     out = tmp_path / "out"
     try:

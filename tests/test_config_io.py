@@ -274,16 +274,16 @@ def test_counts_roundtrip(tmp_path):
 
 @st.composite
 def counts_tables(draw):
-    """A valid CountsTable: angles from any non-NaN degrees (the unit of
-    the file), any non-NaN storage time, counts >= 0 within the
+    """A valid CountsTable: angles from any finite degrees (the unit of
+    the file), any finite storage time, counts >= 0 within the
     singles/coincidence invariants."""
-    angle = st.floats(allow_nan=False)
+    angle = st.floats(allow_nan=False, allow_infinity=False)
     count = st.integers(min_value=0, max_value=2 ** 70)
     c13, c14, c23, c24 = (draw(count) for _ in range(4))
     n_d1, n_d2 = c13 + c14 + draw(count), c23 + c24 + draw(count)
     return CountsTable(
         settings=AngleSettings.from_degrees(draw(angle), draw(angle)),
-        storage_time=draw(st.floats(allow_nan=False)),
+        storage_time=draw(st.floats(allow_nan=False, allow_infinity=False)),
         n_pulses=n_d1 + n_d2 + draw(count), n_d1=n_d1, n_d2=n_d2,
         c13=c13, c24=c24, c14=c14, c23=c23)
 
@@ -394,28 +394,28 @@ READER_FAULTS = {
         "{path}: line 6: expected 10 fields, got 9"),
     "counts_bad_float": (
         read_counts_csv, COUNTS_HEADER + "\n0,abc,0,100,1,1,0,0,0,0\n",
-        "{path}: line 2: {path}: line 2, column 'theta_as_deg': "
+        "{path}: line 2, column 'theta_as_deg': "
         "'abc' is not a number"),
     "counts_empty_float": (
         read_counts_csv, COUNTS_HEADER + "\n0,0,,100,1,1,0,0,0,0\n",
-        "{path}: line 2: {path}: line 2, column 'storage_time_s': "
+        "{path}: line 2, column 'storage_time_s': "
         "'' is not a number"),
     "counts_bad_int": (
         read_counts_csv, COUNTS_HEADER + "\n0,0,0,100,1.5,1,0,0,0,0\n",
-        "{path}: line 2: {path}: line 2, column 'n_d1': "
+        "{path}: line 2, column 'n_d1': "
         "'1.5' is not an integer"),
     "counts_hex_int": (
         read_counts_csv, COUNTS_HEADER + "\n0,0,0,0x10,1,1,0,0,0,0\n",
-        "{path}: line 2: {path}: line 2, column 'n_pulses': "
+        "{path}: line 2, column 'n_pulses': "
         "'0x10' is not an integer"),
     "counts_first_bad_cell_in_schema_order": (
         read_counts_csv, PERMUTED_HEADER + "\nx,0,0,0,1,0,0,y,0,1\n",
-        "{path}: line 2: {path}: line 2, column 'theta_s_deg': "
+        "{path}: line 2, column 'theta_s_deg': "
         "'y' is not a number"),
     "counts_earlier_row_first": (
         read_counts_csv, COUNTS_HEADER
         + "\n0,0,0,100,1,1,0,0,0,q\n0,0,0,100,1,1,0,0,0\n",
-        "{path}: line 2: {path}: line 2, column 'c23': "
+        "{path}: line 2, column 'c23': "
         "'q' is not an integer"),
     "counts_invariant": (
         read_counts_csv, COUNTS_HEADER + "\n0,0,0,100,1,1,5,0,0,0\n",
@@ -465,6 +465,16 @@ def test_reader_faults_are_pinned(case, tmp_path):
     with pytest.raises(SchemaError) as info:
         reader(path)
     assert str(info.value) == message.format(path=path)
+
+
+@pytest.mark.parametrize("value", ["nan", "-inf", "1e999"])
+def test_decay_reader_rejects_non_finite_cells(value, tmp_path):
+    path = tmp_path / "decay.csv"
+    path.write_text(f"t_seconds,R\n0,0.77\n0.001,{value}\n")
+    with pytest.raises(SchemaError) as info:
+        read_decay_csv(path)
+    assert str(info.value) == (
+        f"{path}: line 3, column 'R': {value!r} is not finite")
 
 
 def test_reader_values_are_pinned(tmp_path):
