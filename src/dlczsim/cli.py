@@ -306,9 +306,8 @@ def cmd_estimate(args) -> int:
 
     digest = hashlib.sha256()
     tables: List[CountsTable] = []
-    for name in args.counts:
-        digest.update(Path(name).read_bytes())
-        file_tables, _ = read_counts_csv(name)
+    for name in args.counts:  # the hash covers the bytes parsed
+        file_tables, _ = read_counts_csv(name, digest)
         tables.extend(file_tables)
     if not tables:
         raise SchemaError("no counts rows found in the input files")
@@ -424,17 +423,19 @@ def cmd_repeater_sweep(args) -> int:
     if args.threshold is not None and not 0.0 < args.threshold < math.inf:
         raise ParameterError("--threshold must be finite and > 0")
 
-    rows = []
+    rows = []  # rendered as fmt_value renders them: a float as its repr
     entries: Dict[str, object] = {}
     for label, params in curves:
         points, monotone = sweep_distance(
             params, args.l_min, args.l_max, args.steps, grid=args.grid,
             approx_multiplex=args.approx_multiplex)
+        head = f"{label},{params.r0!r}"
         for distance, bd in points:
-            rows.append((label, params.r0, distance, bd.rate, bd.t_cc,
-                         bd.p0, bd.p0_multiplexed, bd.p_pr,
-                         bd.stage_times[-1] if bd.stage_times else math.nan,
-                         bd.underflow))
+            t_final = bd.stage_times[-1] if bd.stage_times else math.nan
+            rows.append(
+                f"{head},{distance!r},{bd.rate!r},{bd.t_cc!r},{bd.p0!r},"
+                f"{bd.p0_multiplexed!r},{bd.p_pr!r},{t_final!r},"
+                f"{fmt_value(bd.underflow)}\n")
         entries[f"{label}.r0"] = params.r0
         entries[f"{label}.chi"] = params.chi
         entries[f"{label}.link_divisor"] = params.link_divisor

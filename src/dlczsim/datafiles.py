@@ -75,13 +75,18 @@ def _put_pair(target: Dict[str, str], text: str) -> None:
         target[key.strip()] = value.strip()
 
 
-def _read_lines(path) -> Tuple[Dict[str, str], List[Tuple[int, str]]]:
+def _read_lines(path, digest=None
+                ) -> Tuple[Dict[str, str], List[Tuple[int, str]]]:
     """Provenance from ``# key = value`` comments, then every other
-    non-blank line with its 1-based line number."""
+    non-blank line with its 1-based line number. The file is opened once;
+    ``digest`` (a hashlib object), if given, is updated with the bytes
+    parsed."""
+    data = Path(path).read_bytes()
+    if digest is not None:
+        digest.update(data)
     provenance: Dict[str, str] = {}
     body: List[Tuple[int, str]] = []
-    for lineno, raw in enumerate(
-            Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(data.decode("utf-8").splitlines(), start=1):
         line = raw.strip()
         if line.startswith("#"):
             _put_pair(provenance, line[1:])
@@ -102,14 +107,16 @@ def read_kv(path) -> Tuple[Dict[str, str], Dict[str, str]]:
 _NOT_A = {float: "a number", int: "an integer"}
 
 
-def _read_rows(path, kinds: Mapping[str, type], optional: Sequence[str] = ()
+def _read_rows(path, kinds: Mapping[str, type], optional: Sequence[str] = (),
+               digest=None
                ) -> Tuple[Dict[str, str], Iterable[Tuple[int, dict]]]:
     """Provenance, and per data row (line number, {column: value}) parsed
     in ``kinds`` order by each column's type; a float must be finite.
     Header faults raise at once: missing columns (all of ``kinds`` but
     ``optional`` are required), then unexpected or duplicate ones in
-    header order. Rows are checked as they are consumed."""
-    provenance, body = _read_lines(path)
+    header order. Rows are checked as they are consumed. ``digest`` is
+    passed to :func:`_read_lines`."""
+    provenance, body = _read_lines(path, digest)
     if not body:
         raise SchemaError(f"{path}: no header row found")
     header = [c.strip() for c in body[0][1].split(",")]
@@ -169,8 +176,11 @@ def write_counts_csv(path, tables: Sequence[CountsTable],
     write_csv(path, "counts", COUNTS_COLUMNS, rows, provenance)
 
 
-def read_counts_csv(path) -> Tuple[List[CountsTable], Dict[str, str]]:
-    provenance, rows = _read_rows(path, COUNTS_KINDS)
+def read_counts_csv(path, digest=None
+                    ) -> Tuple[List[CountsTable], Dict[str, str]]:
+    """Counts tables and provenance of a counts CSV; ``digest`` (a hashlib
+    object), if given, is updated with the bytes parsed."""
+    provenance, rows = _read_rows(path, COUNTS_KINDS, digest=digest)
     tables = []
     for lineno, values in rows:
         theta_s, theta_as, storage_time, *counts = values.values()

@@ -7,7 +7,7 @@ half-Gaussian/half-exponential mix whose 1/e point sits exactly at t = tau0.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -50,7 +50,9 @@ def motional_lifetime(geom: EnsembleGeometry) -> float:
 
 
 def _as_sample_arrays(samples) -> Tuple[np.ndarray, np.ndarray,
-                                        Optional[np.ndarray]]:
+                                        np.ndarray]:
+    """Storage times, efficiencies and least-squares weights 1/sigma^2
+    (ones without a sigma column) of checked samples."""
     rows = list(samples)
     if len(rows) < 3:
         raise ParameterError("need at least 3 samples to fit the decay model")
@@ -66,78 +68,97 @@ def _as_sample_arrays(samples) -> Tuple[np.ndarray, np.ndarray,
     r = np.array([row[1] for row in rows], dtype=float)
     for name, values in (("storage times", t), ("efficiencies", r),
                          ("uncertainties", sigma)):
-        if values is not None and not np.all(np.isfinite(values)):
+        if values is not None and not np.isfinite(values).all():
             raise ParameterError(f"sample {name} must be finite")
-    if sigma is not None and np.any(sigma <= 0.0):
+    if sigma is not None and (sigma <= 0.0).any():
         raise ParameterError("sample uncertainties must be > 0")
-    if np.any(t < 0.0):
+    if (t < 0.0).any():
         raise ParameterError("storage times must be >= 0")
-    if np.any(r < 0.0):
+    if (r < 0.0).any():
         raise ParameterError("efficiencies must be >= 0")
+    with np.errstate(divide="ignore", over="ignore"):
+        w = np.ones_like(r) if sigma is None else 1.0 / (sigma * sigma)
+        # The model lies in [0, 1], so no residual exceeds max(R, 1): below
+        # this bound every objective value is finite.
+        bound = float(np.add.reduce(w * np.maximum(r, 1.0) ** 2))
+    if not np.isfinite(w).all():
+        raise ParameterError(
+            "sample uncertainties too small: 1/sigma^2 overflows")
+    if not math.isfinite(bound):
+        raise ParameterError("weighted squared residuals overflow: sample "
+                             "efficiencies too large or uncertainties "
+                             "too small")
     if len(set(t.tolist())) < 3:  # np.unique would import numpy.ma
         raise DegenerateDataError(
             "samples need at least 3 distinct storage times")
-    return t, r, sigma
+    return t, r, w
 
 
-def _max(values):
-    """Largest of the list ``values``; NaN if any is NaN (as ``np.max``)."""
-    return math.nan if any(map(math.isnan, values)) else max(values)
+def _max(pair):
+    """Larger of a pair of floats; NaN if either is NaN (as ``np.max``)."""
+    a, b = pair
+    return b if b > a or b != b else a
 
 
-def _nelder_mead(fun, x0, *, max_iter=FIT_MAX_ITER):
-    """Minimal Nelder-Mead simplex descent for a handful of parameters.
+def _before(f, g):
+    """Whether objective ``f`` sorts before ``g``: ascending, NaN last."""
+    return f < g or (f == f and g != g)
 
-    Vertices are tuples of floats. Converges when the simplex objective
-    spread falls below ``FIT_REL_TOL`` relative to the best value; raises if
-    the iteration budget runs out. A simplex collapsed to machine
-    precision also counts as converged (an exact fit drives the objective
-    to rounding noise, where no relative criterion can ever be met).
+
+def _nelder_mead(fun, start, *, max_iter=FIT_MAX_ITER):
+    """Nelder-Mead simplex descent in two parameters.
+
+    The three vertices are float pairs ``(x, y)``, sorted stably by their
+    objective with NaN last. Converges when the simplex objective spread
+    falls below ``FIT_REL_TOL`` relative to the best value; raises if the
+    iteration budget runs out. A simplex collapsed to machine precision
+    also counts as converged (an exact fit drives the objective to
+    rounding noise, where no relative criterion can ever be met).
     """
-    n = len(x0)
-    simplex = [tuple(float(c) for c in x0)]
-    simplex += [tuple(c + SIMPLEX_STEPS[i] if j == i else c
-                      for j, c in enumerate(simplex[0])) for i in range(n)]
-    f = [fun(v) for v in simplex]
+    x0, y0 = float(start[0]), float(start[1])
+    x1, y1 = x0 + SIMPLEX_STEPS[0], y0
+    x2, y2 = x0, y0 + SIMPLEX_STEPS[1]
+    f0, f1, f2 = fun((x0, y0)), fun((x1, y1)), fun((x2, y2))
 
     for _ in range(max_iter):
-        # stable, NaN last (as np.argsort(kind="stable"))
-        order = sorted(range(n + 1), key=lambda i: (f[i] != f[i], f[i]))
-        simplex = [simplex[i] for i in order]
-        f = [f[i] for i in order]
-        if f[-1] - f[0] <= FIT_REL_TOL * (abs(f[0]) + 1e-300):
-            return simplex[0], f[0]
-        best = simplex[0]
-        spread = max([_max([abs(a - b) for a, b in zip(v, best)])
-                      for v in simplex[1:]])
-        if spread <= 1e-14 * (1.0 + _max([abs(c) for c in best])):
-            return best, f[0]
+        if _before(f1, f0):
+            x0, y0, f0, x1, y1, f1 = x1, y1, f1, x0, y0, f0
+        if _before(f2, f1):
+            x1, y1, f1, x2, y2, f2 = x2, y2, f2, x1, y1, f1
+            if _before(f1, f0):
+                x0, y0, f0, x1, y1, f1 = x1, y1, f1, x0, y0, f0
+        if f2 - f0 <= FIT_REL_TOL * (abs(f0) + 1e-300):
+            return (x0, y0), f0
+        # Spread from the best vertex: a NaN coordinate makes its vertex's
+        # spread NaN (as np.max), but the larger of the two vertices' is
+        # taken as the builtin max does, which passes over a NaN second.
+        s1 = _max((abs(x1 - x0), abs(y1 - y0)))
+        s2 = _max((abs(x2 - x0), abs(y2 - y0)))
+        spread = s2 if s2 > s1 else s1
+        if spread <= 1e-14 * (1.0 + _max((abs(x0), abs(y0)))):
+            return (x0, y0), f0
 
-        centroid = tuple([sum(c[1:], c[0]) / n for c in zip(*simplex[:-1])])
-        worst = simplex[-1]
-        reflected = tuple([c + (c - w) for c, w in zip(centroid, worst)])
-        f_r = fun(reflected)
-        if f_r < f[0]:
-            expanded = tuple([c + 2.0 * (c - w)
-                              for c, w in zip(centroid, worst)])
-            f_e = fun(expanded)
+        cx, cy = (x0 + x1) / 2, (y0 + y1) / 2
+        rx, ry = cx + (cx - x2), cy + (cy - y2)
+        f_r = fun((rx, ry))
+        if f_r < f0:
+            ex, ey = cx + 2.0 * (cx - x2), cy + 2.0 * (cy - y2)
+            f_e = fun((ex, ey))
             if f_e < f_r:
-                simplex[-1], f[-1] = expanded, f_e
+                x2, y2, f2 = ex, ey, f_e
             else:
-                simplex[-1], f[-1] = reflected, f_r
-        elif f_r < f[-2]:
-            simplex[-1], f[-1] = reflected, f_r
+                x2, y2, f2 = rx, ry, f_r
+        elif f_r < f1:
+            x2, y2, f2 = rx, ry, f_r
         else:
-            contracted = tuple([c + 0.5 * (w - c)
-                                for c, w in zip(centroid, worst)])
-            f_c = fun(contracted)
-            if f_c < f[-1]:
-                simplex[-1], f[-1] = contracted, f_c
+            kx, ky = cx + 0.5 * (x2 - cx), cy + 0.5 * (y2 - cy)
+            f_c = fun((kx, ky))
+            if f_c < f2:
+                x2, y2, f2 = kx, ky, f_c
             else:
-                simplex = [best] + [tuple([b + 0.5 * (x - b)
-                                           for b, x in zip(best, v)])
-                                    for v in simplex[1:]]
-                f = [f[0]] + [fun(v) for v in simplex[1:]]
+                x1, y1 = x0 + 0.5 * (x1 - x0), y0 + 0.5 * (y1 - y0)
+                x2, y2 = x0 + 0.5 * (x2 - x0), y0 + 0.5 * (y2 - y0)
+                f1, f2 = fun((x1, y1)), fun((x2, y2))
     raise FitConvergenceError(
         f"decay fit did not converge within {max_iter} iterations")
 
@@ -150,27 +171,28 @@ def fit_decay(samples: Sequence[Sequence[float]], *,
     squared residuals. Seeded by a coarse grid over r0 in [max R, 1] and
     tau0 in [t_max/10, 10 t_max]; refined in (r0, log tau0) space.
     """
-    t, r, sigma = _as_sample_arrays(samples)
-    w = np.ones_like(r) if sigma is None else 1.0 / (sigma * sigma)
-    t_max = float(np.max(t))
+    t, r, w = _as_sample_arrays(samples)
+    t_max = float(t.max())
     if t_max <= 0.0:
         raise DegenerateDataError("samples need a positive storage time")
 
-    # The objective's arrays live in one buffer: [u*u | u], negated and
-    # exponentiated in one call; every float operation and its order are
-    # those of r0 * (exp(-u*u) + exp(-u)) / 2, then sum(w * (model - r)**2).
-    buf = np.empty(2 * t.size)
-    acc, ratio = buf[:t.size], buf[t.size:]  # ratio: u = t / tau
+    # The objective's arrays live in one buffer laid out as [t | -t]: one
+    # division gives [u | -u], their product -u*u, then one exp call. Every
+    # float operation and its order are those of
+    # r0 * (exp(-u*u) + exp(-u)) / 2, then sum(w * (model - r)**2).
+    n = t.size
+    signed_t = np.concatenate((t, -t))
+    buf = np.empty(2 * n)
+    acc, tail = buf[:n], buf[n:]
 
     def objective(x):
         r0, log_tau = x
         if not 0.0 <= r0 <= 1.0:
             return math.inf
-        np.divide(t, math.exp(log_tau), out=ratio)
-        np.multiply(ratio, ratio, out=acc)
-        np.negative(buf, out=buf)
+        np.divide(signed_t, math.exp(log_tau), out=buf)
+        np.multiply(acc, tail, out=acc)
         np.exp(buf, out=buf)
-        np.add(acc, ratio, out=acc)
+        np.add(acc, tail, out=acc)
         np.multiply(r0, acc, out=acc)
         np.divide(acc, 2.0, out=acc)
         np.subtract(acc, r, out=acc)
@@ -178,22 +200,28 @@ def fit_decay(samples: Sequence[Sequence[float]], *,
         np.multiply(w, acc, out=acc)
         return float(np.add.reduce(acc))
 
-    # The whole grid at once, with the objective's float operations: the
-    # taus are exp(log(tau)), as the simplex evaluates them.
-    r0_grid = np.linspace(min(float(np.max(r)), 1.0), 1.0, GRID_POINTS)
+    # The whole grid at once, in place, with the objective's float
+    # operations: the taus are exp(log(tau)), as the simplex evaluates them.
+    r0_grid = np.linspace(min(float(r.max()), 1.0), 1.0, GRID_POINTS)
     log_taus = [math.log(tau) for tau in
                 np.geomspace(t_max / 10.0, 10.0 * t_max, GRID_POINTS)]
-    u = t / np.array([math.exp(x) for x in log_taus])[:, None]
-    decay = (np.exp(-u * u) + np.exp(-u))[:, None, :]  # (tau, 1, sample)
-    model = r0_grid[:, None] * decay / 2.0  # (tau, r0, sample)
-    grid = np.sum(w * (model - r) ** 2, axis=-1).tolist()
+    terms = signed_t / np.array([math.exp(x) for x in log_taus])[:, None]
+    np.multiply(terms[:, :n], terms[:, n:], out=terms[:, :n])
+    np.exp(terms, out=terms)
+    np.add(terms[:, :n], terms[:, n:], out=terms[:, :n])
+    model = r0_grid[:, None] * terms[:, None, :n]  # (tau, r0, sample)
+    np.divide(model, 2.0, out=model)
+    np.subtract(model, r, out=model)
+    np.square(model, out=model)
+    np.multiply(w, model, out=model)
+    grid = np.add.reduce(model, axis=-1).tolist()
     r0s = r0_grid.tolist()
-    best_f, best_x = math.inf, None
+    best_x, bar = None, math.inf  # bar: the best value, less the tie margin
     # tau ascending: ties keep the smallest tau0
     for log_tau, row in zip(log_taus, grid):
         for r0, fval in zip(r0s, row):
-            if fval < best_f * (1.0 - GRID_TIE_REL) or best_x is None:
-                best_f, best_x = fval, (r0, log_tau)
+            if fval < bar or best_x is None:
+                best_x, bar = (r0, log_tau), fval * (1.0 - GRID_TIE_REL)
 
     x_opt, f_opt = _nelder_mead(objective, best_x, max_iter=max_iter)
     r0_fit = min(max(float(x_opt[0]), 0.0), 1.0)

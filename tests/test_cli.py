@@ -341,6 +341,31 @@ def test_estimate_schema_error_names_column(config, tmp_path, capsys):
     assert "storage_time_s" in capsys.readouterr().err
 
 
+def test_estimate_opens_each_counts_file_once(config, tmp_path):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", config, "--seed", "11", "--trials",
+                 "1000", "--t", "0,1e-3", "--out", str(out)]) == 0
+    inputs = sorted(str(p) for p in out.glob("counts_*.csv"))
+    opened = []
+    listening = [True]
+
+    def hook(event, args):  # an audit hook stays for the process: disarm
+        if listening and event == "open" and isinstance(args[0], str):
+            opened.append(args[0])
+    sys.addaudithook(hook)
+    try:
+        assert main(["estimate", *inputs, "--eta-td", "0.5", "--replicas",
+                     "100", "--out", str(tmp_path / "est")]) == 0
+    finally:
+        listening.clear()
+    assert [opened.count(name) for name in inputs] == [1, 1]
+    # the recorded hash is that of the bytes parsed
+    manifest, _ = read_kv(tmp_path / "est" / "run_manifest.kv")
+    data = b"".join(Path(name).read_bytes() for name in inputs)
+    assert manifest["inputs_hash"] == (
+        "sha256:" + hashlib.sha256(data).hexdigest())
+
+
 def test_estimate_needs_eta_td(config, tmp_path):
     out = tmp_path / "sim"
     assert main(["simulate", "--config", config, "--seed", "11",
@@ -636,6 +661,8 @@ EXTREME_INPUTS = {
         {}, 3, "estimate --eta-td 1e-310 --replicas 100 {dir}/counts.csv"),
     "storage_times_1e-300": ({}, 0, "fit-decay {dir}/tiny_t.csv"),
     "storage_times_1e300": ({}, 0, "fit-decay {dir}/huge_t.csv"),
+    "sigma_r_1e-200": ({}, 2, "fit-decay {dir}/tiny_sigma.csv"),  # 1/s^2
+    "efficiencies_1e300": ({}, 2, "fit-decay {dir}/huge_r.csv"),
     "temperature_1e-320": (
         {"geometry__temperature": "1e-320"}, 3, "lifetime --config {conf}"),
     "wavelength_1e-320": (
@@ -676,6 +703,11 @@ def test_extreme_finite_inputs_exit_cleanly(case, tmp_path, capsys):
         (tmp_path / f"{name}.csv").write_text("t_seconds,R\n" + "".join(
             f"{t},{r}\n" for t, r in zip(times.split(","),
                                          (0.77, 0.6, 0.5, 0.3))))
+    (tmp_path / "tiny_sigma.csv").write_text(
+        "t_seconds,R,sigma_R\n0,0.77,1e-200\n0.00023,0.667,1e-200\n"
+        "0.00054,0.50,1e-200\n")
+    (tmp_path / "huge_r.csv").write_text(
+        "t_seconds,R\n0,1e300\n0.001,1e299\n0.002,1e298\n")
     argv = line.format(conf=tmp_path / "x.conf", dir=tmp_path).split()
     code = main(argv + ["--out", str(tmp_path / "out")])
     err = capsys.readouterr().err.strip().splitlines()

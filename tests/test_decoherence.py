@@ -189,7 +189,7 @@ def _pin_corpus():
 # and numpy-array simplex; any change of the fitter's float operation order
 # shows up here.
 PINNED_FIT_CORPUS = (
-    "26382700dad41ccfc277e30765430de78a8998d3fa345971b951fc17ebb5d924")
+    "e9a2c9b1aa5ca9ee3825354a11b1ffe4a555cfa93e0b1d3b26c3e01fa1c4b8c9")
 
 
 def test_fit_results_are_bit_pinned():
@@ -199,9 +199,8 @@ def test_fit_results_are_bit_pinned():
     flat, zero = outcomes[-2:]
     assert float.fromhex(flat.split()[1]) > 1e11
     assert float.fromhex(zero.split()[0]) == 0.0
-    with pytest.warns(RuntimeWarning):  # 1 / sigma^2 overflows to inf
-        outcomes.append(_fit_outcome(
-            [(t, r, 1e-200) for t, r in REPORTED_POINTS]))
+    with pytest.raises(ParameterError, match="1/sigma"):  # overflows
+        fit_decay([(t, r, 1e-200) for t, r in REPORTED_POINTS])
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
     assert digest == PINNED_FIT_CORPUS
 
@@ -216,9 +215,11 @@ def test_fit_rejects_non_finite_samples(column, bad):
 
 
 def _numpy_nelder_mead(fun, x0, rel_tol=1e-12, max_iter=10_000,
-                       steps=(0.02, 0.1)):
+                       steps=(0.02, 0.1), taken=None):
     """The simplex as written on numpy arrays: the reference for NaN order
-    (np.argsort puts NaN last) and NaN spread (np.max propagates it)."""
+    (np.argsort puts NaN last) and NaN spread (np.max propagates it).
+    ``taken``, a set, collects the moves made ("expand", "shrink")."""
+    taken = set() if taken is None else taken
     simplex = [np.array(x0, dtype=float)]
     for i in range(len(x0)):
         v = simplex[0].copy()
@@ -243,6 +244,7 @@ def _numpy_nelder_mead(fun, x0, rel_tol=1e-12, max_iter=10_000,
             f_e = fun(expanded)
             if f_e < f_r:
                 simplex[-1], f[-1] = expanded, f_e
+                taken.add("expand")
             else:
                 simplex[-1], f[-1] = reflected, f_r
         elif f_r < f[-2]:
@@ -253,6 +255,7 @@ def _numpy_nelder_mead(fun, x0, rel_tol=1e-12, max_iter=10_000,
             if f_c < f[-1]:
                 simplex[-1], f[-1] = contracted, f_c
             else:
+                taken.add("shrink")
                 best = simplex[0]
                 simplex = [best] + [best + 0.5 * (v - best)
                                     for v in simplex[1:]]
@@ -264,6 +267,19 @@ def _bowl(x):
     return float((x[0] - 0.2) ** 2 + 3.0 * (x[1] - 1.0) ** 2)
 
 
+def _distant_bowl(x):
+    """A minimum far from every start: the simplex expands."""
+    return float((x[0] - 3.0) ** 2 + 3.0 * (x[1] - 20.0) ** 2)
+
+
+def _terraced_bowl(x):
+    """Flat terraces: a contraction that ties the worst value shrinks."""
+    return float(math.floor(100.0 * _bowl(x)))
+
+
+SIMPLEX_STARTS = [(0.1, 0.0), (0.3, 1.5), (0.25, 0.9)]
+
+
 @pytest.mark.parametrize("fun", [
     _bowl,
     lambda x: math.nan if x[0] > 0.25 else _bowl(x),
@@ -271,16 +287,32 @@ def _bowl(x):
     lambda x: math.inf if x[0] < 0.15 else _bowl(x),
     lambda x: math.nan if abs(x[0] - 0.2) < 0.01 else _bowl(x),
     lambda x: math.nan if x[0] > 0.19 else -math.inf if x[1] > 1.2 else 0.0,
+    _distant_bowl,
+    _terraced_bowl,
 ])
-@pytest.mark.parametrize("x0", [(0.1, 0.0), (0.3, 1.5), (0.25, 0.9)])
+@pytest.mark.parametrize("x0", SIMPLEX_STARTS)
 def test_simplex_on_floats_matches_numpy_reference(fun, x0):
     def outcome(minimize):
+        path = []  # every point evaluated, in order
+
+        def traced(x):
+            path.append([float(c).hex() for c in x])
+            return fun(x)
         try:
-            x, fx = minimize(fun, x0, max_iter=300)
+            x, fx = minimize(traced, x0, max_iter=300)
         except FitConvergenceError:
-            return "no convergence"
-        return [float(c).hex() for c in (*x, fx)]
+            return "no convergence", path
+        return [float(c).hex() for c in (*x, fx)], path
     assert outcome(_nelder_mead) == outcome(_numpy_nelder_mead)
+
+
+@pytest.mark.parametrize("fun,move", [(_distant_bowl, "expand"),
+                                      (_terraced_bowl, "shrink")])
+def test_simplex_reference_cases_reach_expansion_and_shrink(fun, move):
+    taken = set()
+    for x0 in SIMPLEX_STARTS:
+        _numpy_nelder_mead(fun, x0, max_iter=300, taken=taken)
+    assert move in taken
 
 
 @pytest.mark.parametrize("values", [[1.0, math.nan], [math.nan, 1.0],
