@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,11 +32,11 @@ from .entanglement import AngleSettings
 from .errors import (DegenerateDataError, DegenerateStatisticsError,
                      FitConvergenceError, InsufficientDataError,
                      ParameterError, SchemaError)
-from .estimators import (BellSettings, bell_S, correlation_E,
-                         fidelity_from_S, intrinsic_retrieval_mode,
-                         intrinsic_retrieval_qubit, poisson_error,
-                         visibility_from_S, REPLICAS_MAX, TWO_ROOT_TWO,
-                         same_angle)
+from .estimators import (BellSettings, EstimateWithError, bell_S_signed,
+                         correlation_E, fidelity_from_S,
+                         intrinsic_retrieval_mode, intrinsic_retrieval_qubit,
+                         poisson_error, visibility_from_S, REPLICAS_MAX,
+                         TWO_ROOT_TWO, same_angle)
 from .params import coupling_angle, repetition_rate
 from .repeater import (PRESETS, PRESET_CHI_SOURCE, SWEEP_MAX_STEPS,
                        sweep_distance, threshold_crossing_distance)
@@ -269,7 +269,7 @@ def _render_rows(table: np.ndarray, start: int, trials: np.ndarray) -> str:
     rows = table[:, _INDEX_DIGITS - width:].take(trials, axis=0)
     for j in range(width):
         rows[:, j] = _digit_column(start, n, 10 ** (width - 1 - j))
-    return rows[rows != 0].tobytes().decode("ascii")
+    return rows.tobytes().replace(b"\0", b"").decode("ascii")
 
 
 def _digit_column(start: int, n: int, place: int) -> np.ndarray:
@@ -300,6 +300,20 @@ def _eta_td_for_estimate(args, cfg: Optional[Config]) -> float:
         "estimate needs --eta-td or a config with a 'chain' section")
 
 
+def _table_estimators(tb: CountsTable, eta_td: float) -> Dict[str, Callable]:
+    """The estimators ``estimate`` reports for one table, by entry name:
+    E when it has coincidences, the retrievals at matched angles."""
+    estimators = {}
+    if tb.c13 + tb.c24 + tb.c14 + tb.c23 > 0:
+        estimators["E"] = correlation_E
+    if same_angle(tb.settings.theta_s, tb.settings.theta_as, tol=1e-6):
+        estimators.update(
+            r_qubit=lambda c: intrinsic_retrieval_qubit(c, eta_td),
+            r_l=lambda c: intrinsic_retrieval_mode(c, "L", eta_td),
+            r_r=lambda c: intrinsic_retrieval_mode(c, "R", eta_td))
+    return estimators
+
+
 def cmd_estimate(args) -> int:
     cfg = load_config(args.config) if args.config else None
     eta_td = _eta_td_for_estimate(args, cfg)
@@ -317,6 +331,27 @@ def cmd_estimate(args) -> int:
     art.provenance.update({"inputs_hash": inputs_hash, "eta_td": eta_td,
                            "replicas": args.replicas})
 
+    # One Poisson draw per group, shared by its estimators: a CHSH set is
+    # drawn once, for S and its tables' E together, any other input once
+    # per table.
+    estimators = [_table_estimators(tb, eta_td) for tb in tables]
+    try:
+        bell_S_signed(tables)
+    except ParameterError:
+        groups, chsh = [[i] for i in range(len(tables))], False
+    else:
+        groups, chsh = [range(len(tables))], True
+    results: Dict[Tuple[Optional[int], str], EstimateWithError] = {}
+    for group in groups:
+        named = {(i, name): (lambda tbs, e=e, k=k: e(tbs[k]))
+                 for k, i in enumerate(group)
+                 for name, e in estimators[i].items()}
+        if chsh:
+            named[None, "S"] = lambda tbs: abs(bell_S_signed(tbs))
+        results.update(zip(named, poisson_error(
+            tuple(named.values()), [tables[i] for i in group],
+            n_replicas=args.replicas, seed=args.seed)))
+
     entries: Dict[str, object] = {"eta_td": eta_td}
     retrieval_rows: List[Tuple[float, float, float]] = []
     for i, tb in enumerate(tables):
@@ -324,32 +359,17 @@ def cmd_estimate(args) -> int:
         entries[f"{tag}.theta_s_deg"] = math.degrees(tb.settings.theta_s)
         entries[f"{tag}.theta_as_deg"] = math.degrees(tb.settings.theta_as)
         entries[f"{tag}.storage_time_s"] = tb.storage_time
-        estimators = {}
-        if tb.c13 + tb.c24 + tb.c14 + tb.c23 > 0:
-            estimators["E"] = correlation_E
-        matched = same_angle(tb.settings.theta_s, tb.settings.theta_as,
-                             tol=1e-6)
-        if matched:
-            estimators.update(
-                r_qubit=lambda c: intrinsic_retrieval_qubit(c, eta_td),
-                r_l=lambda c: intrinsic_retrieval_mode(c, "L", eta_td),
-                r_r=lambda c: intrinsic_retrieval_mode(c, "R", eta_td))
-        # one Poisson draw per table, shared by its estimators
-        estimates = poisson_error(tuple(estimators.values()), tb,
-                                  n_replicas=args.replicas, seed=args.seed)
-        for name, est in zip(estimators, estimates):
-            entries[f"{tag}.{name}"] = est.value
-            entries[f"{tag}.{name}_sigma"] = est.sigma
-        if matched:
-            retrieval_rows.append((tb.storage_time, entries[f"{tag}.r_qubit"],
-                                   entries[f"{tag}.r_qubit_sigma"]))
+        for name in estimators[i]:
+            entries[f"{tag}.{name}"] = results[i, name].value
+            entries[f"{tag}.{name}_sigma"] = results[i, name].sigma
+        if "r_qubit" in estimators[i]:
+            r_qubit = results[i, "r_qubit"]
+            retrieval_rows.append((tb.storage_time, r_qubit.value,
+                                   r_qubit.sigma))
 
-    try:
-        s_est = bell_S(tables, n_replicas=args.replicas, seed=args.seed)
-    except ParameterError:
-        entries["s.available"] = False
-    else:
-        entries["s.available"] = True
+    entries["s.available"] = chsh
+    if chsh:
+        s_est = results[None, "S"]
         entries["s.value"] = s_est.value
         entries["s.sigma"] = s_est.sigma
         entries["visibility.value"] = visibility_from_S(s_est.value)

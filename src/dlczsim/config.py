@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional
 
-from .errors import ConfigError
+from .errors import ConfigError, decode_utf8
 from .params import (CycleTiming, DecayParams, DetectionChain,
                      EnsembleGeometry, ExperimentParams)
 from .repeater import RepeaterParams
@@ -150,7 +150,8 @@ def load_config(path) -> Config:
     except OSError as exc:
         raise OSError(f"cannot read config file {path}: {exc}") from exc
     digest = "sha256:" + hashlib.sha256(data).hexdigest()
-    sections = _split_sections(parse_kv_lines(data.decode("utf-8")))
+    sections = _split_sections(parse_kv_lines(
+        decode_utf8(data, path, ConfigError)))
     if "experiment" in sections and "decay" not in sections:
         raise ConfigError("section 'experiment' requires section 'decay'")
     decay = _build(sections, "decay")  # validated even when unused

@@ -14,7 +14,7 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .engine import CountsTable
 from .entanglement import AngleSettings
-from .errors import SchemaError
+from .errors import SchemaError, decode_utf8
 
 FORMAT_VERSION = "v1"
 
@@ -86,7 +86,8 @@ def _read_lines(path, digest=None
         digest.update(data)
     provenance: Dict[str, str] = {}
     body: List[Tuple[int, str]] = []
-    for lineno, raw in enumerate(data.decode("utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(decode_utf8(data, path, SchemaError)
+                                 .splitlines(), start=1):
         line = raw.strip()
         if line.startswith("#"):
             _put_pair(provenance, line[1:])

@@ -23,6 +23,9 @@ SIMPLEX_STEPS = (0.02, 0.1)  # initial simplex offsets in (r0, log tau0)
 # Grid cells whose objectives agree within this relative margin are tied;
 # ties resolve to the smallest tau0 for determinism.
 GRID_TIE_REL = 1e-9
+# After a failed fit, the retry grid's smallest tau0 relative to the
+# earliest positive storage time.
+RETRY_TAU_FLOOR = 1e-2
 
 
 def retrieval_decay(p: DecayParams, t):
@@ -169,7 +172,9 @@ def fit_decay(samples: Sequence[Sequence[float]], *,
 
     Returns the fitted parameters and the minimized (weighted) sum of
     squared residuals. Seeded by a coarse grid over r0 in [max R, 1] and
-    tau0 in [t_max/10, 10 t_max]; refined in (r0, log tau0) space.
+    tau0 in [t_max/10, 10 t_max]; refined in (r0, log tau0) space. A fit
+    that does not converge is retried once, from a grid whose tau0 reaches
+    down to ``RETRY_TAU_FLOOR`` times the earliest positive storage time.
     """
     t, r, w = _as_sample_arrays(samples)
     t_max = float(t.max())
@@ -200,29 +205,41 @@ def fit_decay(samples: Sequence[Sequence[float]], *,
         np.multiply(w, acc, out=acc)
         return float(np.add.reduce(acc))
 
-    # The whole grid at once, in place, with the objective's float
-    # operations: the taus are exp(log(tau)), as the simplex evaluates them.
-    r0_grid = np.linspace(min(float(r.max()), 1.0), 1.0, GRID_POINTS)
-    log_taus = [math.log(tau) for tau in
-                np.geomspace(t_max / 10.0, 10.0 * t_max, GRID_POINTS)]
-    terms = signed_t / np.array([math.exp(x) for x in log_taus])[:, None]
-    np.multiply(terms[:, :n], terms[:, n:], out=terms[:, :n])
-    np.exp(terms, out=terms)
-    np.add(terms[:, :n], terms[:, n:], out=terms[:, :n])
-    model = r0_grid[:, None] * terms[:, None, :n]  # (tau, r0, sample)
-    np.divide(model, 2.0, out=model)
-    np.subtract(model, r, out=model)
-    np.square(model, out=model)
-    np.multiply(w, model, out=model)
-    grid = np.add.reduce(model, axis=-1).tolist()
-    r0s = r0_grid.tolist()
-    best_x, bar = None, math.inf  # bar: the best value, less the tie margin
-    # tau ascending: ties keep the smallest tau0
-    for log_tau, row in zip(log_taus, grid):
-        for r0, fval in zip(r0s, row):
-            if fval < bar or best_x is None:
-                best_x, bar = (r0, log_tau), fval * (1.0 - GRID_TIE_REL)
+    def grid_start(tau_lo):
+        """The best cell of a GRID_POINTS^2 grid over r0 in [max R, 1] and
+        tau0 in [tau_lo, 10 t_max], all at once, in place, with the
+        objective's float operations: the taus are exp(log(tau)), as the
+        simplex evaluates them."""
+        r0_grid = np.linspace(min(float(r.max()), 1.0), 1.0, GRID_POINTS)
+        log_taus = [math.log(tau) for tau in
+                    np.geomspace(tau_lo, 10.0 * t_max, GRID_POINTS)]
+        terms = signed_t / np.array([math.exp(x) for x in log_taus])[:, None]
+        np.multiply(terms[:, :n], terms[:, n:], out=terms[:, :n])
+        np.exp(terms, out=terms)
+        np.add(terms[:, :n], terms[:, n:], out=terms[:, :n])
+        model = r0_grid[:, None] * terms[:, None, :n]  # (tau, r0, sample)
+        np.divide(model, 2.0, out=model)
+        np.subtract(model, r, out=model)
+        np.square(model, out=model)
+        np.multiply(w, model, out=model)
+        grid = np.add.reduce(model, axis=-1).tolist()
+        r0s = r0_grid.tolist()
+        best_x, bar = None, math.inf  # bar: best value less the tie margin
+        # tau ascending: ties keep the smallest tau0
+        for log_tau, row in zip(log_taus, grid):
+            for r0, fval in zip(r0s, row):
+                if fval < bar or best_x is None:
+                    best_x, bar = (r0, log_tau), fval * (1.0 - GRID_TIE_REL)
+        return best_x
 
-    x_opt, f_opt = _nelder_mead(objective, best_x, max_iter=max_iter)
+    try:
+        x_opt, f_opt = _nelder_mead(objective, grid_start(t_max / 10.0),
+                                    max_iter=max_iter)
+    except FitConvergenceError:
+        # A tau0 far below the grid leaves the model near 0 at every
+        # sample, a plateau the simplex may not leave.
+        tau_lo = float(t[t > 0.0].min()) * RETRY_TAU_FLOOR
+        x_opt, f_opt = _nelder_mead(objective, grid_start(tau_lo),
+                                    max_iter=max_iter)
     r0_fit = min(max(float(x_opt[0]), 0.0), 1.0)
     return DecayParams(r0_fit, math.exp(float(x_opt[1]))), f_opt

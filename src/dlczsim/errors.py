@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the UTF-8 decoding of
+input files that raises them.
 
 The CLI maps these onto exit codes: parameter/schema problems are exit 2,
 numeric failures (fits, degenerate statistics) exit 3, I/O errors exit 4.
@@ -35,3 +36,13 @@ class FitConvergenceError(DlczError, RuntimeError):
 
 class DegenerateStatisticsError(DlczError, RuntimeError):
     """Too many bootstrap replicas failed to produce an estimate."""
+
+
+def decode_utf8(data: bytes, path, error: type) -> str:
+    """``data`` as UTF-8 text; ``error`` names ``path`` and the offset of
+    the first byte that is not UTF-8."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: byte {data[exc.start]:#04x} at offset "
+                    f"{exc.start} is not UTF-8") from None

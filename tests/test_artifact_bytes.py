@@ -42,7 +42,7 @@ PINNED_DECAY = {
 
 PINNED_CHSH = {
     "estimates.kv":
-        "72c8848786613f99bec5f0599858c4135ccb085e1883f4a160717de8d5ce20d7",
+        "72e26cef79c808511894aa614a7d89b31656efc7e1c7276c3fa1f339f034bd56",
 }
 
 

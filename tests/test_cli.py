@@ -8,10 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dlczsim import AngleSettings, CountsTable, cli, engine, fit_decay
+from dlczsim import (AngleSettings, CountsTable, bell_S, cli, correlation_E,
+                     engine, fidelity_from_S, fit_decay, visibility_from_S)
 from dlczsim.cli import main
 from dlczsim.datafiles import (COUNTS_COLUMNS, read_counts_csv, read_kv,
                                write_counts_csv)
+from dlczsim.estimators import TWO_ROOT_TWO
 
 CONFIG = """\
 experiment.chi = 0.05
@@ -331,6 +333,79 @@ def test_estimate_canonical_run_yields_bell_parameter(config, tmp_path):
     assert abs(report["s.value"] - 2.5) < 4 * report["s.sigma"]
     assert report["visibility.value"] == pytest.approx(
         report["s.value"] / (2 * math.sqrt(2)), rel=1e-12)
+
+
+def _chsh_counts(conf, tmp_path, trials, seed):
+    """Counts files of a canonical simulate run, in setting order."""
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", conf, "--seed", str(seed),
+                 "--trials", str(trials), "--angles", "canonical",
+                 "--out", str(out)]) == 0
+    return sorted(str(p) for p in out.glob("counts_*.csv"))
+
+
+def test_chsh_estimate_shares_one_draw_with_s(config, tmp_path):
+    files = _chsh_counts(config, tmp_path, 200_000, seed=13)
+    replicas, seed = 1000, 21
+    assert main(["estimate", *files, "--eta-td", "0.5", "--seed", str(seed),
+                 "--replicas", str(replicas),
+                 "--out", str(tmp_path / "est")]) == 0
+    report = kv_floats(tmp_path / "est" / "estimates.kv")
+    tables = [tb for name in files for tb in read_counts_csv(name)[0]]
+
+    # S and everything derived from it are bell_S's, bit for bit
+    s = bell_S(tables, n_replicas=replicas, seed=seed)
+    assert report["s.value"] == s.value and report["s.sigma"] == s.sigma
+    assert report["visibility.value"] == visibility_from_S(s.value)
+    assert report["visibility.sigma"] == s.sigma / TWO_ROOT_TWO
+    assert report["fidelity.value"] == fidelity_from_S(s.value)
+    assert report["fidelity.sigma"] == 0.75 * s.sigma / TWO_ROOT_TWO
+
+    # each E_sigma is the spread of E on its column of that (R, 4, 6) draw
+    lam = np.array([[getattr(tb, f) for f in COUNTS_COLUMNS[4:]]
+                    for tb in tables], dtype=float)
+    draws = np.random.default_rng(seed).poisson(lam, size=(replicas, 4, 6))
+    for i, tb in enumerate(tables):
+        assert report[f"table{i:02d}.E"] == correlation_E(tb)
+        _, _, c13, c24, c14, c23 = draws[:, i].T
+        total = c13 + c24 + c14 + c23
+        e = (c13 + c24 - c14 - c23)[total > 0] / total[total > 0]
+        assert report[f"table{i:02d}.E_sigma"] == float(np.std(e))
+
+
+def test_estimate_draws_a_chsh_set_once_and_other_tables_each(
+        config, tmp_path, monkeypatch):
+    drawn = []
+
+    def poisson_error(estimators, counts, **kwargs):
+        drawn.append(len(counts))
+        return real(estimators, counts, **kwargs)
+    real = cli.poisson_error
+    monkeypatch.setattr(cli, "poisson_error", poisson_error)
+    files = _chsh_counts(config, tmp_path, 1000, seed=3)
+    estimate = ["estimate", "--eta-td", "0.5", "--replicas", "100"]
+    assert main(estimate + files + ["--out", str(tmp_path / "chsh")]) == 0
+    assert drawn == [4]
+    drawn.clear()
+    assert main(estimate + files[:3] + ["--out", str(tmp_path / "three")]) == 0
+    assert drawn == [1, 1, 1]
+
+
+def test_chsh_e_sigma_matches_delta_method_at_bell_point(tmp_path):
+    conf = tmp_path / "bell.conf"
+    conf.write_text(_sample_conf(experiment__chi="0.02",
+                                 experiment__eta_s="1.0",
+                                 experiment__eta_as="1.0"))
+    files = _chsh_counts(str(conf), tmp_path, 1_000_000, seed=60)
+    assert main(["estimate", *files, "--config", str(conf), "--seed", "61",
+                 "--replicas", "10000", "--out", str(tmp_path / "est")]) == 0
+    report = kv_floats(tmp_path / "est" / "estimates.kv")
+    for i, name in enumerate(files):
+        (tb,), _ = read_counts_csv(name)
+        e = report[f"table{i:02d}.E"]
+        delta = math.sqrt((1.0 - e * e) / (tb.c13 + tb.c24 + tb.c14 + tb.c23))
+        assert report[f"table{i:02d}.E_sigma"] == pytest.approx(delta,
+                                                                rel=0.05)
 
 
 def test_estimate_schema_error_names_column(config, tmp_path, capsys):
@@ -685,6 +760,32 @@ EXTREME_INPUTS = {
     "l_max_1e308": (
         {}, 0, "repeater-sweep --preset fig8 --l-max 1e308 --threshold 1e-4"),
 }
+
+
+# One byte that is not UTF-8 in each kind of input file: the command line
+# (its input is {bad}), and the file's text before and after that byte.
+NON_UTF8_INPUTS = {
+    "decay_csv": ("fit-decay {bad}", "t_seconds,R\n0,0.77\n0.00023,0.6",
+                  "67\n0.00054,0.50\n"),
+    "counts_csv": ("estimate --eta-td 0.5 {bad}",
+                   ",".join(COUNTS_COLUMNS) + "\n0,0,0,1000,7,7,1,",
+                   ",0,0\n"),
+    "config": ("budget --config {bad}", "chain.t_oc = 0.2", "0\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_UTF8_INPUTS))
+def test_non_utf8_input_exits_2_naming_the_byte(case, tmp_path, capsys):
+    line, head, tail = NON_UTF8_INPUTS[case]
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(head.encode() + b"\xff" + tail.encode())
+    out = tmp_path / "out"
+    code = main(line.format(bad=bad).split() + ["--out", str(out)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert err == [f"error: {bad}: byte 0xff at offset {len(head)} is not "
+                   "UTF-8"]
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error")  # a warning is not a clean exit

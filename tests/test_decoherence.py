@@ -8,6 +8,7 @@ import pytest
 from dlczsim import (DecayParams, DegenerateDataError, EnsembleGeometry,
                      FitConvergenceError, ParameterError, fit_decay,
                      motional_lifetime, retrieval_decay)
+from dlczsim import decoherence
 from dlczsim.decoherence import _max, _nelder_mead
 
 MEASURED_DECAY = DecayParams(r0=0.77, tau0=1e-3)
@@ -131,6 +132,23 @@ def test_fit_idempotent_on_its_own_curve():
     refit, _ = fit_decay(resampled)
     assert refit.r0 == pytest.approx(fitted.r0, rel=1e-9, abs=1e-9)
     assert refit.tau0 == pytest.approx(fitted.tau0, rel=1e-9)
+
+
+def test_fit_recovers_tau0_below_the_grid(monkeypatch):
+    # tau0 3.4x below the first grid's smallest: the first simplex stalls
+    # on the model's plateau near 0, and the retry's wider grid recovers it
+    runs = []
+
+    def nelder_mead(*args, **kwargs):
+        runs.append(args[1])
+        return _nelder_mead(*args, **kwargs)
+    monkeypatch.setattr(decoherence, "_nelder_mead", nelder_mead)
+    samples = _model_samples(0.746, 0.118, [1.20, 2.51, 4.02])
+    fitted, residual = fit_decay(samples)
+    assert len(runs) == 2 and runs[1][1] < math.log(4.02 / 10.0)
+    assert fitted.r0 == pytest.approx(0.746, rel=1e-6)
+    assert fitted.tau0 == pytest.approx(0.118, rel=1e-6)
+    assert residual < 1e-20
 
 
 def test_fit_input_validation():
