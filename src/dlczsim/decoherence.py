@@ -15,17 +15,19 @@ from .errors import (DegenerateDataError, FitConvergenceError, ParameterError)
 from .params import (BOLTZMANN_K, DecayParams, EnsembleGeometry,
                      coupling_angle)
 
-# Fitter defaults: coarse grid seed, then derivative-free simplex descent.
-GRID_POINTS = 25
-FIT_MAX_ITER = 10_000
-FIT_REL_TOL = 1e-12
-SIMPLEX_STEPS = (0.02, 0.1)  # initial simplex offsets in (r0, log tau0)
+# Fitter: r0 has a closed form for each tau0, which leaves a 1-D search in
+# y = log(tau0 / t_max): a grid seed, a walk past its edge, then Brent.
+GRID_POINTS = 100
+GRID_LOG_TAU = np.linspace(-math.log(100.0), math.log(100.0), GRID_POINTS)
+GRID_TAU = np.exp(GRID_LOG_TAU)[:, None]  # tau0 / t_max in [1/100, 100]
 # Grid cells whose objectives agree within this relative margin are tied;
 # ties resolve to the smallest tau0 for determinism.
 GRID_TIE_REL = 1e-9
-# After a failed fit, the retry grid's smallest tau0 relative to the
-# earliest positive storage time.
-RETRY_TAU_FLOOR = 1e-2
+# The walk stops at |y| = WALK_LIMIT, where exp(y) is still a normal float.
+WALK_LIMIT = 700.0
+FIT_MAX_ITER = 10_000
+LOG_TAU_TOL = 1e-10  # Brent's absolute tolerance in log tau0
+GOLDEN = 0.3819660112501051  # (3 - sqrt(5)) / 2
 
 
 def retrieval_decay(p: DecayParams, t):
@@ -97,71 +99,51 @@ def _as_sample_arrays(samples) -> Tuple[np.ndarray, np.ndarray,
     return t, r, w
 
 
-def _max(pair):
-    """Larger of a pair of floats; NaN if either is NaN (as ``np.max``)."""
-    a, b = pair
-    return b if b > a or b != b else a
-
-
-def _before(f, g):
-    """Whether objective ``f`` sorts before ``g``: ascending, NaN last."""
-    return f < g or (f == f and g != g)
-
-
-def _nelder_mead(fun, start, *, max_iter=FIT_MAX_ITER):
-    """Nelder-Mead simplex descent in two parameters.
-
-    The three vertices are float pairs ``(x, y)``, sorted stably by their
-    objective with NaN last. Converges when the simplex objective spread
-    falls below ``FIT_REL_TOL`` relative to the best value; raises if the
-    iteration budget runs out. A simplex collapsed to machine precision
-    also counts as converged (an exact fit drives the objective to
-    rounding noise, where no relative criterion can ever be met).
-    """
-    x0, y0 = float(start[0]), float(start[1])
-    x1, y1 = x0 + SIMPLEX_STEPS[0], y0
-    x2, y2 = x0, y0 + SIMPLEX_STEPS[1]
-    f0, f1, f2 = fun((x0, y0)), fun((x1, y1)), fun((x2, y2))
-
+def _brent(f, a, x, b, fx, max_iter):
+    """Minimum of ``f`` on [a, b] by Brent's method, from x in [a, b] with
+    f(x) = fx: parabolic steps through the three best points, golden
+    section when a parabola would not shrink the bracket. A point replaces
+    the best only when strictly lower, so ties keep the earlier one."""
+    v = w = x
+    fv = fw = fx
+    d = e = 0.0
     for _ in range(max_iter):
-        if _before(f1, f0):
-            x0, y0, f0, x1, y1, f1 = x1, y1, f1, x0, y0, f0
-        if _before(f2, f1):
-            x1, y1, f1, x2, y2, f2 = x2, y2, f2, x1, y1, f1
-            if _before(f1, f0):
-                x0, y0, f0, x1, y1, f1 = x1, y1, f1, x0, y0, f0
-        if f2 - f0 <= FIT_REL_TOL * (abs(f0) + 1e-300):
-            return (x0, y0), f0
-        # Spread from the best vertex: a NaN coordinate makes its vertex's
-        # spread NaN (as np.max), but the larger of the two vertices' is
-        # taken as the builtin max does, which passes over a NaN second.
-        s1 = _max((abs(x1 - x0), abs(y1 - y0)))
-        s2 = _max((abs(x2 - x0), abs(y2 - y0)))
-        spread = s2 if s2 > s1 else s1
-        if spread <= 1e-14 * (1.0 + _max((abs(x0), abs(y0)))):
-            return (x0, y0), f0
-
-        cx, cy = (x0 + x1) / 2, (y0 + y1) / 2
-        rx, ry = cx + (cx - x2), cy + (cy - y2)
-        f_r = fun((rx, ry))
-        if f_r < f0:
-            ex, ey = cx + 2.0 * (cx - x2), cy + 2.0 * (cy - y2)
-            f_e = fun((ex, ey))
-            if f_e < f_r:
-                x2, y2, f2 = ex, ey, f_e
-            else:
-                x2, y2, f2 = rx, ry, f_r
-        elif f_r < f1:
-            x2, y2, f2 = rx, ry, f_r
+        m = 0.5 * (a + b)
+        if abs(x - m) <= 2.0 * LOG_TAU_TOL - 0.5 * (b - a):
+            return x, fx
+        p = q = 0.0
+        if abs(e) > LOG_TAU_TOL:  # parabola through x, w and v
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+        if q and abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+            e, d = d, p / q
+            if x + d - a < 2.0 * LOG_TAU_TOL or b - x - d < 2.0 * LOG_TAU_TOL:
+                d = math.copysign(LOG_TAU_TOL, m - x)
         else:
-            kx, ky = cx + 0.5 * (x2 - cx), cy + 0.5 * (y2 - cy)
-            f_c = fun((kx, ky))
-            if f_c < f2:
-                x2, y2, f2 = kx, ky, f_c
+            e = (a if x >= m else b) - x
+            d = GOLDEN * e
+        u = x + (d if abs(d) >= LOG_TAU_TOL else math.copysign(LOG_TAU_TOL, d))
+        fu = f(u)
+        if fu < fx:
+            if u >= x:
+                a = x
             else:
-                x1, y1 = x0 + 0.5 * (x1 - x0), y0 + 0.5 * (y1 - y0)
-                x2, y2 = x0 + 0.5 * (x2 - x0), y0 + 0.5 * (y2 - y0)
-                f1, f2 = fun((x1, y1)), fun((x2, y2))
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
     raise FitConvergenceError(
         f"decay fit did not converge within {max_iter} iterations")
 
@@ -171,75 +153,70 @@ def fit_decay(samples: Sequence[Sequence[float]], *,
     """Least-squares fit of (t, R[, sigma]) samples to the decay model.
 
     Returns the fitted parameters and the minimized (weighted) sum of
-    squared residuals. Seeded by a coarse grid over r0 in [max R, 1] and
-    tau0 in [t_max/10, 10 t_max]; refined in (r0, log tau0) space. A fit
-    that does not converge is retried once, from a grid whose tau0 reaches
-    down to ``RETRY_TAU_FLOOR`` times the earliest positive storage time.
+    squared residuals. The model is linear in r0, so each tau0 has a best
+    r0 in closed form (clipped to [0, 1], where the objective is a convex
+    quadratic in r0), and the fit is a search over log tau0 alone: a grid
+    over tau0 in [t_max/100, 100 t_max], a walk past the grid's edge while
+    the objective keeps falling, then Brent's method (``max_iter`` steps).
+    Flat or rising data fit best in the limit tau0 -> inf, the model r0 at
+    every sample: when that limit is no worse than the best finite tau0,
+    tau0 is reported as inf.
     """
     t, r, w = _as_sample_arrays(samples)
     t_max = float(t.max())
     if t_max <= 0.0:
         raise DegenerateDataError("samples need a positive storage time")
 
-    # The objective's arrays live in one buffer laid out as [t | -t]: one
-    # division gives [u | -u], their product -u*u, then one exp call. Every
-    # float operation and its order are those of
-    # r0 * (exp(-u*u) + exp(-u)) / 2, then sum(w * (model - r)**2).
-    n = t.size
-    signed_t = np.concatenate((t, -t))
-    buf = np.empty(2 * n)
-    acc, tail = buf[:n], buf[n:]
+    # With h = sqrt(w) g and q = sqrt(w) R, the objective of the model r0 g
+    # is |r0 h - q|^2, least at r0 = (h . q) / (h . h).
+    s = t / t_max
+    sw = np.sqrt(w)
+    half_sw = sw / 2.0
+    q = sw * r
 
-    def objective(x):
-        r0, log_tau = x
-        if not 0.0 <= r0 <= 1.0:
-            return math.inf
-        np.divide(signed_t, math.exp(log_tau), out=buf)
-        np.multiply(acc, tail, out=acc)
-        np.exp(buf, out=buf)
-        np.add(acc, tail, out=acc)
-        np.multiply(r0, acc, out=acc)
-        np.divide(acc, 2.0, out=acc)
-        np.subtract(acc, r, out=acc)
-        np.square(acc, out=acc)
-        np.multiply(w, acc, out=acc)
-        return float(np.add.reduce(acc))
+    def shape(u):
+        """h at u = t / tau0 (any shape ending in the samples' axis)."""
+        return half_sw * (np.exp(-u * u) + np.exp(-u))
 
-    def grid_start(tau_lo):
-        """The best cell of a GRID_POINTS^2 grid over r0 in [max R, 1] and
-        tau0 in [tau_lo, 10 t_max], all at once, in place, with the
-        objective's float operations: the taus are exp(log(tau)), as the
-        simplex evaluates them."""
-        r0_grid = np.linspace(min(float(r.max()), 1.0), 1.0, GRID_POINTS)
-        log_taus = [math.log(tau) for tau in
-                    np.geomspace(tau_lo, 10.0 * t_max, GRID_POINTS)]
-        terms = signed_t / np.array([math.exp(x) for x in log_taus])[:, None]
-        np.multiply(terms[:, :n], terms[:, n:], out=terms[:, :n])
-        np.exp(terms, out=terms)
-        np.add(terms[:, :n], terms[:, n:], out=terms[:, :n])
-        model = r0_grid[:, None] * terms[:, None, :n]  # (tau, r0, sample)
-        np.divide(model, 2.0, out=model)
-        np.subtract(model, r, out=model)
-        np.square(model, out=model)
-        np.multiply(w, model, out=model)
-        grid = np.add.reduce(model, axis=-1).tolist()
-        r0s = r0_grid.tolist()
-        best_x, bar = None, math.inf  # bar: best value less the tie margin
-        # tau ascending: ties keep the smallest tau0
-        for log_tau, row in zip(log_taus, grid):
-            for r0, fval in zip(r0s, row):
-                if fval < bar or best_x is None:
-                    best_x, bar = (r0, log_tau), fval * (1.0 - GRID_TIE_REL)
-        return best_x
+    def best_r0(h):
+        """Best r0 for the model shape h, clipped to [0, 1], and its
+        objective; h . h = 0 (every g underflowed) fits any r0 alike."""
+        b = float(h @ h)
+        r0 = min(max(float(h @ q) / b, 0.0), 1.0) if b else 0.0
+        d = r0 * h - q
+        return r0, float(d @ d)
 
-    try:
-        x_opt, f_opt = _nelder_mead(objective, grid_start(t_max / 10.0),
-                                    max_iter=max_iter)
-    except FitConvergenceError:
-        # A tau0 far below the grid leaves the model near 0 at every
-        # sample, a plateau the simplex may not leave.
-        tau_lo = float(t[t > 0.0].min()) * RETRY_TAU_FLOOR
-        x_opt, f_opt = _nelder_mead(objective, grid_start(tau_lo),
-                                    max_iter=max_iter)
-    r0_fit = min(max(float(x_opt[0]), 0.0), 1.0)
-    return DecayParams(r0_fit, math.exp(float(x_opt[1]))), f_opt
+    def objective(y):
+        """The objective at the best r0 for tau0 = t_max exp(y)."""
+        return best_r0(shape(s / math.exp(y)))[1]
+
+    # u * u -> inf gives exp(-inf) = 0 exactly; a grid row with h . h = 0
+    # gives r0 = NaN, taken as 0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        h = shape(s / GRID_TAU)
+        r0 = np.fmin(np.fmax((h @ q) / np.einsum("ij,ij->i", h, h), 0.0),
+                     1.0)
+        d = r0[:, None] * h - q
+        grid = np.einsum("ij,ij->i", d, d)
+        i = int(np.argmax(grid <= grid.min() * (1.0 + GRID_TIE_REL)))
+        y = GRID_LOG_TAU.tolist()
+        x, fx = y[i], float(grid[i])
+        if 0 < i < GRID_POINTS - 1:
+            a, b = y[i - 1], y[i + 1]
+        else:  # walk outward, doubling the step, while the objective falls
+            step = (y[1] - y[0]) * (1.0 if i else -1.0)
+            inner, out = x - step, x
+            while abs(out) < WALK_LIMIT:
+                step *= 2.0
+                out = min(max(x + step, -WALK_LIMIT), WALK_LIMIT)
+                f_out = objective(out)
+                if not f_out < fx:
+                    break
+                inner, x, fx = x, out, f_out
+            a, b = sorted((inner, out))
+        x, _ = _brent(objective, a, x, b, fx, max_iter)
+        r0, fx = best_r0(shape(s / math.exp(x)))
+        r0_inf, f_inf = best_r0(sw)  # tau0 -> inf: g = 1 at every sample
+    if f_inf <= fx:
+        return DecayParams(r0_inf, math.inf), f_inf
+    return DecayParams(r0, t_max * math.exp(x)), fx

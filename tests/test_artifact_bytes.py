@@ -147,9 +147,9 @@ PINNED_EVERY_COMMAND = {
     "est/run_manifest.kv":
         "3b99724983b7292cd93903a4e83a425eea190cff363dd7e9329ad1c750034fb6",
     "fit/stdout":
-        "9b3e3906e17cd4936bacf63d5c51c4eb0752a773b184be8dcca0feafd9fc0c9a",
+        "cc34bfa46c88401cc36066b578a12a4aaadae5f116a2427a65490fabb9d818ab",
     "fit/decay_fit.kv":
-        "ad800bb9fa334354df05d3b1705dec4122a05bdcb5ff543c216e66f6bea544a3",
+        "754068fe2dbaa5914485c3f2174bfc5ed873d5bd8a8b89302e565fb9846e7e2f",
     "fit/run_manifest.kv":
         "3b17a1f49863ff5f13ad380fc6bbca02a83a8bfcfd055644a9d4314f7cb5e798",
     "sweep_kv/stdout":
