@@ -9,6 +9,7 @@ import pytest
 from dlczsim import (DecayParams, DegenerateDataError, EnsembleGeometry,
                      FitConvergenceError, ParameterError, fit_decay,
                      motional_lifetime, retrieval_decay)
+from dlczsim.decoherence import _brent
 
 MEASURED_DECAY = DecayParams(r0=0.77, tau0=1e-3)
 # The three efficiency/storage-time points quoted for the measured decay
@@ -286,3 +287,60 @@ def test_fit_rejects_non_finite_samples(column, bad):
     samples[1][column] = bad
     with pytest.raises(ParameterError, match="finite"):
         fit_decay(samples)
+
+
+def _bowl(x):
+    return float((x[0] - 0.2) ** 2 + 3.0 * (x[1] - 1.0) ** 2)
+
+
+def _distant_bowl(x):
+    """A minimum beyond every bracket: the search ends on the bracket's
+    edge."""
+    return float((x[0] - 3.0) ** 2 + 3.0 * (x[1] - 20.0) ** 2)
+
+
+def _terraced_bowl(x):
+    """Flat terraces: ties, where the search keeps the earlier point."""
+    return float(math.floor(100.0 * _bowl(x)))
+
+
+# Starts (y0, c): each objective is searched along its first coordinate
+# through the start, y in [y0 - 1, y0 + 1] at x[1] = c.
+SIMPLEX_STARTS = [(0.1, 0.0), (0.3, 1.5), (0.25, 0.9)]
+
+
+@pytest.mark.parametrize("fun", [
+    _bowl,
+    lambda x: math.nan if x[0] > 0.25 else _bowl(x),
+    lambda x: math.nan if x[1] < 0.95 else _bowl(x),
+    lambda x: math.inf if x[0] < 0.15 else _bowl(x),
+    lambda x: math.nan if abs(x[0] - 0.2) < 0.01 else _bowl(x),
+    lambda x: math.nan if x[0] > 0.19 else -math.inf if x[1] > 1.2 else 0.0,
+    _distant_bowl,
+    _terraced_bowl,
+])
+@pytest.mark.parametrize("x0", SIMPLEX_STARTS)
+def test_simplex_on_floats_matches_numpy_reference(fun, x0):
+    """_brent, the 1-D search that replaced the (r0, log tau0) simplex, on
+    the simplex's objectives and starts, checked against a numpy scan of
+    the same cut: it ends in its bracket, never above its start, and at a
+    point that no scanned value within two scan steps undercuts. A NaN
+    start, which the fitter's grid seed never is, is kept: nothing compares
+    lower than NaN."""
+    y0, c = x0
+    a, b = y0 - 1.0, y0 + 1.0
+
+    def cut(y):
+        return fun((y, c))
+    start = cut(y0)
+    y, fy = _brent(cut, a, y0, b, start, 300)
+    assert a <= y <= b
+    assert repr(fy) == repr(cut(y))
+    if math.isnan(start):
+        assert y == y0 and math.isnan(fy)
+        return
+    assert fy <= start
+    ys = np.linspace(a, b, 20_001)
+    scan = np.array([cut(v) for v in ys])
+    near = scan[np.abs(ys - y) <= 2.0 * (ys[1] - ys[0])]
+    assert not (near < fy - 1e-11 * (1.0 + abs(fy))).any()
