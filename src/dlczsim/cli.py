@@ -36,7 +36,7 @@ from .estimators import (BellSettings, EstimateWithError, bell_S_signed,
                          correlation_E, fidelity_from_S,
                          intrinsic_retrieval_mode, intrinsic_retrieval_qubit,
                          poisson_error, visibility_from_S, REPLICAS_MAX,
-                         TWO_ROOT_TWO, same_angle)
+                         TWO_ROOT_TWO, matched_angles)
 from .params import coupling_angle, repetition_rate
 from .repeater import (PRESETS, PRESET_CHI_SOURCE, SWEEP_MAX_STEPS,
                        sweep_distance, threshold_crossing_distance)
@@ -304,9 +304,9 @@ def _table_estimators(tb: CountsTable, eta_td: float) -> Dict[str, Callable]:
     """The estimators ``estimate`` reports for one table, by entry name:
     E when it has coincidences, the retrievals at matched angles."""
     estimators = {}
-    if tb.c13 + tb.c24 + tb.c14 + tb.c23 > 0:
+    if tb.matched + tb.crossed > 0:
         estimators["E"] = correlation_E
-    if same_angle(tb.settings.theta_s, tb.settings.theta_as, tol=1e-6):
+    if matched_angles(tb):
         estimators.update(
             r_qubit=lambda c: intrinsic_retrieval_qubit(c, eta_td),
             r_l=lambda c: intrinsic_retrieval_mode(c, "L", eta_td),

@@ -160,7 +160,8 @@ def fit_decay(samples: Sequence[Sequence[float]], *,
     the objective keeps falling, then Brent's method (``max_iter`` steps).
     Flat or rising data fit best in the limit tau0 -> inf, the model r0 at
     every sample: when that limit is no worse than the best finite tau0,
-    tau0 is reported as inf.
+    tau0 is reported as inf. A walk that reaches the limit's objective
+    returns it without Brent.
     """
     t, r, w = _as_sample_arrays(samples)
     t_max = float(t.max())
@@ -201,6 +202,7 @@ def fit_decay(samples: Sequence[Sequence[float]], *,
         i = int(np.argmax(grid <= grid.min() * (1.0 + GRID_TIE_REL)))
         y = GRID_LOG_TAU.tolist()
         x, fx = y[i], float(grid[i])
+        r0_inf, f_inf = best_r0(sw)  # tau0 -> inf: g = 1 at every sample
         if 0 < i < GRID_POINTS - 1:
             a, b = y[i - 1], y[i + 1]
         else:  # walk outward, doubling the step, while the objective falls
@@ -213,10 +215,11 @@ def fit_decay(samples: Sequence[Sequence[float]], *,
                 if not f_out < fx:
                     break
                 inner, x, fx = x, out, f_out
+            if fx == f_inf:  # the walk reached the limit's objective
+                return DecayParams(r0_inf, math.inf), f_inf
             a, b = sorted((inner, out))
         x, _ = _brent(objective, a, x, b, fx, max_iter)
         r0, fx = best_r0(shape(s / math.exp(x)))
-        r0_inf, f_inf = best_r0(sw)  # tau0 -> inf: g = 1 at every sample
     if f_inf <= fx:
         return DecayParams(r0_inf, math.inf), f_inf
     return DecayParams(r0, t_max * math.exp(x)), fx

@@ -90,6 +90,16 @@ class CountsTable:
         if self.c23 + self.c24 > self.n_d2:
             raise ParameterError("more D2 coincidences than D2 singles")
 
+    @property
+    def matched(self) -> int:
+        """Coincidences on matched detector pairs, D1-D3 and D2-D4."""
+        return self.c13 + self.c24
+
+    @property
+    def crossed(self) -> int:
+        """Coincidences on crossed detector pairs, D1-D4 and D2-D3."""
+        return self.c14 + self.c23
+
 
 @dataclass(frozen=True)
 class ExperimentResult:

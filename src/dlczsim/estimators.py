@@ -2,8 +2,8 @@
 
 All estimators are pure functions of counts and are invariant under uniform
 rescaling of pulses and counts. The count fields may be scalars or arrays of
-one value per Poisson replica: error bars come from resampling every raw
-detector count at once and evaluating the estimator on the columns.
+one value per Poisson replica: error bars come from resampling the counts
+the estimators read, all at once, and evaluating them on the columns.
 """
 
 from __future__ import annotations
@@ -21,9 +21,15 @@ from .errors import (DegenerateStatisticsError, InsufficientDataError,
                      ParameterError)
 
 TWO_ROOT_TWO = 2.0 * math.sqrt(2.0)
-REPLICAS_MAX = 1_000_000  # poisson_error holds 6 int64 draws a replica per table
+REPLICAS_MAX = 1_000_000  # at most 5 int64 draws a replica per table
 _ANGLE_TOL = 1e-9
-_COUNT_FIELDS = ("n_d1", "n_d2", "c13", "c24", "c14", "c23")
+# theta_s and theta_as within this of each other (modulo pi) count as
+# matched: the retrieval estimators' gate.
+MATCHED_ANGLE_TOL = 1e-6
+# The channels poisson_error draws for a table: at matched angles, what the
+# retrieval estimators read; else the two sums E reads.
+_MATCHED_CHANNELS = ("n_d1", "n_d2", "c13", "c24", "crossed")
+_POOLED_CHANNELS = ("matched", "crossed")
 
 
 @dataclass(frozen=True)
@@ -87,11 +93,17 @@ def _ratio(numerator, count, message: str, scale=1):
                      out=np.full(np.shape(count), np.nan))
 
 
+def matched_angles(counts: CountsTable) -> bool:
+    """Whether the table's analyzers are matched (theta_s = theta_as modulo
+    pi, within ``MATCHED_ANGLE_TOL``), as the retrieval estimators need."""
+    return same_angle(counts.settings.theta_s, counts.settings.theta_as,
+                      tol=MATCHED_ANGLE_TOL)
+
+
 def _check_retrieval_inputs(counts: CountsTable, eta_td: float) -> None:
     if eta_td <= 0.0:
         raise ParameterError("eta_td must be > 0")
-    if not same_angle(counts.settings.theta_s, counts.settings.theta_as,
-                       tol=1e-6):
+    if not matched_angles(counts):
         raise ParameterError(
             "retrieval estimators require matched analyzer angles "
             "(theta_s = theta_as modulo pi)")
@@ -100,10 +112,10 @@ def _check_retrieval_inputs(counts: CountsTable, eta_td: float) -> None:
 def intrinsic_retrieval_qubit(counts: CountsTable, eta_td: float) -> float:
     """Spin-wave qubit retrieval efficiency from matched-angle counts.
 
-    R = (c13 + c24) / (eta_td * (n_d1 + n_d2)).
+    R = matched / (eta_td * (n_d1 + n_d2)), matched = c13 + c24.
     """
     _check_retrieval_inputs(counts, eta_td)
-    return _ratio(counts.c13 + counts.c24, counts.n_d1 + counts.n_d2,
+    return _ratio(counts.matched, counts.n_d1 + counts.n_d2,
                   "no Stokes singles recorded", eta_td)
 
 
@@ -148,9 +160,10 @@ def retrieval_background_corrected(p_s_as: float, p_s: float, p_as: float,
 
 
 def correlation_E(counts: CountsTable) -> float:
-    """Polarization correlation E = (c13 + c24 - c14 - c23) / total."""
-    return _ratio(counts.c13 + counts.c24 - counts.c14 - counts.c23,
-                  counts.c13 + counts.c24 + counts.c14 + counts.c23,
+    """Polarization correlation E = (matched - crossed) / (matched +
+    crossed), matched = c13 + c24 and crossed = c14 + c23."""
+    return _ratio(counts.matched - counts.crossed,
+                  counts.matched + counts.crossed,
                   "no coincidences recorded")
 
 
@@ -205,14 +218,25 @@ def fidelity_from_S(s: float) -> float:
 def poisson_error(estimator: Callable | Tuple[Callable, ...], counts, *,
                   n_replicas: int = 10_000, seed: int = 0
                   ) -> EstimateWithError | List[EstimateWithError]:
-    """Error bar from Poisson resampling of every raw detector count.
+    """Error bar from Poisson resampling of the counts estimators read.
 
-    Each replica redraws all singles and coincidence counts as Poisson
-    variates with means equal to the observed counts. ``estimator`` is
-    evaluated once, on counts whose fields hold one value per replica.
-    Returns the estimate on the original counts and the standard deviation
-    over replicas. Replicas where the estimator fails (NaN) are dropped
-    unless they exceed 1% of the total.
+    Each replica redraws, as Poisson variates with means equal to the
+    observed counts, each table's channels:
+
+    - at matched angles (:func:`matched_angles`), ``n_d1``, ``n_d2``,
+      ``c13``, ``c24`` and ``crossed``, with ``matched = c13 + c24``;
+    - at any other angles, ``matched`` and ``crossed``.
+
+    A sum of independent Poisson counts is Poisson with the summed mean,
+    so drawing a sum that estimators read only as a whole gives the same
+    replicas as drawing its terms. The layout depends on the tables alone.
+    A replica carries ``settings``, ``storage_time``, ``n_pulses`` and its
+    channels; reading any other field raises AttributeError.
+
+    ``estimator`` is evaluated once, on counts whose fields hold one value
+    per replica. Returns the estimate on the original counts and the
+    standard deviation over replicas. Replicas where the estimator fails
+    (NaN) are dropped unless they exceed 1% of the total.
 
     ``estimator`` may also be a tuple of estimators, all evaluated on the
     one draw; the result is then a list with, for each estimator, what a
@@ -228,17 +252,26 @@ def poisson_error(estimator: Callable | Tuple[Callable, ...], counts, *,
     tables = [counts] if single else list(counts)
     values = [float(e(counts)) for e in estimators]
 
-    lam = np.array([[getattr(tb, f) for f in _COUNT_FIELDS] for tb in tables],
-                   dtype=float)
+    layouts = [_MATCHED_CHANNELS if matched_angles(tb) else _POOLED_CHANNELS
+               for tb in tables]
+    lam = np.array([getattr(tb, f) for tb, channels in zip(tables, layouts)
+                    for f in channels], dtype=float)
     rng = np.random.default_rng(seed)
     try:
-        draws = rng.poisson(lam, size=(n_replicas, *lam.shape))
+        draws = rng.poisson(lam, size=(n_replicas, lam.size))
     except ValueError as exc:  # a count beyond numpy's Poisson range
         raise ParameterError(f"counts up to {float(lam.max())!r} cannot "
                              f"be Poisson-resampled: {exc}") from exc
 
-    replicas = [SimpleNamespace(**vars(tb) | dict(zip(_COUNT_FIELDS, col.T)))
-                for tb, col in zip(tables, draws.swapaxes(0, 1))]
+    columns = iter(draws.T)
+    replicas = []
+    for tb, channels in zip(tables, layouts):
+        drawn = dict(zip(channels, columns))
+        if "c13" in drawn:
+            drawn["matched"] = drawn["c13"] + drawn["c24"]
+        replicas.append(SimpleNamespace(
+            settings=tb.settings, storage_time=tb.storage_time,
+            n_pulses=tb.n_pulses, **drawn))
     estimates = []
     for e, value in zip(estimators, values):
         with np.errstate(over="ignore", invalid="ignore"):  # checked below

@@ -11,6 +11,7 @@ import shutil
 from dataclasses import replace
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from dlczsim import (AngleSettings, CycleTiming, DecayParams,
@@ -56,7 +57,9 @@ def analytic_table(params, t, angles, n_pulses):
                            c13=probs.p13 * n_pulses,
                            c24=probs.p24 * n_pulses,
                            c14=probs.p14 * n_pulses,
-                           c23=probs.p23 * n_pulses)
+                           c23=probs.p23 * n_pulses,
+                           matched=(probs.p13 + probs.p24) * n_pulses,
+                           crossed=(probs.p14 + probs.p23) * n_pulses)
 
 
 def test_criterion_1_detection_budget():
@@ -102,7 +105,9 @@ def test_criterion_4_fidelity_chain():
             settings=AngleSettings(theta_s, theta_as), storage_time=0.0,
             n_pulses=10**9, n_d1=10**6, n_d2=10**6,
             c13=probs.p13 * 10**5, c24=probs.p24 * 10**5,
-            c14=probs.p14 * 10**5, c23=probs.p23 * 10**5))
+            c14=probs.p14 * 10**5, c23=probs.p23 * 10**5,
+            matched=(probs.p13 + probs.p24) * 10**5,
+            crossed=(probs.p14 + probs.p23) * 10**5))
     s = bell_S(tables, n_replicas=100, seed=0)
     assert s.value == pytest.approx(TWO_ROOT_TWO, abs=1e-12)
     report(4, "fidelity chain")
@@ -163,6 +168,32 @@ def test_criterion_6_bell_end_to_end():
     s = bell_S(list(tables), n_replicas=10_000, seed=63)
     assert s.value == pytest.approx(2.828, abs=0.01)
     report(6, "Bell end to end")
+
+
+def test_pooled_draw_matches_six_field_draw_at_bell_point():
+    # poisson_error draws only (matched, crossed) of each CHSH table; sums
+    # of independent Poisson counts are Poisson, so S spreads as it does
+    # when all six fields are drawn
+    params = operating_point(chi=0.02, eta_s=1.0, eta_as=1.0)
+    tables = run_experiment(params, TIMING, 0.0, CANONICAL_PLAN, 10_000_000,
+                            seed=60).tables
+    replicas = 100_000
+    s = bell_S(list(tables), n_replicas=replicas, seed=64)
+
+    fields = ("n_d1", "n_d2", "c13", "c24", "c14", "c23")
+    lam = np.array([[getattr(tb, f) for f in fields] for tb in tables],
+                   dtype=float)
+    draws = np.random.default_rng(65).poisson(lam, size=(replicas, 4, 6))
+    _, _, c13, c24, c14, c23 = np.moveaxis(draws, 2, 0)
+    e = (c13 + c24 - c14 - c23) / (c13 + c24 + c14 + c23)
+    six_field_sigma = float(np.std(np.abs(e[:, 0] - e[:, 1] + e[:, 2]
+                                          + e[:, 3])))
+    assert s.sigma == pytest.approx(six_field_sigma, rel=0.015)
+
+    delta = math.sqrt(sum((1.0 - correlation_E(tb) ** 2)
+                          / (tb.matched + tb.crossed) for tb in tables))
+    assert s.sigma == pytest.approx(delta, rel=0.05)
+    assert six_field_sigma == pytest.approx(delta, rel=0.05)
 
 
 def test_criterion_7_repeater_algebra():

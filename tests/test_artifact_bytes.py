@@ -35,14 +35,14 @@ PINNED_DECAY = {
     "trials_t01_a00.csv":
         "33dcacf4015355e685e1e1a701363cc5689c7c066d224d8aaec071003ce3e168",
     "estimates.kv":
-        "cb4f4680458d9c715eb6d30999bf14b8049c0ad68c229b93975d500b9d10f6bb",
+        "7edd1cffb822afe2c33a42d50eec6c7cfbfc989ffd27aed5fc98b26f2b18132d",
     "retrieval.csv":
-        "13c0948e79e39390fa341b410677d06f337c177bdaf753c917335e4f96d5838d",
+        "bc459f40dc5cc580e730e5aefcb097b7e7943fd0fca6881ddfc1060a2abf7c64",
 }
 
 PINNED_CHSH = {
     "estimates.kv":
-        "72e26cef79c808511894aa614a7d89b31656efc7e1c7276c3fa1f339f034bd56",
+        "a560381538299a99748c218bb5c53186dac2d686213cb0c2ff55e1e13bfb7eff",
 }
 
 
@@ -139,17 +139,17 @@ PINNED_EVERY_COMMAND = {
     "sim/trials_t02_a00.csv":
         "d387f50fb158ca54f259364214e534496d2a5ac6cf1770445f8dde36ffb0b602",
     "est/stdout":
-        "46917689893bea9857fe81eb1797015db1f081f0b27a2216d8ff46fa9283978d",
+        "9653e073cdb5cb33c1a7fbedc761fb5b60a6d111f1da88e04c21e9ed6872ecf7",
     "est/estimates.kv":
-        "dbf75458f11cb5984d7875418b4da31667c8f4a7c77d79c1f6945b9cb0ad4ace",
+        "7ff6f3b82984ff2edadbeaac6acc34300315bf837a9b3c733cc9f5adc31f5795",
     "est/retrieval.csv":
-        "5a2199ea526b1cb871107aff528c1c5c9b60364ea74c831f64eb7922c0d743f0",
+        "bf46e3179bf6b13b4213c49a8d6e5927d04018a1c8f84e2e816acf6e3379681c",
     "est/run_manifest.kv":
         "3b99724983b7292cd93903a4e83a425eea190cff363dd7e9329ad1c750034fb6",
     "fit/stdout":
-        "cc34bfa46c88401cc36066b578a12a4aaadae5f116a2427a65490fabb9d818ab",
+        "27140af29e6c0789de71105043e0dd8c54f78ced7fe6d71734e8656ae661d93d",
     "fit/decay_fit.kv":
-        "754068fe2dbaa5914485c3f2174bfc5ed873d5bd8a8b89302e565fb9846e7e2f",
+        "809681d1376ed4eb07f70fcaf9bcf77d558633a3c58c42baad3631574cdce719",
     "fit/run_manifest.kv":
         "3b17a1f49863ff5f13ad380fc6bbca02a83a8bfcfd055644a9d4314f7cb5e798",
     "sweep_kv/stdout":

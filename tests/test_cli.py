@@ -361,15 +361,15 @@ def test_chsh_estimate_shares_one_draw_with_s(config, tmp_path):
     assert report["fidelity.value"] == fidelity_from_S(s.value)
     assert report["fidelity.sigma"] == 0.75 * s.sigma / TWO_ROOT_TWO
 
-    # each E_sigma is the spread of E on its column of that (R, 4, 6) draw
-    lam = np.array([[getattr(tb, f) for f in COUNTS_COLUMNS[4:]]
-                    for tb in tables], dtype=float)
-    draws = np.random.default_rng(seed).poisson(lam, size=(replicas, 4, 6))
+    # each E_sigma is the spread of E on its columns of that (R, 8) draw:
+    # (matched, crossed) of each table, the only channels E reads
+    lam = [n for tb in tables for n in (tb.matched, tb.crossed)]
+    draws = np.random.default_rng(seed).poisson(lam, size=(replicas, 8))
     for i, tb in enumerate(tables):
         assert report[f"table{i:02d}.E"] == correlation_E(tb)
-        _, _, c13, c24, c14, c23 = draws[:, i].T
-        total = c13 + c24 + c14 + c23
-        e = (c13 + c24 - c14 - c23)[total > 0] / total[total > 0]
+        matched, crossed = draws[:, 2 * i:2 * i + 2].T
+        total = matched + crossed
+        e = (matched - crossed)[total > 0] / total[total > 0]
         assert report[f"table{i:02d}.E_sigma"] == float(np.std(e))
 
 

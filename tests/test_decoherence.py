@@ -9,6 +9,7 @@ import pytest
 from dlczsim import (DecayParams, DegenerateDataError, EnsembleGeometry,
                      FitConvergenceError, ParameterError, fit_decay,
                      motional_lifetime, retrieval_decay)
+from dlczsim import decoherence
 from dlczsim.decoherence import _brent
 
 MEASURED_DECAY = DecayParams(r0=0.77, tau0=1e-3)
@@ -278,6 +279,41 @@ def test_fit_no_worse_than_the_simplex_fitter():
     assert no_decay == NO_DECAY_SETS
     assert fits[-2:] == [(DecayParams(0.5, math.inf), 0.0),  # flat
                          (DecayParams(0.0, math.inf), 0.0)]  # all zero
+
+
+def test_fit_at_the_inf_limit_skips_brent(monkeypatch):
+    """A walk that reaches the tau0 -> inf limit's objective ends the fit:
+    the flat and all-zero sets cost a few walk steps and no Brent step
+    (they cost 55 and 43 Brent evaluations when Brent ran on)."""
+    evaluations = {"objective": 0, "brent": 0}
+
+    class CountingMath:
+        """math whose exp counts calls: the objective calls it once."""
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def exp(self, y):
+            evaluations["objective"] += 1
+            return math.exp(y)
+
+    def brent(f, *args):
+        def counted(y):
+            evaluations["brent"] += 1
+            return f(y)
+        return _brent(counted, *args)
+
+    monkeypatch.setattr(decoherence, "math", CountingMath())
+    monkeypatch.setattr(decoherence, "_brent", brent)
+    sets = _pin_corpus()
+    for k, expected in ((203, (DecayParams(0.5, math.inf), 0.0)),
+                        (204, (DecayParams(0.0, math.inf), 0.0))):
+        evaluations.update(objective=0, brent=0)
+        assert fit_decay(sets[k]) == expected
+        assert evaluations["brent"] == 0, k
+        assert 1 <= evaluations["objective"] <= 10, k
+    evaluations.update(objective=0, brent=0)
+    fit_decay(sets[0])  # a decaying set still runs Brent
+    assert evaluations["brent"] > 0
 
 
 @pytest.mark.parametrize("column", [0, 1, 2])

@@ -14,9 +14,10 @@ from dlczsim import (AngleSettings, BellSettings, DecayParams,
                      intrinsic_retrieval_qubit, poisson_error,
                      projection_probs, retrieval_background_corrected,
                      visibility_from_S)
+from dlczsim.cli import _table_estimators
 from dlczsim.config import DEFAULT_VISIBILITY
 from dlczsim.engine import CountsTable
-from dlczsim.estimators import REPLICAS_MAX
+from dlczsim.estimators import MATCHED_ANGLE_TOL, REPLICAS_MAX
 
 DEG = math.radians
 TWO_ROOT_TWO = 2.0 * math.sqrt(2.0)
@@ -37,7 +38,9 @@ def proj_table(theta_s, theta_as, visibility, n=40_000, n_pulses=10_000_000,
                            storage_time=0.0, n_pulses=n_pulses,
                            n_d1=singles, n_d2=singles,
                            c13=probs.p13 * n, c24=probs.p24 * n,
-                           c14=probs.p14 * n, c23=probs.p23 * n)
+                           c14=probs.p14 * n, c23=probs.p23 * n,
+                           matched=(probs.p13 + probs.p24) * n,
+                           crossed=(probs.p14 + probs.p23) * n)
 
 
 def canonical_proj_tables(visibility, n=40_000):
@@ -245,6 +248,7 @@ def test_poisson_error_bell_scale():
     for tb in tables:
         for field in ("c13", "c24", "c14", "c23"):
             setattr(tb, field, round(getattr(tb, field)))
+        tb.matched, tb.crossed = tb.c13 + tb.c24, tb.c14 + tb.c23
     s = bell_S(tables, n_replicas=10_000, seed=8)
     assert s.value == pytest.approx(2.5, abs=0.1)
     assert 0.01 < s.sigma < 0.04
@@ -282,7 +286,6 @@ def test_poisson_error_degenerate_statistics():
                       n_replicas=1000, seed=10)
 
 
-COUNT_FIELDS = ("n_d1", "n_d2", "c13", "c24", "c14", "c23")
 VECTORIZED_ESTIMATORS = (
     correlation_E,
     lambda c: intrinsic_retrieval_qubit(c, 0.15),
@@ -292,8 +295,11 @@ VECTORIZED_ESTIMATORS = (
 
 
 def counts_namespace(values):
+    n_d1, n_d2, c13, c24, c14, c23 = values
     return SimpleNamespace(settings=AngleSettings(0.0, 0.0), storage_time=0.0,
-                           n_pulses=1000, **dict(zip(COUNT_FIELDS, values)))
+                           n_pulses=1000, n_d1=n_d1, n_d2=n_d2, c13=c13,
+                           c24=c24, c14=c14, c23=c23, matched=c13 + c24,
+                           crossed=c14 + c23)
 
 
 @given(st.lists(st.tuples(*[st.integers(0, 5)] * 6), min_size=1,
@@ -327,10 +333,13 @@ def fail_first(k):
 def test_poisson_error_drop_rule_edge():
     table = matched_table(n_d1=1000, n_d2=1000, c13=15, c24=15, c14=5, c23=5)
     est = poisson_error(fail_first(1), table, n_replicas=100, seed=11)
-    # the single (n_replicas, n_tables, 6) draw, minus the dropped replica
+    # the single (n_replicas, 5) draw of a matched-angle table's channels
+    # (n_d1, n_d2, c13, c24, crossed), minus the dropped replica
     draws = np.random.default_rng(11).poisson(
-        [[getattr(table, f) for f in COUNT_FIELDS]], size=(100, 1, 6))
-    kept = correlation_E(counts_namespace(draws[1:, 0].T))
+        [table.n_d1, table.n_d2, table.c13, table.c24, table.crossed],
+        size=(100, 5))
+    _, _, c13, c24, crossed = draws[1:].T
+    kept = correlation_E(SimpleNamespace(matched=c13 + c24, crossed=crossed))
     assert est.value == correlation_E(table)
     assert est.sigma == float(np.std(kept))
     with pytest.raises(DegenerateStatisticsError, match="2/100"):
@@ -370,3 +379,43 @@ def test_poisson_error_failed_replicas_emit_no_warning():
     for estimator in VECTORIZED_ESTIMATORS:
         with pytest.raises(DegenerateStatisticsError):
             poisson_error(estimator, table, n_replicas=1000, seed=12)
+
+
+@pytest.mark.parametrize("offset, names, channels", [
+    (5e-7, {"E", "r_qubit", "r_l", "r_r"},
+     {"n_d1", "n_d2", "c13", "c24", "crossed"}),
+    (2e-6, {"E"}, {"matched", "crossed"}),
+], ids=["matched", "unmatched"])
+def test_matched_angle_tolerance_sets_estimators_and_draw(
+        monkeypatch, offset, names, channels):
+    assert MATCHED_ANGLE_TOL == 1e-6
+    table = CountsTable(settings=AngleSettings(0.3, 0.3 + offset),
+                        storage_time=0.0, n_pulses=1_000_000, n_d1=5000,
+                        n_d2=5000, c13=578, c24=577, c14=20, c23=25)
+    assert set(_table_estimators(table, 0.5)) == names
+
+    sizes = []
+    real_rng = np.random.default_rng
+
+    class Rng:
+        def __init__(self, seed):
+            self.rng = real_rng(seed)
+
+        def poisson(self, lam, size):
+            sizes.append(size)
+            return self.rng.poisson(lam, size=size)
+    monkeypatch.setattr(np.random, "default_rng", Rng)
+    seen = []
+
+    def spy(counts):
+        seen.append(counts)
+        return correlation_E(counts)
+    poisson_error(spy, table, n_replicas=100, seed=0)
+    assert sizes == [(100, len(channels))]
+    replica = seen[-1]
+    assert set(vars(replica)) == {"settings", "storage_time", "n_pulses",
+                                  "matched"} | channels
+    if "c13" in channels:  # matched = c13 + c24 of the draw
+        assert (replica.matched == replica.c13 + replica.c24).all()
+    with pytest.raises(AttributeError):
+        replica.c14
