@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
-from .errors import ParameterError
+from .errors import FitConvergenceError, ParameterError
 
 # exp(-t/tau0) underflows well before this; treat deeper levels as dead.
 UNDERFLOW_RATIO = 700.0
@@ -21,8 +21,8 @@ UNDERFLOW_RATIO = 700.0
 LINK_DIVISOR_CHOICES = ("2^n", "n")
 
 SWEEP_MAX_STEPS = 10_000  # sweep_distance keeps one RateBreakdown a point
-BISECT_MAX_ITER = 200
-CROSSING_REL_TOL = 1e-12  # relative bracket width ending a crossing search
+ROOT_MAX_ITER = 200
+CROSSING_REL_TOL = 1e-12  # relative bracket width ending a root search
 
 
 @dataclass(frozen=True)
@@ -189,44 +189,59 @@ def sweep_distance(p: RepeaterParams, l_min: float, l_max: float,
     return points, monotone
 
 
+def _find_root(f, a, b, fa, fb):
+    """Zero of f between a, b > 0 (fa = f(a) and fb = f(b) differ in sign)
+    by Brent's method (Brent 1973, ch. 4) in ln x to CROSSING_REL_TOL."""
+    if fa == 0.0 or fb == 0.0:
+        return a if fa == 0.0 else b
+    if not (fa < 0.0 < fb or fb < 0.0 < fa):
+        raise ParameterError(f"no sign change on [{a!r}, {b!r}]")
+    a, b, tol = math.log(a), math.log(b), 0.5 * CROSSING_REL_TOL
+    for _ in range(ROOT_MAX_ITER):
+        if (fa < 0.0) != (fb < 0.0):  # the root is between a and b
+            c, fc, d, e = a, fa, b - a, b - a
+        if abs(fc) < abs(fb):  # b is the best point so far
+            a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
+        if fb == 0.0 or abs(m := 0.5 * (c - b)) <= tol:
+            return math.exp(b)
+        fast = False  # take the interpolated step p / q, else bisect by m
+        if abs(e) > tol and abs(fb) < abs(fa):
+            s = fb / fa
+            if a == c:  # secant through a and b
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic through a, b and c
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            p, q = abs(p), (-q if p > 0.0 else q)
+            fast = 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q))
+        e, d = (d, p / q) if fast else (m, m)
+        a, fa, b = b, fb, b + (d if abs(d) > tol else math.copysign(tol, m))
+        fb = f(math.exp(b))
+    raise FitConvergenceError("root search did not converge")
+
+
 def threshold_crossing_distance(p: RepeaterParams, threshold: float,
                                 l_min: float, l_max: float) -> float:
-    """Distance at which the (decreasing) rate crosses ``threshold``."""
+    """Distance in [l_min, l_max] where rate - threshold changes sign."""
     if not 0.0 < threshold < math.inf:
         raise ParameterError("threshold must be finite and > 0")
     _check_span(l_min, l_max)
-    lo, hi = l_min, l_max
-    rate_lo = swap_chain(p, distance=lo).rate
-    rate_hi = swap_chain(p, distance=hi).rate
-    if not (rate_lo > threshold > rate_hi):
-        raise ParameterError(
-            f"threshold {threshold!r} not bracketed on [{l_min!r}, {l_max!r}]")
-    for _ in range(BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if swap_chain(p, distance=mid).rate > threshold:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= CROSSING_REL_TOL * hi:
-            break
-    return 0.5 * (lo + hi)
+
+    def excess(distance):
+        return swap_chain(p, distance=distance).rate - threshold
+    return _find_root(excess, l_min, l_max, excess(l_min), excess(l_max))
 
 
 def calibrate_chi(p: RepeaterParams, target_rate: float) -> float:
-    """Excitation probability that puts the rate at ``target_rate`` for
-    the parameter set's distance (rate is increasing in chi)."""
-    if target_rate <= 0.0:
-        raise ParameterError("target_rate must be > 0")
-    lo, hi = 1e-6, 1.0
-    if swap_chain(replace(p, chi=hi)).rate < target_rate:
-        raise ParameterError("target rate unreachable at chi = 1")
-    for _ in range(BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if swap_chain(replace(p, chi=mid)).rate < target_rate:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    """Excitation probability in [1e-6, 1] where rate - target_rate changes
+    sign, at the parameter set's distance."""
+    if not 0.0 < target_rate < math.inf:
+        raise ParameterError("target_rate must be finite and > 0")
+
+    def excess(chi):
+        return swap_chain(replace(p, chi=chi)).rate - target_rate
+    return _find_root(excess, 1e-6, 1.0, excess(1e-6), excess(1.0))
 
 
 # CLI preset "fig8": an integrated high-performance-node study. Nest level

@@ -153,17 +153,17 @@ PINNED_EVERY_COMMAND = {
     "fit/run_manifest.kv":
         "3b17a1f49863ff5f13ad380fc6bbca02a83a8bfcfd055644a9d4314f7cb5e798",
     "sweep_kv/stdout":
-        "7653a5ef2673dbc071eda54acabe7c6182262d064a4fbe53a9743ed3fb519b7f",
+        "364eb79790fdcd7ae988fac2990db064c52878c787ae8bf8ca30b949738aaa24",
     "sweep_kv/repeater_summary.kv":
-        "c7991dc0edb32d7c617dc3b07cd6f45fc153156fb0e366ec1c394eaa4c741eda",
+        "0d1d1dcc270e8c91ca356a0ed084870a010b73344bdeff8e0b4b083aec92f42c",
     "sweep_kv/repeater_sweep.csv":
         "92c950bf92afefb8e7861e606481013466be441c3afcd99718498bac57c7deed",
     "sweep_kv/run_manifest.kv":
         "8b6e2b7c448e13345ab56a81287733bf407d23b403b064645ae0a4d0cf1c994a",
     "sweep_csv/stdout":
-        "7653a5ef2673dbc071eda54acabe7c6182262d064a4fbe53a9743ed3fb519b7f",
+        "364eb79790fdcd7ae988fac2990db064c52878c787ae8bf8ca30b949738aaa24",
     "sweep_csv/repeater_summary.csv":
-        "0e9e44bc9f56243a46799a378d68ced6a18076651d082372bfd094a3c72d22a3",
+        "687782252f75592e347e41e0a6a55bf0db93bbf59fae79c797f315aa1fb68066",
     "sweep_csv/repeater_sweep.csv":
         "92c950bf92afefb8e7861e606481013466be441c3afcd99718498bac57c7deed",
     "sweep_csv/run_manifest.kv":

@@ -2,13 +2,16 @@ import math
 from dataclasses import replace
 
 import pytest
+from scipy.optimize import brentq
 
+from dlczsim import repeater
 from dlczsim import (ParameterError, RepeaterParams, calibrate_chi,
                      elementary_probs, swap_chain, sweep_distance,
                      threshold_crossing_distance)
-from dlczsim.repeater import (PRESET_CHI_CALIBRATED, PRESET_HIGH_RETRIEVAL,
-                              PRESET_LOW_RETRIEVAL, PRESETS, RateBreakdown,
-                              UNDERFLOW_RATIO)
+from dlczsim.repeater import (CROSSING_REL_TOL, PRESET_CHI_CALIBRATED,
+                              PRESET_HIGH_RETRIEVAL, PRESET_LOW_RETRIEVAL,
+                              PRESETS, RateBreakdown, UNDERFLOW_RATIO,
+                              _find_root)
 
 
 def make_params(**overrides):
@@ -145,6 +148,23 @@ def test_calibrated_chi_hits_the_anchor():
                                                                  rel=1e-6)
     chi = calibrate_chi(PRESET_HIGH_RETRIEVAL, 1e-4)
     assert chi == pytest.approx(PRESET_CHI_CALIBRATED, rel=1e-9)
+
+
+@pytest.mark.parametrize("target", [0.0, -1e-4, math.nan, math.inf])
+def test_calibrate_chi_rejects_degenerate_targets(target):
+    with pytest.raises(ParameterError, match="target_rate"):
+        calibrate_chi(PRESET_HIGH_RETRIEVAL, target)
+
+
+def test_calibrate_chi_needs_the_target_between_its_ends():
+    at_one = swap_chain(replace(PRESET_HIGH_RETRIEVAL, chi=1.0)).rate
+    with pytest.raises(ParameterError, match="sign change"):
+        calibrate_chi(PRESET_HIGH_RETRIEVAL, 2.0 * at_one)
+    # at 1 m a single link at chi = 1e-6 already beats 1e-12 pairs/s
+    short = replace(PRESET_HIGH_RETRIEVAL, nest_level=0, distance=1.0)
+    assert swap_chain(replace(short, chi=1e-6)).rate > 1e-12
+    with pytest.raises(ParameterError, match="sign change"):
+        calibrate_chi(short, 1e-12)
 
 
 def test_threshold_crossing_distances_and_ratio():
@@ -294,4 +314,102 @@ def test_sweep_at_a_distance_equals_rebuilt_parameter_sets(p):
         crossing = threshold_crossing_distance(p, 1e-4, 1e5, 2e6)
     except ParameterError:
         crossing = None
-    assert crossing == _reference_crossing(p, 1e-4, 1e5, 2e6)
+    reference = _reference_crossing(p, 1e-4, 1e5, 2e6)
+    assert (crossing is None) == (reference is None)
+    if reference is not None:
+        def excess(distance):
+            return swap_chain(replace(p, distance=distance)).rate - 1e-4
+        assert crossing == _find_root(excess, 1e5, 2e6, excess(1e5),
+                                      excess(2e6))
+        assert crossing == pytest.approx(reference, rel=1e-11)
+
+
+def _brentq(f, a, b):
+    return brentq(f, a, b, xtol=1e-300, rtol=CROSSING_REL_TOL)
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (math.cos, 1.0, 2.0),
+    # exp(x) - 1e150 spans 1e300 (and -1e150) over the bracket
+    (lambda x: math.exp(x) - 1e150, 1.0, 690.0),
+    (lambda x: 1e-150 - math.exp(-x), 1.0, 690.0),
+    # a "rate" exactly 0 below x = 300, as an underflowed rate is
+    (lambda x: (0.0 if x < 300.0 else math.exp(x - 600.0)) - 1e-100,
+     1.0, 690.0),
+])
+def test_find_root_agrees_with_brentq(f, a, b):
+    expected = _brentq(f, a, b)
+    for lo, hi in ((a, b), (b, a)):
+        root = _find_root(f, lo, hi, f(lo), f(hi))
+        assert root == pytest.approx(expected, rel=2 * CROSSING_REL_TOL)
+
+
+def test_find_root_stops_at_an_exact_zero():
+    def f(x):  # exactly 0 on [2, 3]
+        return min(x - 2.0, 0.0) + max(x - 3.0, 0.0)
+    root = _find_root(f, 0.5, 5.0, f(0.5), f(5.0))
+    assert 2.0 <= root <= 3.0 and f(root) == 0.0
+    assert 2.0 <= _brentq(f, 0.5, 5.0) <= 3.0
+
+
+def test_find_root_returns_a_zero_end_point():
+    def f(x):
+        return x - 1.0
+    assert _find_root(f, 1.0, 3.0, 0.0, 2.0) == 1.0
+    assert _find_root(f, 0.5, 1.0, -0.5, 0.0) == 1.0
+    assert _brentq(f, 1.0, 3.0) == _brentq(f, 0.5, 1.0) == 1.0
+
+
+@pytest.mark.parametrize("fa, fb", [(1.0, 2.0), (-1.0, -2.0),
+                                    (math.nan, 1.0), (-1.0, math.nan)])
+def test_find_root_rejects_ends_without_a_sign_change(fa, fb):
+    with pytest.raises(ParameterError, match="sign change"):
+        _find_root(math.cos, 1.0, 2.0, fa, fb)
+
+
+@pytest.fixture
+def swap_chain_calls(monkeypatch):
+    calls = []
+    original = repeater.swap_chain
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(repeater, "swap_chain", counting)
+    return calls
+
+
+def test_root_searches_bound_their_swap_chain_calls(swap_chain_calls):
+    crossings = {}
+    for l_max in (2e6, 3e6):
+        for label, p in PRESETS["fig8"]:
+            swap_chain_calls.clear()
+            crossings[label, l_max] = threshold_crossing_distance(
+                p, 1e-4, 1e5, l_max)
+            assert len(swap_chain_calls) <= 20, (label, l_max)
+    for l_max in (2e6, 3e6):  # criterion 7's ratio, as the bisection gave
+        ratio = crossings["cpe", l_max] / crossings["cie", l_max]
+        assert ratio == pytest.approx(1.9743125803832529, rel=1e-9)
+
+    swap_chain_calls.clear()
+    calibrate_chi(PRESET_HIGH_RETRIEVAL, 1e-4)
+    assert len(swap_chain_calls) <= 25
+
+    swap_chain_calls.clear()
+    for p in BENCH_CURVES:
+        try:
+            threshold_crossing_distance(p, 1e-4, 1e5, 2e6)
+        except ParameterError:
+            pass
+    assert len(swap_chain_calls) <= 650
+
+
+def test_crossing_on_a_bracket_of_many_decades(swap_chain_calls):
+    # the search runs in ln(distance), so [1e5, 1e308] costs a few dozen
+    # evaluations, not the ~1,000 halvings of a linear bisection
+    for _, p in PRESETS["fig8"]:
+        narrow = threshold_crossing_distance(p, 1e-4, 1e5, 3e6)
+        swap_chain_calls.clear()
+        wide = threshold_crossing_distance(p, 1e-4, 1e5, 1e308)
+        assert len(swap_chain_calls) <= 40
+        assert wide == pytest.approx(narrow, rel=1e-11)
