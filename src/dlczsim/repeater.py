@@ -21,7 +21,7 @@ UNDERFLOW_RATIO = 700.0
 LINK_DIVISOR_CHOICES = ("2^n", "n")
 
 SWEEP_MAX_STEPS = 10_000  # sweep_distance keeps one RateBreakdown a point
-ROOT_MAX_ITER = 200
+ROOT_MAX_ITER = 200  # in ln x, bisection alone needs < 52 steps
 CROSSING_REL_TOL = 1e-12  # relative bracket width ending a root search
 
 
