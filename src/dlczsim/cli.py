@@ -31,7 +31,7 @@ from .engine import (CountsTable, TrialRecord, run_experiment,
 from .entanglement import AngleSettings
 from .errors import (DegenerateDataError, DegenerateStatisticsError,
                      FitConvergenceError, InsufficientDataError,
-                     ParameterError, SchemaError)
+                     ParameterError, SchemaError, check_in)
 from .estimators import (BellSettings, EstimateWithError, bell_S_signed,
                          correlation_E, fidelity_from_S,
                          intrinsic_retrieval_mode, intrinsic_retrieval_qubit,
@@ -64,10 +64,8 @@ def parse_t_list(spec: str) -> List[float]:
         raise ParameterError(f"cannot parse storage times {spec!r}")
     if not values:
         raise ParameterError("empty storage-time list")
-    if not all(math.isfinite(t) for t in values):
-        raise ParameterError("storage times must be finite")
-    if any(t < 0.0 for t in values):
-        raise ParameterError("storage times must be >= 0")
+    for t in values:
+        check_in("--t", t, "[0, inf)")
     return values
 
 
@@ -90,8 +88,8 @@ def parse_angle_plan(spec: str) -> List[AngleSettings]:
             degrees = [float(piece) for piece in pieces]
         except ValueError:
             raise ParameterError(f"cannot parse angle pair {part!r}")
-        if not all(map(math.isfinite, degrees)):
-            raise ParameterError(f"angle pair {part!r} must be finite")
+        for degree in degrees:
+            check_in("--angles", degree, "(-inf, inf)")
         plan.append(AngleSettings.from_degrees(*degrees))
     if not plan:
         raise ParameterError("empty angle plan")
@@ -179,8 +177,7 @@ def cmd_simulate(args) -> int:
     cfg = _load_required_config(args)
     params = _require(cfg.experiment, "experiment")
     timing = _require(cfg.timing, "timing")
-    if args.workers < 1:
-        raise ParameterError("--workers must be >= 1")
+    check_in("--workers", args.workers, "[1, inf)")
     t_list = parse_t_list(args.t)
     plan = parse_angle_plan(args.angles)
     if args.records and args.trials > RECORDS_LIMIT:
@@ -291,8 +288,7 @@ def _digit_column(start: int, n: int, place: int) -> np.ndarray:
 
 def _eta_td_for_estimate(args, cfg: Optional[Config]) -> float:
     if args.eta_td is not None:
-        if not 0.0 < args.eta_td < math.inf:
-            raise ParameterError("--eta-td must be finite and > 0")
+        check_in("--eta-td", args.eta_td, "(0, 1]")
         return args.eta_td
     if cfg is not None and cfg.chain is not None:
         return cfg.chain.eta_td
@@ -440,8 +436,8 @@ def cmd_repeater_sweep(args) -> int:
         cfg = _load_required_config(args)
         curves = (("config", _require(cfg.repeater, "repeater")),)
         chi_source = "config"
-    if args.threshold is not None and not 0.0 < args.threshold < math.inf:
-        raise ParameterError("--threshold must be finite and > 0")
+    if args.threshold is not None:
+        check_in("--threshold", args.threshold, "(0, inf)")
 
     rows = []  # rendered as fmt_value renders them: a float as its repr
     entries: Dict[str, object] = {}

@@ -26,7 +26,7 @@ import numpy as np
 
 from .entanglement import AngleSettings, projection_probs
 from .decoherence import retrieval_decay
-from .errors import ParameterError
+from .errors import ParameterError, check_in
 from .params import CycleTiming, ExperimentParams
 
 # Trials per RNG block. Fixed: changing it changes sampled streams.
@@ -81,8 +81,7 @@ class CountsTable:
 
     def __post_init__(self):
         for name in ("n_pulses", "n_d1", "n_d2", "c13", "c24", "c14", "c23"):
-            if getattr(self, name) < 0:
-                raise ParameterError(f"{name} must be >= 0")
+            check_in(name, getattr(self, name), "[0, inf)")
         if self.n_d1 + self.n_d2 > self.n_pulses:
             raise ParameterError("more Stokes singles than pulses")
         if self.c13 + self.c14 > self.n_d1:
@@ -316,8 +315,7 @@ def trial_outcome_blocks(params: ExperimentParams, t: float,
     caller holds one block at a time. A block's outcomes tally to the
     histogram :func:`run_experiment` counts for the same block.
     """
-    if n_trials <= 0:
-        raise ParameterError("n_trials must be > 0")
+    check_in("n_trials", n_trials, "[1, inf)")
     outcomes, probs = _outcome_table(
         _trial_model(params, t, angles, double_pair))
     blocks = ((block * BLOCK_TRIALS, partial(_block_arrangement, probs, seed,
@@ -340,10 +338,8 @@ def run_experiment(params: ExperimentParams, timing: CycleTiming, t: float,
     """
     if not angle_list:
         raise ParameterError("angle_list must contain at least one setting")
-    if n_trials_per_setting <= 0:
-        raise ParameterError("n_trials_per_setting must be > 0")
-    if seed < 0:
-        raise ParameterError("seed must be a non-negative integer")
+    check_in("n_trials_per_setting", n_trials_per_setting, "[1, inf)")
+    check_in("seed", seed, "[0, inf)")
 
     tables = []
     for s_idx, angles in enumerate(angle_list):

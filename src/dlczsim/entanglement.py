@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .decoherence import retrieval_decay
-from .errors import ParameterError
+from .errors import ParameterError, check_in
 from .params import ExperimentParams
 
 PROB_SUM_TOL = 1e-12
@@ -48,9 +48,7 @@ class JointOutcomeProbs:
 
     def __post_init__(self):
         for name in ("p13", "p24", "p14", "p23"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ParameterError(f"{name} = {p!r} outside [0, 1]")
+            check_in(name, getattr(self, name), "[0, 1]")
         total = self.p13 + self.p24 + self.p14 + self.p23
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ParameterError(f"outcome probabilities sum to {total!r}")
@@ -69,8 +67,8 @@ def projection_probs(angles: AngleSettings, visibility: float,
     carry probability (1 + K)/4 each and the crossed pairs (1 - K)/4, with
     K = V cos(phase) cos(2 delta).
     """
-    if not 0.0 <= visibility <= 1.0:
-        raise ParameterError(f"visibility = {visibility!r} outside [0, 1]")
+    check_in("visibility", visibility, "[0, 1]")
+    check_in("phase", phase, "(-inf, inf)")
     k = visibility * math.cos(phase) * math.cos(2.0 * angles.delta)
     matched = (1.0 + k) / 4.0
     crossed = (1.0 - k) / 4.0
@@ -134,7 +132,5 @@ def forward_count_probs(params: ExperimentParams, t: float,
         "p23": correlated * proj.p23 + accidental / 4.0,
     }
     for name, value in [("p_s", p_s), ("p_as", p_as), *pairwise.items()]:
-        if not 0.0 <= value <= 1.0:
-            raise ParameterError(
-                f"computed probability {name} = {value!r} exits [0, 1]")
+        check_in(f"computed probability {name}", value, "[0, 1]")
     return ForwardProbs(p_s=p_s, p_as=p_as, **pairwise)

@@ -1,9 +1,11 @@
-"""Exception types shared across the package, and the UTF-8 decoding of
-input files that raises them.
+"""Exception types shared across the package, the interval check of
+scalar parameters and the UTF-8 decoding of input files that raise them.
 
 The CLI maps these onto exit codes: parameter/schema problems are exit 2,
 numeric failures (fits, degenerate statistics) exit 3, I/O errors exit 4.
 """
+
+import math
 
 
 class DlczError(Exception):
@@ -36,6 +38,18 @@ class FitConvergenceError(DlczError, RuntimeError):
 
 class DegenerateStatisticsError(DlczError, RuntimeError):
     """Too many bootstrap replicas failed to produce an estimate."""
+
+
+def check_in(name: str, value, interval: str) -> None:
+    """Raise :class:`ParameterError` unless ``value`` lies in ``interval``,
+    written like "(0, 1]" or "(0, inf]". NaN lies in no interval."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    hi_closed = interval[-1] == "]"
+    if not ((lo <= value if interval[0] == "[" else lo < value)
+            and (value <= hi if hi_closed else value < hi)):
+        finite = "" if hi_closed and hi == math.inf else "finite and "
+        raise ParameterError(
+            f"{name} = {value!r} must be {finite}in {interval}")
 
 
 def decode_utf8(data: bytes, path, error: type) -> str:

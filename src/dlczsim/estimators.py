@@ -18,7 +18,7 @@ import numpy as np
 
 from .engine import CountsTable
 from .errors import (DegenerateStatisticsError, InsufficientDataError,
-                     ParameterError)
+                     ParameterError, check_in)
 
 TWO_ROOT_TWO = 2.0 * math.sqrt(2.0)
 REPLICAS_MAX = 1_000_000  # at most 5 int64 draws a replica per table
@@ -69,8 +69,7 @@ class EstimateWithError:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma < 0.0:
-            raise ParameterError("sigma must be >= 0")
+        check_in("sigma", self.sigma, "[0, inf)")
 
 
 def same_angle(a: float, b: float, tol: float = _ANGLE_TOL) -> bool:
@@ -101,8 +100,7 @@ def matched_angles(counts: CountsTable) -> bool:
 
 
 def _check_retrieval_inputs(counts: CountsTable, eta_td: float) -> None:
-    if eta_td <= 0.0:
-        raise ParameterError("eta_td must be > 0")
+    check_in("eta_td", eta_td, "(0, 1]")
     if not matched_angles(counts):
         raise ParameterError(
             "retrieval estimators require matched analyzer angles "
@@ -143,8 +141,7 @@ def retrieval_background_corrected(p_s_as: float, p_s: float, p_as: float,
     A negative accidental-corrected numerator (possible at low statistics)
     is clamped to zero with a warning.
     """
-    if eta_as <= 0.0:
-        raise ParameterError("eta_as must be > 0")
+    check_in("eta_as", eta_as, "(0, 1]")
     denom = p_s - noise_b * eta_s
     if denom <= 0.0:
         raise ParameterError(
@@ -205,8 +202,7 @@ def bell_S(tables: Sequence[CountsTable],
 
 def visibility_from_S(s: float) -> float:
     """Interference visibility implied by a CHSH value: V = S / (2 sqrt 2)."""
-    if s < 0.0:
-        raise ParameterError("S must be >= 0")
+    check_in("S", s, "[0, 4]")
     return s / TWO_ROOT_TWO
 
 
@@ -246,8 +242,7 @@ def poisson_error(estimator: Callable | Tuple[Callable, ...], counts, *,
     """
     several = isinstance(estimator, tuple)
     estimators = estimator if several else (estimator,)
-    if not 100 <= n_replicas <= REPLICAS_MAX:
-        raise ParameterError(f"n_replicas must be in [100, {REPLICAS_MAX}]")
+    check_in("n_replicas", n_replicas, f"[100, {REPLICAS_MAX}]")
     single = not isinstance(counts, (list, tuple))
     tables = [counts] if single else list(counts)
     values = [float(e(counts)) for e in estimators]

@@ -7,10 +7,10 @@ seconds, angles in radians unless a function name says otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .errors import ParameterError
+from .errors import ParameterError, check_in
 
 # CODATA 2018
 BOLTZMANN_K = 1.380649e-23      # J/K (exact)
@@ -18,19 +18,6 @@ ATOMIC_MASS_U = 1.66053906660e-27  # kg
 
 # Tolerance for an itemized loss budget to be accepted as consistent
 LOSS_ITEM_TOL = 1e-6
-
-
-def _check_unit_interval(name: str, value: float, *, allow_zero: bool,
-                         allow_one: bool = True) -> None:
-    lo_ok = value > 0.0 or (allow_zero and value == 0.0)
-    hi_ok = value < 1.0 or (allow_one and value == 1.0)
-    if not (lo_ok and hi_ok):
-        raise ParameterError(f"{name} = {value!r} outside valid range")
-
-
-def _check_positive(name: str, value: float) -> None:
-    if not value > 0.0:
-        raise ParameterError(f"{name} = {value!r} must be > 0")
 
 
 @dataclass(frozen=True)
@@ -51,17 +38,13 @@ class DetectionChain:
     loss_items: Optional[Mapping[str, float]] = None
 
     def __post_init__(self):
-        _check_unit_interval("t_oc", self.t_oc, allow_zero=False)
-        if not 0.0 <= self.cavity_loss < 1.0:
-            raise ParameterError(
-                f"cavity_loss = {self.cavity_loss!r} outside [0, 1)")
-        for name in ("eta_smf", "eta_filter", "eta_mmf", "eta_d"):
-            _check_unit_interval(name, getattr(self, name), allow_zero=False)
+        for name in ("t_oc", "eta_smf", "eta_filter", "eta_mmf", "eta_d"):
+            check_in(name, getattr(self, name), "(0, 1]")
+        check_in("cavity_loss", self.cavity_loss, "[0, 1)")
         if self.loss_items is not None:
             items = dict(self.loss_items)
             for key, val in items.items():
-                if val < 0.0:
-                    raise ParameterError(f"loss item {key!r} is negative")
+                check_in(f"loss.{key}", val, "[0, 1)")
             total = math.fsum(items.values())
             if abs(total - self.cavity_loss) > LOSS_ITEM_TOL:
                 raise ParameterError(
@@ -99,10 +82,7 @@ class EnsembleGeometry:
     def __post_init__(self):
         for name in ("wavelength", "temperature", "atomic_mass",
                      "bd_separation", "f_btd", "f0"):
-            value = getattr(self, name)
-            _check_positive(name, value)
-            if not math.isfinite(value):
-                raise ParameterError(f"{name} = {value!r} must be finite")
+            check_in(name, getattr(self, name), "(0, inf)")
 
 
 @dataclass(frozen=True)
@@ -113,9 +93,8 @@ class DecayParams:
     tau0: float   # 1/e lifetime, s
 
     def __post_init__(self):
-        if not 0.0 <= self.r0 <= 1.0:
-            raise ParameterError(f"r0 = {self.r0!r} outside [0, 1]")
-        _check_positive("tau0", self.tau0)
+        check_in("r0", self.r0, "[0, 1]")
+        check_in("tau0", self.tau0, "(0, inf]")
 
 
 @dataclass(frozen=True)
@@ -132,12 +111,11 @@ class ExperimentParams:
     decay: DecayParams = field(default_factory=lambda: DecayParams(0.77, 1e-3))
 
     def __post_init__(self):
-        _check_unit_interval("chi", self.chi, allow_zero=True)
-        _check_unit_interval("noise_b", self.noise_b, allow_zero=True)
-        _check_unit_interval("noise_c", self.noise_c, allow_zero=True)
-        _check_unit_interval("eta_s", self.eta_s, allow_zero=False)
-        _check_unit_interval("eta_as", self.eta_as, allow_zero=False)
-        _check_unit_interval("v0", self.v0, allow_zero=True)
+        for name in ("chi", "noise_b", "noise_c", "v0"):
+            check_in(name, getattr(self, name), "[0, 1]")
+        check_in("eta_s", self.eta_s, "(0, 1]")
+        check_in("eta_as", self.eta_as, "(0, 1]")
+        check_in("phase", self.phase, "(-inf, inf)")
         if self.chi + self.noise_b > 1.0:
             raise ParameterError(
                 f"chi + noise_b = {self.chi + self.noise_b!r} exceeds 1")
@@ -160,18 +138,11 @@ class CycleTiming:
     interval: float = 1300e-9
 
     def __post_init__(self):
-        for name in (f.name for f in fields(self)):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ParameterError(f"{name} = {value!r} must be finite")
-        if self.prep_duration < 0.0:
-            raise ParameterError("prep_duration must be >= 0")
-        _check_positive("run_duration", self.run_duration)
-        _check_positive("trial_period", self.trial_period)
-        for name in ("write_duration", "read_duration", "clean_duration",
-                     "interval"):
-            if getattr(self, name) < 0.0:
-                raise ParameterError(f"{name} must be >= 0")
+        check_in("run_duration", self.run_duration, "(0, inf)")
+        check_in("trial_period", self.trial_period, "(0, inf)")
+        for name in ("prep_duration", "write_duration", "read_duration",
+                     "clean_duration", "interval"):
+            check_in(name, getattr(self, name), "[0, inf)")
         if self.trials_per_run < 1:
             raise ParameterError(
                 "run_duration shorter than one trial_period")
@@ -190,10 +161,8 @@ def cavity_escape_efficiency(t_oc: float, cavity_loss: float) -> float:
 
     eta_esp = t_oc / (t_oc + cavity_loss).
     """
-    if t_oc <= 0.0:
-        raise ParameterError(f"t_oc = {t_oc!r} must be > 0")
-    if cavity_loss < 0.0:
-        raise ParameterError(f"cavity_loss = {cavity_loss!r} must be >= 0")
+    check_in("t_oc", t_oc, "(0, 1]")
+    check_in("cavity_loss", cavity_loss, "[0, 1)")
     return t_oc / (t_oc + cavity_loss)
 
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
-from .errors import FitConvergenceError, ParameterError
+from .errors import FitConvergenceError, ParameterError, check_in
 
 # exp(-t/tau0) underflows well before this; treat deeper levels as dead.
 UNDERFLOW_RATIO = 700.0
@@ -47,19 +47,13 @@ class RepeaterParams:
     link_divisor: str = "2^n"
 
     def __post_init__(self):
-        if self.nest_level < 0:
-            raise ParameterError("nest_level must be >= 0")
-        if self.modes < 1:
-            raise ParameterError("modes must be >= 1")
+        check_in("nest_level", self.nest_level, "[0, inf)")
+        check_in("modes", self.modes, "[1, inf)")
         for name in ("distance", "attenuation_length", "fiber_speed"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ParameterError(f"{name} must be finite and > 0")
-        if not self.tau0 > 0.0:
-            raise ParameterError("tau0 must be > 0")
+            check_in(name, getattr(self, name), "(0, inf)")
+        check_in("tau0", self.tau0, "(0, inf]")
         for name in ("chi", "eta_fc", "eta_td", "r0"):
-            value = getattr(self, name)
-            if not 0.0 < value <= 1.0:
-                raise ParameterError(f"{name} = {value!r} outside (0, 1]")
+            check_in(name, getattr(self, name), "(0, 1]")
         if self.link_divisor not in LINK_DIVISOR_CHOICES:
             raise ParameterError(
                 f"link_divisor must be one of {LINK_DIVISOR_CHOICES}")
@@ -105,6 +99,9 @@ def elementary_probs(p: RepeaterParams, *,
     """
     l0 = (p.distance if distance is None else distance) / p.n_links
     t_cc = l0 / p.fiber_speed
+    if not t_cc > 0.0:  # plain comparison: this runs on every swap_chain
+        raise ParameterError(f"link length {l0!r} m at fiber_speed "
+                             f"{p.fiber_speed!r} m/s gives a link time of 0")
     p0 = (p.chi ** 2 * math.exp(-l0 / p.attenuation_length)
           * p.eta_fc ** 2 * p.eta_td ** 2) / 2.0
     if p0 > 1.0:
@@ -166,8 +163,7 @@ def sweep_distance(p: RepeaterParams, l_min: float, l_max: float,
                    ) -> Tuple[List[Tuple[float, RateBreakdown]], bool]:
     """Rate over a distance grid. Returns (points, monotone_non_increasing)."""
     _check_span(l_min, l_max)
-    if not 2 <= steps <= SWEEP_MAX_STEPS:
-        raise ParameterError(f"steps must be in [2, {SWEEP_MAX_STEPS}]")
+    check_in("steps", steps, f"[2, {SWEEP_MAX_STEPS}]")
     if grid == "log":
         ratio = (l_max / l_min) ** (1.0 / (steps - 1))
         distances = [l_min * ratio ** i for i in range(steps)]
@@ -224,8 +220,7 @@ def _find_root(f, a, b, fa, fb):
 def threshold_crossing_distance(p: RepeaterParams, threshold: float,
                                 l_min: float, l_max: float) -> float:
     """Distance in [l_min, l_max] where rate - threshold changes sign."""
-    if not 0.0 < threshold < math.inf:
-        raise ParameterError("threshold must be finite and > 0")
+    check_in("threshold", threshold, "(0, inf)")
     _check_span(l_min, l_max)
 
     def excess(distance):
@@ -236,8 +231,7 @@ def threshold_crossing_distance(p: RepeaterParams, threshold: float,
 def calibrate_chi(p: RepeaterParams, target_rate: float) -> float:
     """Excitation probability in [1e-6, 1] where rate - target_rate changes
     sign, at the parameter set's distance."""
-    if not 0.0 < target_rate < math.inf:
-        raise ParameterError("target_rate must be finite and > 0")
+    check_in("target_rate", target_rate, "(0, inf)")
 
     def excess(chi):
         return swap_chain(replace(p, chi=chi)).rate - target_rate

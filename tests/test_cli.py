@@ -619,13 +619,15 @@ def test_cached_parser_leaks_no_state(tmp_path, monkeypatch, capsys):
 
 
 def _sample_conf(**edits):
-    """sample.conf with the named ``section__key`` lines replaced."""
+    """sample.conf with the named ``section__key`` lines replaced, or
+    appended when the file does not set that key."""
     text = (Path(__file__).resolve().parents[1] / "sample.conf").read_text()
     for name, value in edits.items():
         key = name.replace("__", ".")
-        line = next(ln for ln in text.splitlines()
-                    if ln.startswith(f"{key} "))
-        text = text.replace(line, f"{key} = {value}")
+        line = next((ln for ln in text.splitlines()
+                     if ln.startswith(f"{key} ")), None)
+        text = (text.replace(line, f"{key} = {value}") if line
+                else f"{text}{key} = {value}\n")
     return text
 
 
@@ -657,8 +659,16 @@ def test_repeater_sweep_rejects_non_finite_inputs(flags, tmp_path, capsys):
     assert not out.exists()
 
 
+# sample.conf with one edit, written as {dir}/<name>.conf for
+# INVALID_INPUTS.
+EDITED_CONFS = {
+    "phase_inf": {"experiment__phase": "inf"},
+    "phase_nan": {"experiment__phase": "nan"},
+    "loss_hr_nan": {"chain__loss__hr": "nan"},
+}
+
 # Invalid command lines that fail before any output: the exit code each
-# gives. {conf} is sample.conf; {dir} holds counts.csv.
+# gives. {conf} is sample.conf; {dir} holds counts.csv and EDITED_CONFS.
 INVALID_INPUTS = {
     "t_nan": ("simulate --config {conf} --seed 1 --trials 10 --t nan", 2),
     "t_inf": ("simulate --config {conf} --seed 1 --trials 10 --t 0,inf", 2),
@@ -683,6 +693,11 @@ INVALID_INPUTS = {
         "estimate --eta-td 0.5 {dir}/no_d2.csv", 3),
     "estimate_eta_td_tiny": (
         "estimate --eta-td 1e-300 --replicas 100 {dir}/counts.csv", 3),
+    "experiment_phase_inf": (
+        "simulate --config {dir}/phase_inf.conf --seed 1 --trials 10", 2),
+    "experiment_phase_nan": (
+        "simulate --config {dir}/phase_nan.conf --seed 1 --trials 10", 2),
+    "chain_loss_hr_nan": ("budget --config {dir}/loss_hr_nan.conf", 2),
 }
 
 
@@ -690,6 +705,8 @@ INVALID_INPUTS = {
 def test_invalid_inputs_leave_no_output(case, tmp_path, capsys):
     line, expected = INVALID_INPUTS[case]
     (tmp_path / "x.conf").write_text(_sample_conf())
+    for name, edits in EDITED_CONFS.items():
+        (tmp_path / f"{name}.conf").write_text(_sample_conf(**edits))
     write_counts_csv(tmp_path / "counts.csv", [CountsTable(
         settings=AngleSettings(0.0, 0.0), storage_time=0.0, n_pulses=1000,
         n_d1=7, n_d2=7, c13=1, c24=1, c14=0, c23=0)], {})
@@ -757,6 +774,8 @@ EXTREME_INPUTS = {
         "repeater-sweep --config {conf}"),
     "log_grid_overflow": (
         {}, 2, "repeater-sweep --preset fig8 --l-min 1e-320"),
+    "link_time_underflow": (
+        {}, 2, "repeater-sweep --preset fig8 --grid linear --l-min 1e-320"),
     "l_max_1e308": (
         {}, 0, "repeater-sweep --preset fig8 --l-max 1e308 --threshold 1e-4"),
 }

@@ -422,7 +422,7 @@ READER_FAULTS = {
         "{path}: line 2: more D1 coincidences than D1 singles"),
     "counts_negative": (
         read_counts_csv, COUNTS_HEADER + "\n0,0,0,100,-1,1,0,0,0,0\n",
-        "{path}: line 2: n_d1 must be >= 0"),
+        "{path}: line 2: n_d1 = -1 must be finite and in [0, inf)"),
     "counts_invariant_after_good_row": (
         read_counts_csv, COUNTS_HEADER
         + "\n0,0,0,100,1,1,0,0,0,0\n0,0,0,10,9,9,0,0,0,0\n",

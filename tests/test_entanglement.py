@@ -64,6 +64,8 @@ def test_projection_joint_basis_rotation_symmetry():
 def test_projection_visibility_validation():
     with pytest.raises(ParameterError):
         projection_probs(AngleSettings(0.0, 0.0), visibility=1.5)
+    with pytest.raises(ParameterError, match="phase = inf"):
+        projection_probs(AngleSettings(0.0, 0.0), 0.9, phase=math.inf)
 
 
 def test_forward_no_excitation_no_noise():

@@ -216,6 +216,17 @@ def test_fidelity_is_affine_and_anchored():
         visibility_from_S(-0.1)
 
 
+def test_non_finite_scalar_inputs_are_rejected():
+    for eta_td in (math.nan, math.inf):
+        with pytest.raises(ParameterError, match="eta_td"):
+            intrinsic_retrieval_qubit(matched_table(), eta_td)
+    with pytest.raises(ParameterError, match="eta_as"):
+        retrieval_background_corrected(2e-4, 1.5e-3, 0.0, 0.0, 0.15,
+                                       math.nan)
+    with pytest.raises(ParameterError, match="S = nan"):
+        visibility_from_S(math.nan)
+
+
 def test_poisson_error_sigma_scales_with_counts():
     small = matched_table(n_d1=1000, n_d2=1000, c13=15, c24=15, c14=5, c23=5)
     big = matched_table(n_d1=100_000, n_d2=100_000, c13=1500, c24=1500,

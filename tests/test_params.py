@@ -1,12 +1,16 @@
 import math
+import re
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, strategies as st
 
-from dlczsim import (CycleTiming, DetectionChain, EnsembleGeometry,
-                     ParameterError, cavity_escape_efficiency,
-                     coupling_angle, repetition_rate,
-                     total_detection_efficiency)
+from dlczsim import (CycleTiming, DecayParams, DetectionChain,
+                     EnsembleGeometry, ExperimentParams, ParameterError,
+                     cavity_escape_efficiency, coupling_angle,
+                     repetition_rate, total_detection_efficiency)
+from dlczsim.errors import check_in
+from dlczsim.repeater import PRESET_HIGH_RETRIEVAL
 
 # Measured chain of the read-out channel
 MEASURED_CHAIN = DetectionChain(t_oc=0.20, cavity_loss=0.13, eta_smf=0.71,
@@ -35,6 +39,8 @@ def test_escape_efficiency_domain_errors():
         cavity_escape_efficiency(0.0, 0.1)
     with pytest.raises(ParameterError):
         cavity_escape_efficiency(0.2, -0.01)
+    with pytest.raises(ParameterError, match="t_oc"):
+        cavity_escape_efficiency(math.nan, 0.1)
 
 
 @given(st.floats(0.01, 1.0), st.floats(0.0, 0.9), st.floats(1e-6, 0.09))
@@ -157,3 +163,53 @@ def test_timing_validation():
         # run shorter than one trial
         CycleTiming(prep_duration=42e-3, run_duration=1e-9,
                     trial_period=2000e-9)
+
+
+def test_check_in_ends_and_non_finite_values():
+    for value, interval in ((0.0, "[0, 1)"), (1.0, "(0, 1]"),
+                            (math.inf, "(0, inf]"), (-1e308, "(-inf, 0)"),
+                            (7, "[1, inf)"), (2, "[2, 10]")):
+        check_in("x", value, interval)
+    for value, interval in ((0.0, "(0, 1]"), (1.0, "[0, 1)"),
+                            (math.inf, "(0, inf)"), (-math.inf, "(-inf, 0]"),
+                            (math.nan, "(-inf, inf)"), (math.nan, "(0, inf]"),
+                            (0, "[1, inf)"), (11, "[2, 10]")):
+        with pytest.raises(ParameterError):
+            check_in("x", value, interval)
+
+
+def test_check_in_message_names_the_field_and_says_finite():
+    with pytest.raises(ParameterError) as info:
+        check_in("fiber_speed", math.inf, "(0, inf)")
+    assert (str(info.value)
+            == "fiber_speed = inf must be finite and in (0, inf)")
+    with pytest.raises(ParameterError) as info:
+        check_in("tau0", math.nan, "(0, inf]")
+    assert str(info.value) == "tau0 = nan must be in (0, inf]"
+
+
+# A valid instance of each parameter class; its float fields are swept.
+VALID_PARAMETER_SETS = [
+    ExperimentParams(chi=0.01, noise_b=1e-5, noise_c=1e-4, eta_s=0.15,
+                     eta_as=0.15, v0=0.88, phase=0.3),
+    DecayParams(0.77, 1e-3),
+    MEASURED_CHAIN,
+    LAB_GEOMETRY,
+    CycleTiming(prep_duration=42e-3, run_duration=8e-3, trial_period=2e-6),
+    PRESET_HIGH_RETRIEVAL,
+]
+
+
+@pytest.mark.parametrize("base", VALID_PARAMETER_SETS,
+                         ids=lambda base: type(base).__name__)
+def test_every_float_field_rejects_nan_and_all_but_tau0_reject_inf(base):
+    names = [f.name for f in fields(base) if f.type == "float"]
+    assert names
+    for name in names:
+        with pytest.raises(ParameterError, match=re.escape(f"{name} = nan")):
+            replace(base, **{name: math.nan})
+        if name == "tau0":
+            assert getattr(replace(base, tau0=math.inf), name) == math.inf
+        else:
+            with pytest.raises(ParameterError, match=rf"{name} = inf.*finite"):
+                replace(base, **{name: math.inf})
