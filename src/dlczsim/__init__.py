@@ -13,10 +13,10 @@ from .entanglement import (AngleSettings, ForwardProbs, JointOutcomeProbs,
 from .engine import (CountsTable, ExperimentResult, TrialRecord,
                      exact_count_probs, iter_trial_records, run_experiment)
 from .estimators import (BellSettings, EstimateWithError, bell_S,
-                         bell_S_signed, correlation_E, fidelity_from_S,
-                         intrinsic_retrieval_mode, intrinsic_retrieval_qubit,
-                         poisson_error, retrieval_background_corrected,
-                         visibility_from_S)
+                         bell_S_signed, correlation_E, estimate_tables,
+                         fidelity_from_S, intrinsic_retrieval_mode,
+                         intrinsic_retrieval_qubit, poisson_error,
+                         retrieval_background_corrected, visibility_from_S)
 from .repeater import (RateBreakdown, RepeaterParams, calibrate_chi,
                        elementary_probs, swap_chain, sweep_distance,
                        threshold_crossing_distance)

@@ -16,40 +16,28 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .config import Config, load_config
-from .datafiles import (DECAY_COLUMNS, DECAY_SIGMA_COLUMN, fmt_value,
-                        read_counts_csv, read_decay_csv, write_counts_csv,
-                        write_csv, write_kv)
+from .datafiles import (DECAY_COLUMNS, DECAY_SIGMA_COLUMN, RECORDS_LIMIT,
+                        fmt_value, read_counts_csv, read_decay_csv,
+                        write_counts_csv, write_csv, write_kv,
+                        write_records_csv)
 from .decoherence import fit_decay, motional_lifetime
-from .engine import (CountsTable, TrialRecord, run_experiment,
+from .engine import (STREAM_VERSION, CountsTable, run_experiment,
                      trial_outcome_blocks)
 from .entanglement import AngleSettings
 from .errors import (DegenerateDataError, DegenerateStatisticsError,
                      FitConvergenceError, InsufficientDataError,
                      ParameterError, SchemaError, check_in)
-from .estimators import (BellSettings, EstimateWithError, bell_S_signed,
-                         correlation_E, fidelity_from_S,
-                         intrinsic_retrieval_mode, intrinsic_retrieval_qubit,
-                         poisson_error, visibility_from_S, REPLICAS_MAX,
-                         TWO_ROOT_TWO, matched_angles)
+from .estimators import (BellSettings, estimate_tables, fidelity_from_S,
+                         visibility_from_S, REPLICAS_MAX, TWO_ROOT_TWO)
 from .params import coupling_angle, repetition_rate
 from .repeater import (PRESETS, PRESET_CHI_SOURCE, SWEEP_MAX_STEPS,
                        sweep_distance, threshold_crossing_distance)
 
 OUTPUT_DIR_ENV = "DLCZSIM_OUT"
-RECORDS_LIMIT = 1_000_000  # per-trial CSVs above this are refused
-RECORDS_CHUNK = 1 << 14  # trials rendered per text chunk of --records
-_INDEX_DIGITS = len(str(RECORDS_LIMIT - 1))  # widest trial index of a record
-_ASCII_DIGITS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
-# Version of the engine's random streams, recorded in simulate provenance:
-# v3 draws one multinomial histogram per RNG block from the exact outcome
-# table; records are a seeded arrangement of that histogram.
-STREAM_VERSION = "v3"
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -94,14 +82,6 @@ def parse_angle_plan(spec: str) -> List[AngleSettings]:
     if not plan:
         raise ParameterError("empty angle plan")
     return plan
-
-
-def non_negative_int(text: str) -> int:
-    """argparse type of ``--seed``: a decimal integer >= 0."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
-    return value
 
 
 class _Artifacts:
@@ -204,9 +184,11 @@ def cmd_simulate(args) -> int:
             write_counts_csv(art.path(f"counts_t{ti:02d}_a{ai:02d}.csv"),
                              [table], prov)
             if args.records:
-                _write_records(art.path(f"trials_t{ti:02d}_a{ai:02d}.csv"),
-                               params, t, table.settings, args.trials,
-                               args.seed, ti, ai, cfg.double_pair, prov)
+                outcomes, blocks = trial_outcome_blocks(
+                    params, t, table.settings, args.trials, args.seed,
+                    setting_index=ai, double_pair=cfg.double_pair, run_tag=ti)
+                write_records_csv(art.path(f"trials_t{ti:02d}_a{ai:02d}.csv"),
+                                  t, outcomes, blocks, prov)
 
     art.finish(trials_per_setting=args.trials,
                storage_times_s=",".join(fmt_value(t) for t in t_list),
@@ -218,74 +200,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _write_records(path, params, t, angles, n_trials, seed, run_tag,
-                   setting_index, double_pair, provenance) -> None:
-    """Per-trial CSV in text chunks of at most ``RECORDS_CHUNK`` trials:
-    each row is the trial index followed by the pre-rendered cells of the
-    trial's outcome."""
-    outcomes, blocks = trial_outcome_blocks(
-        params, t, angles, n_trials, seed, setting_index=setting_index,
-        double_pair=double_pair, run_tag=run_tag)
-    kinds = (TrialRecord.from_outcome(0, t, o) for o in outcomes)
-    table = _tail_table(["".join(f",{fmt_value(v)}" for v in (
-        r.storage_time, r.stokes_click or "none", r.antistokes_click or "none",
-        r.pair_created)) + "\n" for r in kinds])
-
-    def chunks():
-        for first, draw in blocks:
-            trials = draw()
-            for lo in range(0, len(trials), RECORDS_CHUNK):
-                yield _render_rows(table, first + lo,
-                                   trials[lo:lo + RECORDS_CHUNK])
-
-    write_csv(path, "trials",
-              ("trial_index", "storage_time_s", "stokes_click",
-               "antistokes_click", "pair_created"), chunks(), provenance)
-
-
-def _tail_table(tails: Sequence[str]) -> np.ndarray:
-    """Row tails as ASCII bytes, one row per outcome, NUL-padded on the
-    left by room for the trial index and on the right to the longest."""
-    encoded = [tail.encode("ascii") for tail in tails]
-    table = np.zeros((len(encoded), _INDEX_DIGITS + max(map(len, encoded))),
-                     dtype=np.uint8)
-    for row, tail in zip(table, encoded):
-        row[_INDEX_DIGITS:_INDEX_DIGITS + len(tail)] = np.frombuffer(
-            tail, dtype=np.uint8)
-    return table
-
-
-def _render_rows(table: np.ndarray, start: int, trials: np.ndarray) -> str:
-    """The rows ``f"{start + i}{tails[trials[i]]}"`` as one string, where
-    ``table`` is ``_tail_table(tails)`` and every index is below
-    ``RECORDS_LIMIT``. The index digits fill the room left of the gathered
-    tails, and every NUL byte (a digit the index lacks, or tail padding) is
-    dropped."""
-    n = len(trials)
-    width = len(str(start + n - 1))
-    rows = table[:, _INDEX_DIGITS - width:].take(trials, axis=0)
-    for j in range(width):
-        rows[:, j] = _digit_column(start, n, 10 ** (width - 1 - j))
-    return rows.tobytes().replace(b"\0", b"").decode("ascii")
-
-
-def _digit_column(start: int, n: int, place: int) -> np.ndarray:
-    """ASCII digit at ``place`` (a power of ten) of each index ``start``,
-    ..., ``start + n - 1``; NUL where the index has no digit there.
-
-    Consecutive indices keep a digit for runs of ``place``, so the column
-    repeats one digit per run and divides nothing per index.
-    """
-    skip = start % place
-    runs = (skip + n - 1) // place + 1
-    first = start // place % 10
-    digits = np.tile(_ASCII_DIGITS, (first + runs - 1) // 10 + 1)[
-        first:first + runs]
-    if 1 < place and start < place:  # the first run lies below ``place``
-        digits[0] = 0
-    return np.repeat(digits, place)[skip:skip + n]
-
-
 def _eta_td_for_estimate(args, cfg: Optional[Config]) -> float:
     if args.eta_td is not None:
         check_in("--eta-td", args.eta_td, "(0, 1]")
@@ -294,20 +208,6 @@ def _eta_td_for_estimate(args, cfg: Optional[Config]) -> float:
         return cfg.chain.eta_td
     raise ParameterError(
         "estimate needs --eta-td or a config with a 'chain' section")
-
-
-def _table_estimators(tb: CountsTable, eta_td: float) -> Dict[str, Callable]:
-    """The estimators ``estimate`` reports for one table, by entry name:
-    E when it has coincidences, the retrievals at matched angles."""
-    estimators = {}
-    if tb.matched + tb.crossed > 0:
-        estimators["E"] = correlation_E
-    if matched_angles(tb):
-        estimators.update(
-            r_qubit=lambda c: intrinsic_retrieval_qubit(c, eta_td),
-            r_l=lambda c: intrinsic_retrieval_mode(c, "L", eta_td),
-            r_r=lambda c: intrinsic_retrieval_mode(c, "R", eta_td))
-    return estimators
 
 
 def cmd_estimate(args) -> int:
@@ -327,43 +227,28 @@ def cmd_estimate(args) -> int:
     art.provenance.update({"inputs_hash": inputs_hash, "eta_td": eta_td,
                            "replicas": args.replicas})
 
-    # One Poisson draw per group, shared by its estimators: a CHSH set is
-    # drawn once, for S and its tables' E together, any other input once
-    # per table.
-    estimators = [_table_estimators(tb, eta_td) for tb in tables]
-    try:
-        bell_S_signed(tables)
-    except ParameterError:
-        groups, chsh = [[i] for i in range(len(tables))], False
-    else:
-        groups, chsh = [range(len(tables))], True
-    results: Dict[Tuple[Optional[int], str], EstimateWithError] = {}
-    for group in groups:
-        named = {(i, name): (lambda tbs, e=e, k=k: e(tbs[k]))
-                 for k, i in enumerate(group)
-                 for name, e in estimators[i].items()}
-        if chsh:
-            named[None, "S"] = lambda tbs: abs(bell_S_signed(tbs))
-        results.update(zip(named, poisson_error(
-            tuple(named.values()), [tables[i] for i in group],
-            n_replicas=args.replicas, seed=args.seed)))
+    results = estimate_tables(tables, eta_td, n_replicas=args.replicas,
+                              seed=args.seed)
+    per_table = [{} for _ in tables]
+    for (i, name), est in results.items():
+        if i is not None:
+            per_table[i][name] = est
 
     entries: Dict[str, object] = {"eta_td": eta_td}
     retrieval_rows: List[Tuple[float, float, float]] = []
-    for i, tb in enumerate(tables):
+    for i, (tb, estimates) in enumerate(zip(tables, per_table)):
         tag = f"table{i:02d}"
         entries[f"{tag}.theta_s_deg"] = math.degrees(tb.settings.theta_s)
         entries[f"{tag}.theta_as_deg"] = math.degrees(tb.settings.theta_as)
         entries[f"{tag}.storage_time_s"] = tb.storage_time
-        for name in estimators[i]:
-            entries[f"{tag}.{name}"] = results[i, name].value
-            entries[f"{tag}.{name}_sigma"] = results[i, name].sigma
-        if "r_qubit" in estimators[i]:
-            r_qubit = results[i, "r_qubit"]
-            retrieval_rows.append((tb.storage_time, r_qubit.value,
-                                   r_qubit.sigma))
+        for name, est in estimates.items():
+            entries[f"{tag}.{name}"] = est.value
+            entries[f"{tag}.{name}_sigma"] = est.sigma
+        if "r_qubit" in estimates:
+            r = estimates["r_qubit"]
+            retrieval_rows.append((tb.storage_time, r.value, r.sigma))
 
-    entries["s.available"] = chsh
+    chsh = entries["s.available"] = (None, "S") in results
     if chsh:
         s_est = results[None, "S"]
         entries["s.value"] = s_est.value
@@ -500,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run the Monte Carlo engine")
     common(p, report=False)
-    p.add_argument("--seed", type=non_negative_int, required=True,
+    p.add_argument("--seed", type=int, required=True,
                    help="RNG seed (required for reproducible runs)")
     p.add_argument("--trials", type=int, required=True,
                    help="write trials per analyzer setting")
@@ -517,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="estimators on counts CSV files")
     common(p)
-    p.add_argument("--seed", type=non_negative_int, default=0,
+    p.add_argument("--seed", type=int, default=0,
                    help="RNG seed of the error-bar replicas (default 0)")
     p.add_argument("counts", nargs="+", help="counts CSV files")
     p.add_argument("--eta-td", type=float, default=None,

@@ -148,8 +148,7 @@ def _brent(f, a, x, b, fx, max_iter):
         f"decay fit did not converge within {max_iter} iterations")
 
 
-def fit_decay(samples: Sequence[Sequence[float]], *,
-              max_iter: int = FIT_MAX_ITER) -> Tuple[DecayParams, float]:
+def fit_decay(samples: Sequence[Sequence[float]]) -> Tuple[DecayParams, float]:
     """Least-squares fit of (t, R[, sigma]) samples to the decay model.
 
     Returns the fitted parameters and the minimized (weighted) sum of
@@ -157,7 +156,7 @@ def fit_decay(samples: Sequence[Sequence[float]], *,
     r0 in closed form (clipped to [0, 1], where the objective is a convex
     quadratic in r0), and the fit is a search over log tau0 alone: a grid
     over tau0 in [t_max/100, 100 t_max], a walk past the grid's edge while
-    the objective keeps falling, then Brent's method (``max_iter`` steps).
+    the objective falls, then Brent's method (``FIT_MAX_ITER`` steps).
     Flat or rising data fit best in the limit tau0 -> inf, the model r0 at
     every sample: when that limit is no worse than the best finite tau0,
     tau0 is reported as inf. A walk that reaches the limit's objective
@@ -218,7 +217,7 @@ def fit_decay(samples: Sequence[Sequence[float]], *,
             if fx == f_inf:  # the walk reached the limit's objective
                 return DecayParams(r0_inf, math.inf), f_inf
             a, b = sorted((inner, out))
-        x, _ = _brent(objective, a, x, b, fx, max_iter)
+        x, _ = _brent(objective, a, x, b, fx, FIT_MAX_ITER)
         r0, fx = best_r0(shape(s / math.exp(x)))
     if f_inf <= fx:
         return DecayParams(r0_inf, math.inf), f_inf

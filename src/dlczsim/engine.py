@@ -31,6 +31,9 @@ from .params import CycleTiming, ExperimentParams
 
 # Trials per RNG block. Fixed: changing it changes sampled streams.
 BLOCK_TRIALS = 1 << 20
+# Version of the random streams, in simulate provenance. v3: a multinomial
+# histogram per RNG block; records are a seeded arrangement of it.
+STREAM_VERSION = "v3"
 
 # Draw roles of _decide_one's uniforms. Roles 9-12 exist only when
 # double-pair sampling is enabled.

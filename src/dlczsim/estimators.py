@@ -12,7 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -242,6 +242,7 @@ def poisson_error(estimator: Callable | Tuple[Callable, ...], counts, *,
     """
     several = isinstance(estimator, tuple)
     estimators = estimator if several else (estimator,)
+    check_in("seed", seed, "[0, inf)")
     check_in("n_replicas", n_replicas, f"[100, {REPLICAS_MAX}]")
     single = not isinstance(counts, (list, tuple))
     tables = [counts] if single else list(counts)
@@ -283,3 +284,41 @@ def poisson_error(estimator: Callable | Tuple[Callable, ...], counts, *,
                 f"estimate {value!r} with spread {sigma!r} is not finite")
         estimates.append(EstimateWithError(value=value, sigma=sigma))
     return estimates if several else estimates[0]
+
+
+def estimate_tables(tables: Sequence[CountsTable], eta_td: float, *,
+                    n_replicas: int = 10_000, seed: int = 0
+                    ) -> Dict[Tuple[Optional[int], str], EstimateWithError]:
+    """The estimates of each table, keyed (table index, name): "E" when it
+    has coincidences, and "r_qubit", "r_l" and "r_r" at matched angles;
+    plus (None, "S") when the tables are a CHSH set.
+
+    Estimators share a Poisson draw: a CHSH set is drawn once, for S and
+    its tables' E together, any other input once per table, each with
+    ``seed``.
+    """
+    try:
+        bell_S_signed(tables)
+    except ParameterError:
+        groups, chsh = [[i] for i in range(len(tables))], False
+    else:
+        groups, chsh = [range(len(tables))], True
+
+    def on(k, e, *args):  # e on the k-th table of a group
+        return lambda tbs: e(tbs[k], *args)
+    results = {}
+    for group in groups:
+        named = {}
+        for k, i in enumerate(group):
+            if tables[i].matched + tables[i].crossed > 0:
+                named[i, "E"] = on(k, correlation_E)
+            if matched_angles(tables[i]):
+                named[i, "r_qubit"] = on(k, intrinsic_retrieval_qubit, eta_td)
+                named[i, "r_l"] = on(k, intrinsic_retrieval_mode, "L", eta_td)
+                named[i, "r_r"] = on(k, intrinsic_retrieval_mode, "R", eta_td)
+        if chsh:
+            named[None, "S"] = lambda tbs: abs(bell_S_signed(tbs))
+        results.update(zip(named, poisson_error(
+            tuple(named.values()), [tables[i] for i in group],
+            n_replicas=n_replicas, seed=seed)))
+    return results

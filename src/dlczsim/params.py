@@ -123,26 +123,16 @@ class ExperimentParams:
 
 @dataclass(frozen=True)
 class CycleTiming:
-    """Timing of one experimental cycle (preparation stage + trial run).
-
-    Pulse durations default to the standard trial anatomy: 300 ns write,
-    300 ns read, 200 ns clean pulse with a 1300 ns interval before it.
-    """
+    """Timing of one experimental cycle (preparation stage + trial run)."""
 
     prep_duration: float            # cold-atom preparation stage, s
     run_duration: float             # trial-run stage, s
     trial_period: float             # write-to-write delay, s
-    write_duration: float = 300e-9
-    read_duration: float = 300e-9
-    clean_duration: float = 200e-9
-    interval: float = 1300e-9
 
     def __post_init__(self):
         check_in("run_duration", self.run_duration, "(0, inf)")
         check_in("trial_period", self.trial_period, "(0, inf)")
-        for name in ("prep_duration", "write_duration", "read_duration",
-                     "clean_duration", "interval"):
-            check_in(name, getattr(self, name), "[0, inf)")
+        check_in("prep_duration", self.prep_duration, "[0, inf)")
         if self.trials_per_run < 1:
             raise ParameterError(
                 "run_duration shorter than one trial_period")

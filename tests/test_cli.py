@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from dlczsim import (AngleSettings, CountsTable, bell_S, cli, correlation_E,
-                     engine, fidelity_from_S, fit_decay, visibility_from_S)
+                     datafiles, engine, estimators, fidelity_from_S,
+                     fit_decay, visibility_from_S)
 from dlczsim.cli import main
 from dlczsim.datafiles import (COUNTS_COLUMNS, read_counts_csv, read_kv,
                                write_counts_csv)
-from dlczsim.estimators import TWO_ROOT_TWO
+from dlczsim.estimators import TWO_ROOT_TWO, estimate_tables
 
 CONFIG = """\
 experiment.chi = 0.05
@@ -103,7 +104,7 @@ def test_lifetime_rejects_non_finite_geometry(key, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key", ["prep_duration", "run_duration",
-                                 "trial_period", "write_duration"])
+                                 "trial_period"])
 def test_simulate_rejects_non_finite_timing(key, tmp_path, capsys):
     sample = (Path(__file__).resolve().parents[1] / "sample.conf").read_text()
     line = next((ln for ln in sample.splitlines()
@@ -262,7 +263,8 @@ def test_records_bytes_do_not_depend_on_the_chunk_size(config, tmp_path,
     argv = ["simulate", "--config", config, "--seed", "3", "--trials",
             "5000", "--records"]
     assert main(argv + ["--out", str(tmp_path / "one")]) == 0
-    monkeypatch.setattr(cli, "RECORDS_CHUNK", 7)  # 715 chunks, the last short
+    # 715 chunks, the last short
+    monkeypatch.setattr(datafiles, "RECORDS_CHUNK", 7)
     assert main(argv + ["--out", str(tmp_path / "many")]) == 0
     name = "trials_t00_a00.csv"
     assert ((tmp_path / "one" / name).read_bytes()
@@ -271,10 +273,12 @@ def test_records_bytes_do_not_depend_on_the_chunk_size(config, tmp_path,
 
 @pytest.mark.parametrize("start,n", [
     (0, 1), (0, 10), (9, 2), (99_990, 20), (3, 9_000),
-    (cli.RECORDS_LIMIT - 1, 1), (cli.RECORDS_LIMIT - 1_234, 1_234),
-    (cli.RECORDS_LIMIT - cli.RECORDS_CHUNK, cli.RECORDS_CHUNK)])
+    (datafiles.RECORDS_LIMIT - 1, 1),
+    (datafiles.RECORDS_LIMIT - 1_234, 1_234),
+    (datafiles.RECORDS_LIMIT - datafiles.RECORDS_CHUNK,
+     datafiles.RECORDS_CHUNK)])
 def test_records_renderer_matches_the_row_join(start, n):
-    # tails as _write_records builds them, of unequal widths
+    # tails as write_records_csv builds them, of unequal widths
     tails = [f",0.00105,{s},{a},{p}\n" for s in ("none", "D1", "D1D2")
              for a in ("none", "D3", "D3D4") for p in (0, 1)][:14]
     rng = np.random.default_rng(start + n)
@@ -283,7 +287,7 @@ def test_records_renderer_matches_the_row_join(start, n):
     trials[0], trials[-1] = np.argmax(widths), np.argmin(widths)
     expected = "".join(f"{i}{tails[k]}" for i, k in
                        enumerate(trials.tolist(), start=start))
-    got = cli._render_rows(cli._tail_table(tails), start, trials)
+    got = datafiles._render_rows(datafiles._tail_table(tails), start, trials)
     assert got.splitlines(True) == expected.splitlines(True)
 
 
@@ -380,8 +384,8 @@ def test_estimate_draws_a_chsh_set_once_and_other_tables_each(
     def poisson_error(estimators, counts, **kwargs):
         drawn.append(len(counts))
         return real(estimators, counts, **kwargs)
-    real = cli.poisson_error
-    monkeypatch.setattr(cli, "poisson_error", poisson_error)
+    real = estimators.poisson_error
+    monkeypatch.setattr(estimators, "poisson_error", poisson_error)
     files = _chsh_counts(config, tmp_path, 1000, seed=3)
     estimate = ["estimate", "--eta-td", "0.5", "--replicas", "100"]
     assert main(estimate + files + ["--out", str(tmp_path / "chsh")]) == 0
@@ -389,6 +393,34 @@ def test_estimate_draws_a_chsh_set_once_and_other_tables_each(
     drawn.clear()
     assert main(estimate + files[:3] + ["--out", str(tmp_path / "three")]) == 0
     assert drawn == [1, 1, 1]
+
+
+def test_estimates_kv_reports_estimate_tables_bit_for_bit(config, tmp_path):
+    chsh = _chsh_counts(config, tmp_path, 20_000, seed=5)
+    out = tmp_path / "matched"
+    assert main(["simulate", "--config", config, "--seed", "6", "--trials",
+                 "200000", "--t", "0,0.00054", "--out", str(out)]) == 0
+    matched = sorted(str(p) for p in out.glob("counts_*.csv"))
+    for files in (chsh, matched + chsh[:1]):
+        est = tmp_path / f"est{len(files)}"
+        assert main(["estimate", *files, "--eta-td", "0.5", "--seed", "4",
+                     "--replicas", "500", "--out", str(est)]) == 0
+        report = kv_floats(est / "estimates.kv")
+        reported = {key: value for key, value in report.items()
+                    if key in ("s.value", "s.sigma") or key.startswith(
+                        "table") and not key.endswith(("_deg", "_time_s"))}
+        tables = [tb for name in files for tb in read_counts_csv(name)[0]]
+        expected = {}
+        for (i, name), e in estimate_tables(tables, 0.5, n_replicas=500,
+                                            seed=4).items():
+            if i is None:
+                expected.update({"s.value": e.value, "s.sigma": e.sigma})
+            else:
+                expected.update({f"table{i:02d}.{name}": e.value,
+                                 f"table{i:02d}.{name}_sigma": e.sigma})
+        assert reported == expected
+        assert ("s.value" in reported) == (files is chsh)
+        assert ("table00.r_qubit" in reported) == (files is not chsh)
 
 
 def test_chsh_e_sigma_matches_delta_method_at_bell_point(tmp_path):
@@ -665,6 +697,7 @@ EDITED_CONFS = {
     "phase_inf": {"experiment__phase": "inf"},
     "phase_nan": {"experiment__phase": "nan"},
     "loss_hr_nan": {"chain__loss__hr": "nan"},
+    "write_duration": {"timing__write_duration": "3e-7"},
 }
 
 # Invalid command lines that fail before any output: the exit code each
@@ -698,6 +731,9 @@ INVALID_INPUTS = {
     "experiment_phase_nan": (
         "simulate --config {dir}/phase_nan.conf --seed 1 --trials 10", 2),
     "chain_loss_hr_nan": ("budget --config {dir}/loss_hr_nan.conf", 2),
+    "timing_write_duration_unknown": (
+        "simulate --config {dir}/write_duration.conf --seed 1 --trials 10",
+        2),
 }
 
 
@@ -715,14 +751,10 @@ def test_invalid_inputs_leave_no_output(case, tmp_path, capsys):
         n_d1=1, n_d2=0, c13=0, c24=0, c14=0, c23=0)], {})
     argv = line.format(conf=tmp_path / "x.conf", dir=tmp_path).split()
     out = tmp_path / "out"
-    try:
-        code = main(argv + ["--out", str(out)])
-    except SystemExit as exc:  # argparse rejects the value
-        code = exc.code
+    code = main(argv + ["--out", str(out)])  # no case is argparse's to reject
     err = capsys.readouterr().err
     assert code == expected
-    assert "Traceback" not in err
-    assert len([ln for ln in err.splitlines() if "error:" in ln]) == 1
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert not out.exists()
 
 

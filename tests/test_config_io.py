@@ -75,7 +75,12 @@ def test_load_full_config(config_file):
     assert math.fsum(cfg.chain.loss_items.values()) == pytest.approx(0.13)
     assert cfg.geometry.f_btd == 2.0
     assert cfg.timing.trials_per_run == 4000
-    assert cfg.timing.write_duration == 300e-9  # default pulse anatomy
+    pulse = config_file.with_name("pulse.conf")  # no pulse-duration keys
+    for key in ("write_duration", "read_duration", "clean_duration",
+                "interval"):
+        pulse.write_text(FULL_CONFIG + f"timing.{key} = 3e-7\n")
+        with pytest.raises(ConfigError, match=f"unknown key 'timing.{key}'"):
+            load_config(pulse)
     assert cfg.repeater.n_links == 16
     assert cfg.double_pair is False
     digest = hashlib.sha256(config_file.read_bytes()).hexdigest()
@@ -190,10 +195,6 @@ CONFIG_KEYS = {
     "timing.prep_duration": ("float", REQUIRED),
     "timing.run_duration": ("float", REQUIRED),
     "timing.trial_period": ("float", REQUIRED),
-    "timing.write_duration": ("float", "300e-9"),
-    "timing.read_duration": ("float", "300e-9"),
-    "timing.clean_duration": ("float", "200e-9"),
-    "timing.interval": ("float", "1300e-9"),
     "engine.double_pair": ("bool", "false"),
     "repeater.nest_level": ("int", REQUIRED),
     "repeater.modes": ("int", REQUIRED),

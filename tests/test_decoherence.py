@@ -181,10 +181,11 @@ def test_fit_input_validation():
         fit_decay([(0.0, 0.7, 0.01), (1e-3, 0.5), (2e-3, 0.3, 0.01)])
 
 
-def test_fit_iteration_budget():
+def test_fit_iteration_budget(monkeypatch):
     samples = _model_samples(0.5, 2e-3, np.linspace(0.0, 6e-3, 12))
+    monkeypatch.setattr(decoherence, "FIT_MAX_ITER", 1)
     with pytest.raises(FitConvergenceError):
-        fit_decay(samples, max_iter=1)
+        fit_decay(samples)
 
 
 def _fit_outcome(samples):

@@ -14,10 +14,10 @@ from dlczsim import (AngleSettings, BellSettings, DecayParams,
                      intrinsic_retrieval_qubit, poisson_error,
                      projection_probs, retrieval_background_corrected,
                      visibility_from_S)
-from dlczsim.cli import _table_estimators
 from dlczsim.config import DEFAULT_VISIBILITY
 from dlczsim.engine import CountsTable
-from dlczsim.estimators import MATCHED_ANGLE_TOL, REPLICAS_MAX
+from dlczsim.estimators import (MATCHED_ANGLE_TOL, REPLICAS_MAX,
+                                estimate_tables)
 
 DEG = math.radians
 TWO_ROOT_TWO = 2.0 * math.sqrt(2.0)
@@ -45,6 +45,14 @@ def proj_table(theta_s, theta_as, visibility, n=40_000, n_pulses=10_000_000,
 
 def canonical_proj_tables(visibility, n=40_000):
     return [proj_table(ts, tas, visibility, n=n)
+            for ts, tas in BellSettings.canonical().combinations]
+
+
+def chsh_tables():
+    """Integer-count tables of the four canonical CHSH settings."""
+    return [CountsTable(settings=AngleSettings(ts, tas), storage_time=0.0,
+                        n_pulses=100_000, n_d1=700, n_d2=720, c13=80,
+                        c24=70, c14=10, c23=12)
             for ts, tas in BellSettings.canonical().combinations]
 
 
@@ -286,6 +294,29 @@ def test_poisson_error_validates_replicas(monkeypatch):
                           seed=0)
 
 
+def test_negative_seed_is_a_parameter_error():
+    with pytest.raises(ParameterError, match="seed = -1"):
+        poisson_error(correlation_E, matched_table(), seed=-1)
+    with pytest.raises(ParameterError, match="seed = -1"):
+        bell_S(chsh_tables(), seed=-1)
+
+
+RETRIEVALS = ("r_qubit", "r_l", "r_r")
+
+
+@pytest.mark.parametrize("tables, keys", [
+    (chsh_tables(), [(0, "E"), (1, "E"), (2, "E"), (3, "E"), (None, "S")]),
+    ([matched_table(c14=20, c23=25)],
+     [(0, "E")] + [(0, name) for name in RETRIEVALS]),
+    ([matched_table(c13=0, c24=0)], [(0, name) for name in RETRIEVALS]),
+    (chsh_tables()[:3] + [matched_table()],
+     [(0, "E"), (1, "E"), (2, "E"), (3, "E")]
+     + [(3, name) for name in RETRIEVALS]),
+], ids=["chsh_set", "matched", "matched_no_coincidences", "mixed"])
+def test_estimate_tables_keys(tables, keys):
+    assert list(estimate_tables(tables, 0.5, n_replicas=100)) == keys
+
+
 def test_poisson_error_degenerate_statistics():
     # about e^-2 of the replicas of (1, 1, 0, 0) lose every coincidence
     table = matched_table(c13=1, c24=1)
@@ -403,7 +434,8 @@ def test_matched_angle_tolerance_sets_estimators_and_draw(
     table = CountsTable(settings=AngleSettings(0.3, 0.3 + offset),
                         storage_time=0.0, n_pulses=1_000_000, n_d1=5000,
                         n_d2=5000, c13=578, c24=577, c14=20, c23=25)
-    assert set(_table_estimators(table, 0.5)) == names
+    assert {name for _, name in estimate_tables(
+        [table], 0.5, n_replicas=100)} == names
 
     sizes = []
     real_rng = np.random.default_rng
