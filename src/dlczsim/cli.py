@@ -331,12 +331,12 @@ def cmd_repeater_sweep(args) -> int:
             params, args.l_min, args.l_max, args.steps, grid=args.grid,
             approx_multiplex=args.approx_multiplex)
         head = f"{label},{params.r0!r}"
-        for distance, bd in points:
-            t_final = bd.stage_times[-1] if bd.stage_times else math.nan
+        for distance, (t_cc, p0, p0_n, _, stages, p_pr, rate, underflow,
+                       _) in points:
+            t_final = stages[-1] if stages else math.nan
             rows.append(
-                f"{head},{distance!r},{bd.rate!r},{bd.t_cc!r},{bd.p0!r},"
-                f"{bd.p0_multiplexed!r},{bd.p_pr!r},{t_final!r},"
-                f"{fmt_value(bd.underflow)}\n")
+                f"{head},{distance!r},{rate!r},{t_cc!r},{p0!r},{p0_n!r},"
+                f"{p_pr!r},{t_final!r},{fmt_value(underflow)}\n")
         entries[f"{label}.r0"] = params.r0
         entries[f"{label}.chi"] = params.chi
         entries[f"{label}.link_divisor"] = params.link_divisor

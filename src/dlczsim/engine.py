@@ -26,7 +26,7 @@ import numpy as np
 
 from .entanglement import AngleSettings, projection_probs
 from .decoherence import retrieval_decay
-from .errors import ParameterError, check_in
+from .errors import ParameterError, check_in, check_seed
 from .params import CycleTiming, ExperimentParams
 
 # Trials per RNG block. Fixed: changing it changes sampled streams.
@@ -189,42 +189,40 @@ def _decide_one(model: _TrialModel, u: Sequence[float]):
     return s_click, s_d1, as_click, as_d3, pair1
 
 
-class _Draw:
-    """``u[role]`` of a :class:`_Probe`: comparing it asks the probe."""
-
-    def __init__(self, probe: "_Probe", role: int):
-        self.probe, self.role = probe, role
-
-    def __lt__(self, cut: float) -> bool:
-        return self.probe.below(self.role, cut)
-
-
-class _Probe:
-    """Interval-valued stand-in for the uniforms fed to :func:`_decide_one`.
+class _Cell:
+    """The box of uniforms that :func:`_cells` is currently splitting.
 
     Each role starts on [0, 1). A cut inside a role's interval splits it:
-    the branch comes from ``path`` ("below" past its end), and the cell's
+    the branch comes from ``path`` ("below" past its end), and the box's
     weight shrinks by that branch's share of the interval.
     """
 
-    def __init__(self, n_cols: int, path: Sequence[bool]):
-        self.lo, self.hi = [0.0] * n_cols, [1.0] * n_cols
-        self.path, self.splits, self.weight = list(path), 0, 1.0
+    __slots__ = ("lo", "hi", "path", "splits", "weight")
 
-    def __getitem__(self, role: int) -> _Draw:
-        return _Draw(self, role)
 
-    def below(self, role: int, cut: float) -> bool:
-        lo, hi = self.lo[role], self.hi[role]
+class _Draw:
+    """``u[role]`` of the :class:`_Cell` being split: comparing it with a
+    cut returns the branch and narrows the cell."""
+
+    __slots__ = ("cell", "role")
+
+    def __init__(self, cell: _Cell, role: int):
+        self.cell, self.role = cell, role
+
+    def __lt__(self, cut: float) -> bool:
+        cell, role = self.cell, self.role
+        lo, hi = cell.lo[role], cell.hi[role]
         if not lo < cut < hi:
             return cut >= hi
-        if self.splits == len(self.path):
-            self.path.append(True)
-        taken = self.path[self.splits]
-        self.splits += 1
-        self.weight *= ((cut - lo) if taken else (hi - cut)) / (hi - lo)
-        (self.hi if taken else self.lo)[role] = cut
-        return taken
+        splits = cell.splits
+        cell.splits = splits + 1
+        if splits < len(cell.path) and not cell.path[splits]:
+            cell.weight *= (hi - cut) / (hi - lo)
+            cell.lo[role] = cut
+            return False
+        cell.weight *= (cut - lo) / (hi - lo)
+        cell.hi[role] = cut
+        return True
 
 
 def _cells(model: _TrialModel) -> Iterator[tuple]:
@@ -233,14 +231,18 @@ def _cells(model: _TrialModel) -> Iterator[tuple]:
     Yields ``(outcome, probability, lo, hi)`` per box, depth first, so the
     order is deterministic. Every box has positive probability.
     """
+    n_cols, cell = model.n_cols, _Cell()
+    draws = [_Draw(cell, role) for role in range(n_cols)]
     pending: List[Tuple[bool, ...]] = [()]
     while pending:
         path = pending.pop()
-        probe = _Probe(model.n_cols, path)
-        outcome = tuple(bool(v) for v in _decide_one(model, probe))
-        for depth in range(len(path), probe.splits):
-            pending.append(tuple(probe.path[:depth]) + (False,))
-        yield outcome, probe.weight, probe.lo, probe.hi
+        cell.lo, cell.hi = [0.0] * n_cols, [1.0] * n_cols
+        cell.path, cell.splits, cell.weight = path, 0, 1.0
+        outcome = _decide_one(model, draws)  # a tuple of bools
+        # every split past the path went "below"; queue each one's other side
+        for extra in range(cell.splits - len(path)):
+            pending.append(path + (True,) * extra + (False,))
+        yield outcome, cell.weight, cell.lo, cell.hi
 
 
 @lru_cache(maxsize=64)
@@ -319,6 +321,7 @@ def trial_outcome_blocks(params: ExperimentParams, t: float,
     histogram :func:`run_experiment` counts for the same block.
     """
     check_in("n_trials", n_trials, "[1, inf)")
+    check_seed(seed)
     outcomes, probs = _outcome_table(
         _trial_model(params, t, angles, double_pair))
     blocks = ((block * BLOCK_TRIALS, partial(_block_arrangement, probs, seed,
@@ -342,7 +345,7 @@ def run_experiment(params: ExperimentParams, timing: CycleTiming, t: float,
     if not angle_list:
         raise ParameterError("angle_list must contain at least one setting")
     check_in("n_trials_per_setting", n_trials_per_setting, "[1, inf)")
-    check_in("seed", seed, "[0, inf)")
+    check_seed(seed)
 
     tables = []
     for s_idx, angles in enumerate(angle_list):

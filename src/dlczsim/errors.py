@@ -1,11 +1,13 @@
 """Exception types shared across the package, the interval check of
-scalar parameters and the UTF-8 decoding of input files that raise them.
+scalar parameters, the seed check and the UTF-8 decoding of input files
+that raise them.
 
 The CLI maps these onto exit codes: parameter/schema problems are exit 2,
 numeric failures (fits, degenerate statistics) exit 3, I/O errors exit 4.
 """
 
 import math
+import operator
 
 
 class DlczError(Exception):
@@ -50,6 +52,17 @@ def check_in(name: str, value, interval: str) -> None:
         finite = "" if hi_closed and hi == math.inf else "finite and "
         raise ParameterError(
             f"{name} = {value!r} must be {finite}in {interval}")
+
+
+def check_seed(seed) -> None:
+    """Raise :class:`ParameterError` unless ``seed`` is an integer (any
+    type with ``__index__``, as numpy's) in [0, inf)."""
+    try:
+        operator.index(seed)
+    except TypeError:
+        raise ParameterError(
+            f"seed = {seed!r} must be an integer in [0, inf)") from None
+    check_in("seed", seed, "[0, inf)")
 
 
 def decode_utf8(data: bytes, path, error: type) -> str:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .engine import CountsTable
 from .errors import (DegenerateStatisticsError, InsufficientDataError,
-                     ParameterError, check_in)
+                     ParameterError, check_in, check_seed)
 
 TWO_ROOT_TWO = 2.0 * math.sqrt(2.0)
 REPLICAS_MAX = 1_000_000  # at most 5 int64 draws a replica per table
@@ -242,7 +242,7 @@ def poisson_error(estimator: Callable | Tuple[Callable, ...], counts, *,
     """
     several = isinstance(estimator, tuple)
     estimators = estimator if several else (estimator,)
-    check_in("seed", seed, "[0, inf)")
+    check_seed(seed)
     check_in("n_replicas", n_replicas, f"[100, {REPLICAS_MAX}]")
     single = not isinstance(counts, (list, tuple))
     tables = [counts] if single else list(counts)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .errors import FitConvergenceError, ParameterError, check_in
 
@@ -71,9 +71,9 @@ class RepeaterParams:
         return self.distance / self.n_links
 
 
-@dataclass(frozen=True)
-class RateBreakdown:
-    """Every intermediate quantity of one rate evaluation."""
+class RateBreakdown(NamedTuple):
+    """Every intermediate quantity of one rate evaluation, as an immutable
+    record; ``bd._replace(field=...)`` gives a changed copy."""
 
     t_cc: float                    # classical link communication time, s
     p0: float                      # single-mode elementary success
@@ -91,26 +91,64 @@ def elementary_probs(p: RepeaterParams, *,
                      approx_multiplex: bool = False
                      ) -> Tuple[float, float, float]:
     """(T_cc, P0, P0^(N)) for one elementary link, at ``distance``
-    (default ``p.distance``).
+    (default ``p.distance``): the first three fields of :func:`swap_chain`.
 
     P0 = chi^2 exp(-L0/L_att) eta_FC^2 eta_TD^2 / 2; the 1/2 accounts for
     double-excitation events. The multiplexed probability is the exact
     1 - (1 - P0)^N unless ``approx_multiplex`` asks for the N*P0 form.
     """
-    l0 = (p.distance if distance is None else distance) / p.n_links
-    t_cc = l0 / p.fiber_speed
-    if not t_cc > 0.0:  # plain comparison: this runs on every swap_chain
-        raise ParameterError(f"link length {l0!r} m at fiber_speed "
-                             f"{p.fiber_speed!r} m/s gives a link time of 0")
-    p0 = (p.chi ** 2 * math.exp(-l0 / p.attenuation_length)
-          * p.eta_fc ** 2 * p.eta_td ** 2) / 2.0
-    if p0 > 1.0:
-        raise ParameterError(f"elementary success probability {p0!r} > 1")
-    if approx_multiplex:
-        p0_n = min(p.modes * p0, 1.0)
-    else:
-        p0_n = -math.expm1(p.modes * math.log1p(-p0))
-    return t_cc, p0, p0_n
+    return tuple(swap_chain(p, distance=distance,
+                            approx_multiplex=approx_multiplex)[:3])
+
+
+def _rate_curve(p: RepeaterParams, approx_multiplex: bool = False
+                ) -> Callable[[float], RateBreakdown]:
+    """:func:`swap_chain` of one parameter set as a function of distance,
+    with ``p``'s constants read once."""
+    n_links, speed, att, modes = (p.n_links, p.fiber_speed,
+                                  p.attenuation_length, p.modes)
+    chi2, fc2, td2 = p.chi ** 2, p.eta_fc ** 2, p.eta_td ** 2
+    nest_level, tau0, r0_2 = p.nest_level, p.tau0, p.r0 ** 2
+    swap_factor = r0_2 * td2 / 2.0
+
+    def at(distance):
+        l0 = distance / n_links
+        t_cc = l0 / speed
+        if not t_cc > 0.0:  # plain comparison: this runs at every distance
+            raise ParameterError(f"link length {l0!r} m at fiber_speed "
+                                 f"{speed!r} m/s gives a link time of 0")
+        p0 = (chi2 * math.exp(-l0 / att) * fc2 * td2) / 2.0
+        if p0 > 1.0:
+            raise ParameterError(f"elementary success probability {p0!r} > 1")
+        if approx_multiplex:
+            p0_n = min(modes * p0, 1.0)
+        else:
+            p0_n = -math.expm1(modes * math.log1p(-p0))
+        swap_probs: List[float] = []
+        stage_times: List[float] = []
+        p_pr = rate = 0.0
+        underflow = True
+        if p0_n > 0.0:
+            t = t_cc / p0_n
+            stage_times.append(t)
+            for _ in range(nest_level):
+                if t / tau0 > UNDERFLOW_RATIO:
+                    break
+                p_j = swap_factor * math.exp(-2.0 * t / tau0)
+                if p_j <= 0.0:
+                    break
+                swap_probs.append(p_j)
+                t = t / p_j
+                stage_times.append(t)
+            else:
+                if not t / tau0 > UNDERFLOW_RATIO:
+                    p_pr = r0_2 * math.exp(-2.0 * t / tau0) / 2.0
+                    rate = (1.0 / t_cc) * p0_n * math.prod(swap_probs) * p_pr
+                    underflow = False
+        return RateBreakdown(t_cc, p0, p0_n, tuple(swap_probs),
+                             tuple(stage_times), p_pr, rate, underflow,
+                             n_links)
+    return at
 
 
 def swap_chain(p: RepeaterParams, *, distance: Optional[float] = None,
@@ -122,34 +160,8 @@ def swap_chain(p: RepeaterParams, *, distance: Optional[float] = None,
     When memory decay zeroes the rate, the breakdown is flagged
     ``underflow`` and keeps the stages reached so far.
     """
-    t_cc, p0, p0_n = elementary_probs(p, distance=distance,
-                                      approx_multiplex=approx_multiplex)
-    swap_probs: List[float] = []
-    stage_times: List[float] = []
-    p_pr = rate = 0.0
-    underflow = True
-    if p0_n > 0.0:
-        t = t_cc / p0_n
-        stage_times.append(t)
-        swap_factor = p.r0 ** 2 * p.eta_td ** 2 / 2.0
-        for _ in range(p.nest_level):
-            if t / p.tau0 > UNDERFLOW_RATIO:
-                break
-            p_j = swap_factor * math.exp(-2.0 * t / p.tau0)
-            if p_j <= 0.0:
-                break
-            swap_probs.append(p_j)
-            t = t / p_j
-            stage_times.append(t)
-        else:
-            if not t / p.tau0 > UNDERFLOW_RATIO:
-                p_pr = p.r0 ** 2 * math.exp(-2.0 * t / p.tau0) / 2.0
-                rate = (1.0 / t_cc) * p0_n * math.prod(swap_probs) * p_pr
-                underflow = False
-    return RateBreakdown(t_cc=t_cc, p0=p0, p0_multiplexed=p0_n,
-                         swap_probs=tuple(swap_probs),
-                         stage_times=tuple(stage_times), p_pr=p_pr,
-                         rate=rate, underflow=underflow, n_links=p.n_links)
+    return _rate_curve(p, approx_multiplex)(
+        p.distance if distance is None else distance)
 
 
 def _check_span(l_min: float, l_max: float) -> None:
@@ -177,9 +189,8 @@ def sweep_distance(p: RepeaterParams, l_min: float, l_max: float,
         raise ParameterError(
             f"distance grid on [{l_min!r}, {l_max!r}] leaves (0, inf)")
 
-    points = [(dist, swap_chain(p, distance=dist,
-                                approx_multiplex=approx_multiplex))
-              for dist in distances]
+    at = _rate_curve(p, approx_multiplex)
+    points = [(dist, at(dist)) for dist in distances]
     rates = [bd.rate for _, bd in points]
     monotone = all(a >= b for a, b in zip(rates, rates[1:]))
     return points, monotone
@@ -223,8 +234,10 @@ def threshold_crossing_distance(p: RepeaterParams, threshold: float,
     check_in("threshold", threshold, "(0, inf)")
     _check_span(l_min, l_max)
 
+    at = _rate_curve(p)
+
     def excess(distance):
-        return swap_chain(p, distance=distance).rate - threshold
+        return at(distance).rate - threshold
     return _find_root(excess, l_min, l_max, excess(l_min), excess(l_max))
 
 

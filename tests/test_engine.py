@@ -101,6 +101,79 @@ def test_outcome_table_is_exact_for_decide_one():
         assert np.all(np.abs(z) <= 4), (double_pair, z)
 
 
+class _ReferenceDraw:
+    """``u[role]`` of a :class:`_ReferenceProbe`: comparing it asks the
+    probe."""
+
+    def __init__(self, probe, role):
+        self.probe, self.role = probe, role
+
+    def __lt__(self, cut):
+        return self.probe.below(self.role, cut)
+
+
+class _ReferenceProbe:
+    """The interval-valued uniforms as first written: one probe and a new
+    draw object per comparison, for each cell."""
+
+    def __init__(self, n_cols, path):
+        self.lo, self.hi = [0.0] * n_cols, [1.0] * n_cols
+        self.path, self.splits, self.weight = list(path), 0, 1.0
+
+    def __getitem__(self, role):
+        return _ReferenceDraw(self, role)
+
+    def below(self, role, cut):
+        lo, hi = self.lo[role], self.hi[role]
+        if not lo < cut < hi:
+            return cut >= hi
+        if self.splits == len(self.path):
+            self.path.append(True)
+        taken = self.path[self.splits]
+        self.splits += 1
+        self.weight *= ((cut - lo) if taken else (hi - cut)) / (hi - lo)
+        (self.hi if taken else self.lo)[role] = cut
+        return taken
+
+
+def _reference_cells(model):
+    pending = [()]
+    while pending:
+        path = pending.pop()
+        probe = _ReferenceProbe(model.n_cols, path)
+        outcome = tuple(bool(v) for v in _decide_one(model, probe))
+        for depth in range(len(path), probe.splits):
+            pending.append(tuple(probe.path[:depth]) + (False,))
+        yield outcome, probe.weight, probe.lo, probe.hi
+
+
+REFERENCE_MODELS = {
+    "default": make_params(v0=DEFAULT_VISIBILITY),
+    "noise_free": make_params(noise_b=0.0, noise_c=0.0),
+    "chi_one": make_params(chi=1.0, noise_b=0.0),
+}
+
+
+@pytest.mark.parametrize("double_pair", [False, True])
+@pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
+def test_outcome_table_equals_the_replaying_probe(name, double_pair):
+    params = REFERENCE_MODELS[name]
+    for t in (0.0, 0.15e-3, 0.5e-3, 1.05e-3, 5e-3):
+        for theta_s, theta_as in ((0.0, 0.0), (0.0, 22.5), (45.0, 67.5)):
+            model = _trial_model(params, t, AngleSettings(DEG(theta_s),
+                                                          DEG(theta_as)),
+                                 double_pair)
+            reference = list(_reference_cells(model))
+            assert list(_cells(model)) == reference
+            probs = {}
+            for outcome, weight, _, _ in reference:
+                probs[outcome] = probs.get(outcome, 0.0) + weight
+            outcomes, table = _outcome_table(model)
+            assert outcomes == tuple(sorted(probs))
+            assert table.tobytes() == np.array(
+                [probs[o] for o in outcomes]).tobytes()
+
+
 @pytest.mark.parametrize("double_pair, angles, gaps", [
     # relative gap forward_count_probs / exact - 1 per count column
     # (n_d1, n_d2, c13, c24, c14, c23)
@@ -304,3 +377,22 @@ def test_double_pair_sampling_is_off_by_default():
     total = crossed + on.tables[0].c13 + on.tables[0].c24
     assert crossed > 0
     assert crossed / total < 0.05
+
+
+def test_seeds_must_be_non_negative_integers():
+    params = make_params()
+    with pytest.raises(ParameterError, match="seed = 1.5 must be an integer"):
+        run_experiment(params, TIMING, 0.0, [MATCHED], 1000, seed=1.5)
+    for seed in (1.5, -1):
+        with pytest.raises(ParameterError, match=f"seed = {seed}"):
+            trial_outcome_blocks(params, 0.0, MATCHED, 1000, seed)
+    plain = run_experiment(params, TIMING, 0.0, [MATCHED], 1000, seed=7)
+    assert run_experiment(params, TIMING, 0.0, [MATCHED], 1000,
+                          seed=np.int64(7)) == plain
+    outcomes, blocks = trial_outcome_blocks(params, 0.0, MATCHED, 1000, 7)
+    (_, draw), = blocks
+    numpy_outcomes, numpy_blocks = trial_outcome_blocks(
+        params, 0.0, MATCHED, 1000, np.int64(7))
+    (_, numpy_draw), = numpy_blocks
+    assert numpy_outcomes == outcomes
+    assert numpy_draw().tobytes() == draw().tobytes()

@@ -301,6 +301,14 @@ def test_negative_seed_is_a_parameter_error():
         bell_S(chsh_tables(), seed=-1)
 
 
+def test_fractional_seed_is_a_parameter_error():
+    with pytest.raises(ParameterError, match="seed = 1.5 must be an integer"):
+        poisson_error(correlation_E, matched_table(), seed=1.5)
+    plain = poisson_error(correlation_E, matched_table(), seed=7)
+    assert poisson_error(correlation_E, matched_table(),
+                         seed=np.int64(7)) == plain
+
+
 RETRIEVALS = ("r_qubit", "r_l", "r_r")
 
 

@@ -122,6 +122,20 @@ def test_sweep_two_points_equal_direct_calls():
     assert monotone
 
 
+def test_rate_breakdown_is_an_immutable_value_record():
+    p = make_params(chi=0.05)
+    points, _ = sweep_distance(p, 5e5, 1e6, 7)
+    distance, bd = points[3]
+    assert bd == swap_chain(p, distance=distance)
+    assert bd == swap_chain(replace(p, distance=distance))
+    with pytest.raises(AttributeError):
+        bd.rate = 0.0
+    dead = bd._replace(rate=0.0, underflow=True)
+    assert (dead.rate, dead.underflow) == (0.0, True)
+    assert dead[:6] == bd[:6] and dead.n_links == bd.n_links == 16
+    assert bd.rate > 0.0 and not bd.underflow
+
+
 def test_sweep_high_retrieval_curve_dominates():
     pts_high, _ = sweep_distance(PRESET_HIGH_RETRIEVAL, 1e5, 1.2e6, 40)
     pts_low, _ = sweep_distance(PRESET_LOW_RETRIEVAL, 1e5, 1.2e6, 40)
@@ -241,18 +255,18 @@ def _reference_swap_chain(p, approx_multiplex):
     swap_factor = p.r0 ** 2 * p.eta_td ** 2 / 2.0
     for _ in range(p.nest_level):
         if t / p.tau0 > UNDERFLOW_RATIO:
-            return replace(dead, swap_probs=tuple(swap_probs),
-                           stage_times=tuple(stage_times))
+            return dead._replace(swap_probs=tuple(swap_probs),
+                                 stage_times=tuple(stage_times))
         p_j = swap_factor * math.exp(-2.0 * t / p.tau0)
         if p_j <= 0.0:
-            return replace(dead, swap_probs=tuple(swap_probs),
-                           stage_times=tuple(stage_times))
+            return dead._replace(swap_probs=tuple(swap_probs),
+                                 stage_times=tuple(stage_times))
         swap_probs.append(p_j)
         t = t / p_j
         stage_times.append(t)
     if t / p.tau0 > UNDERFLOW_RATIO:
-        return replace(dead, swap_probs=tuple(swap_probs),
-                       stage_times=tuple(stage_times))
+        return dead._replace(swap_probs=tuple(swap_probs),
+                             stage_times=tuple(stage_times))
     p_pr = p.r0 ** 2 * math.exp(-2.0 * t / p.tau0) / 2.0
     rate = (1.0 / t_cc) * p0_n * math.prod(swap_probs) * p_pr
     return RateBreakdown(t_cc=t_cc, p0=p0, p0_multiplexed=p0_n,
@@ -369,13 +383,19 @@ def test_find_root_rejects_ends_without_a_sign_change(fa, fb):
 
 @pytest.fixture
 def swap_chain_calls(monkeypatch):
+    """Evaluations of the swap recursion: every ``swap_chain`` call and
+    every point a sweep or a crossing evaluates on its per-curve kernel."""
     calls = []
-    original = repeater.swap_chain
+    original = repeater._rate_curve
 
-    def counting(*args, **kwargs):
-        calls.append(None)
-        return original(*args, **kwargs)
-    monkeypatch.setattr(repeater, "swap_chain", counting)
+    def counting_curve(*args, **kwargs):
+        at = original(*args, **kwargs)
+
+        def counting(distance):
+            calls.append(None)
+            return at(distance)
+        return counting
+    monkeypatch.setattr(repeater, "_rate_curve", counting_curve)
     return calls
 
 
