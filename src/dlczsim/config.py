@@ -12,9 +12,8 @@ from __future__ import annotations
 import hashlib
 import inspect
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 from .errors import ConfigError, decode_utf8
 from .params import (CycleTiming, DecayParams, DetectionChain,
@@ -55,8 +54,7 @@ _KEYS: Dict[str, Dict[str, tuple]] = {
     for section, build in _BUILDERS.items()}
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(NamedTuple):
     """Parsed configuration; sections absent from the file are None."""
 
     path: str

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,8 +47,7 @@ _N_COLS_DOUBLE = 13
 _Outcome = Tuple[bool, bool, bool, bool, bool]
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
     """Outcome of one write/read trial. ``pair_created`` is ground truth."""
 
     trial_index: int
@@ -103,16 +102,14 @@ class CountsTable:
         return self.c14 + self.c23
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
+class ExperimentResult(NamedTuple):
     """Counts per analyzer setting plus the simulated wall-clock time."""
 
     tables: Tuple[CountsTable, ...]
     wall_time: float  # seconds of simulated laboratory time
 
 
-@dataclass(frozen=True)
-class _TrialModel:
+class _TrialModel(NamedTuple):
     """Per-trial probabilities derived from the experiment parameters."""
 
     chi: float

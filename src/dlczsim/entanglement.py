@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .decoherence import retrieval_decay
 from .errors import ParameterError, check_in
@@ -17,8 +18,7 @@ from .params import ExperimentParams
 PROB_SUM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class AngleSettings:
+class AngleSettings(NamedTuple):
     """Half-wave-plate analysis angles for the two channels, radians.
 
     Polarization analyzers are periodic in pi; angles are compared modulo pi.
@@ -76,8 +76,7 @@ def projection_probs(angles: AngleSettings, visibility: float,
                              p23=crossed)
 
 
-@dataclass(frozen=True)
-class ForwardProbs:
+class ForwardProbs(NamedTuple):
     """Per-pulse detection probabilities predicted by the counting model."""
 
     p_s: float     # any Stokes click per write pulse

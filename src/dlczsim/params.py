@@ -83,6 +83,12 @@ class EnsembleGeometry:
         for name in ("wavelength", "temperature", "atomic_mass",
                      "bd_separation", "f_btd", "f0"):
             check_in(name, getattr(self, name), "(0, inf)")
+        try:
+            theta = coupling_angle(self)
+        except ZeroDivisionError:  # 2 f_btd f0 underflows to 0
+            theta = math.inf
+        check_in("coupling angle bd_separation / (2 f_btd f0)", theta,
+                 f"(0, {math.pi!r}]")
 
 
 @dataclass(frozen=True)

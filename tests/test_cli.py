@@ -791,6 +791,10 @@ EXTREME_INPUTS = {
         {"geometry__temperature": "1e-320"}, 3, "lifetime --config {conf}"),
     "wavelength_1e-320": (
         {"geometry__wavelength": "1e-320"}, 0, "lifetime --config {conf}"),
+    "f_btd_1e-320": (  # 2 f_btd f0 underflows to 0
+        {"geometry__f_btd": "1e-320"}, 2, "lifetime --config {conf}"),
+    "bd_separation_40": (  # coupling angle 6.67 rad
+        {"geometry__bd_separation": "40"}, 2, "lifetime --config {conf}"),
     "t_oc_1e-320": ({"chain__t_oc": "1e-320"}, 0, "budget --config {conf}"),
     "repeater_chi_near_1": (
         {"repeater__chi": "0.999999999"}, 0,
@@ -811,6 +815,23 @@ EXTREME_INPUTS = {
     "l_max_1e308": (
         {}, 0, "repeater-sweep --preset fig8 --l-max 1e308 --threshold 1e-4"),
 }
+
+
+@pytest.mark.parametrize("key, value", [("f_btd", "1e-320"),
+                                        ("bd_separation", "40"),
+                                        ("f0", "1e-310")])
+def test_lifetime_rejects_a_coupling_angle_past_pi(key, value, tmp_path,
+                                                   capsys):
+    conf = tmp_path / "x.conf"
+    conf.write_text(_sample_conf(**{f"geometry__{key}": value}))
+    out = tmp_path / "out"
+    assert main(["lifetime", "--config", str(conf), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: section 'geometry': coupling angle "
+                             "bd_separation / (2 f_btd f0) = ")
+    assert err[0].endswith(f"must be finite and in (0, {math.pi!r}]")
+    assert not out.exists()
 
 
 # One byte that is not UTF-8 in each kind of input file: the command line

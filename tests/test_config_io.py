@@ -1,7 +1,6 @@
 import hashlib
 import math
 import re
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -226,7 +225,7 @@ def test_config_keys_are_pinned(tmp_path):
         path.write_text("".join(f"{key} = {value}\n"
                                 for key, value in {**lines, **edits}.items()
                                 if key not in drop))
-        return replace(load_config(path), path="", config_hash="")
+        return load_config(path)._replace(path="", config_hash="")
 
     full = load()
     keys = list(CONFIG_KEYS)

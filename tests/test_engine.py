@@ -1,12 +1,16 @@
+import importlib
 import math
+import pkgutil
+from dataclasses import is_dataclass
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from dlczsim import (AngleSettings, CycleTiming, DecayParams,
-                     ExperimentParams, ParameterError, forward_count_probs,
-                     run_experiment)
+import dlczsim
+from dlczsim import (AngleSettings, Config, CycleTiming, DecayParams,
+                     ExperimentParams, ParameterError, TrialRecord,
+                     forward_count_probs, run_experiment)
 from dlczsim.config import DEFAULT_VISIBILITY
 from dlczsim.engine import (BLOCK_TRIALS, _blocks, _cells, _decide_one,
                             _outcome_table, _trial_model, exact_count_probs,
@@ -396,3 +400,61 @@ def test_seeds_must_be_non_negative_integers():
     (_, numpy_draw), = numpy_blocks
     assert numpy_outcomes == outcomes
     assert numpy_draw().tobytes() == draw().tobytes()
+
+
+# One instance of each record whose construction checks nothing, a field
+# of it and another value for that field.
+UNCHECKED_RECORDS = {
+    "TrialRecord": (TrialRecord(3, 5e-4, "D1", None, True),
+                    "antistokes_click", "D4"),
+    "ExperimentResult": (run_experiment(make_params(), TIMING, 0.0,
+                                        [MATCHED], 1000, seed=1),
+                         "wall_time", 1.0),
+    "_TrialModel": (_trial_model(make_params(), 0.0, MATCHED, False),
+                    "double_pair", True),
+    "AngleSettings": (MATCHED, "theta_as", DEG(22.5)),
+    "ForwardProbs": (forward_count_probs(make_params(), 0.0, MATCHED),
+                     "p_s", 0.5),
+    "Config": (Config("x.conf", "sha256:0", None, None, None, None, None,
+                      False), "config_hash", "sha256:1"),
+}
+VALIDATED_CLASSES = {
+    "DetectionChain", "EnsembleGeometry", "DecayParams", "ExperimentParams",
+    "CycleTiming", "RepeaterParams", "CountsTable", "JointOutcomeProbs",
+    "BellSettings", "EstimateWithError"}
+
+
+@pytest.mark.parametrize("name", sorted(UNCHECKED_RECORDS))
+def test_unchecked_records_are_immutable_values(name):
+    record, field, value = UNCHECKED_RECORDS[name]
+    assert type(record).__name__ == name
+    with pytest.raises(AttributeError):
+        setattr(record, field, value)
+    changed = record._replace(**{field: value})
+    assert type(changed) is type(record)
+    assert getattr(changed, field) == value != getattr(record, field)
+    assert changed != record
+    twin = type(record)(*record)
+    assert twin is not record
+    assert twin == record and hash(twin) == hash(record)
+
+
+def test_rebuilding_a_setting_hits_the_outcome_table_cache():
+    model = _trial_model(make_params(), 2e-4, AngleSettings(0.1, 0.2), True)
+    first = _outcome_table(model)
+    hits = _outcome_table.cache_info().hits
+    rebuilt = _trial_model(make_params(), 2e-4, AngleSettings(0.1, 0.2), True)
+    assert rebuilt is not model
+    assert _outcome_table(rebuilt) is first
+    assert _outcome_table.cache_info().hits == hits + 1
+
+
+def test_only_the_validated_classes_are_dataclasses():
+    modules = [importlib.import_module(f"dlczsim.{info.name}")
+               for info in pkgutil.iter_modules(dlczsim.__path__)]
+    classes = [obj for module in modules for obj in vars(module).values()
+               if isinstance(obj, type) and obj.__module__ == module.__name__]
+    assert {cls.__name__ for cls in classes
+            if is_dataclass(cls)} == VALIDATED_CLASSES
+    assert set(UNCHECKED_RECORDS) <= {cls.__name__ for cls in classes
+                                      if issubclass(cls, tuple)}

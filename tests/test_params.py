@@ -118,6 +118,15 @@ def test_coupling_angle_degenerate_geometry_rejected():
         EnsembleGeometry(795e-9, 100e-6, 1.44e-25, 0.0, 2.0, 1.5)
 
 
+def test_coupling_angle_past_pi_rejected():
+    at_pi = EnsembleGeometry(795e-9, 100e-6, 1.44e-25, math.pi, 0.5, 1.0)
+    assert coupling_angle(at_pi) == math.pi
+    with pytest.raises(ParameterError, match=re.escape(
+            f"coupling angle bd_separation / (2 f_btd f0) = "
+            f"{math.nextafter(math.pi, 4.0)!r}")):
+        replace(at_pi, bd_separation=math.nextafter(math.pi, 4.0))
+
+
 @given(st.floats(1.1, 4.0))
 def test_coupling_angle_scaling(factor):
     base = coupling_angle(LAB_GEOMETRY)
