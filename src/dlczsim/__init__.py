@@ -3,10 +3,9 @@ cavity-enhanced DLCZ atom-photon entanglement memories."""
 
 __version__ = "0.1.0"
 
-from .params import (ATOMIC_MASS_U, BOLTZMANN_K, CycleTiming, DecayParams,
-                     DetectionChain, EnsembleGeometry, ExperimentParams,
-                     cavity_escape_efficiency, coupling_angle,
-                     repetition_rate, total_detection_efficiency)
+from .params import (BOLTZMANN_K, CycleTiming, DecayParams, DetectionChain,
+                     EnsembleGeometry, ExperimentParams, coupling_angle,
+                     repetition_rate)
 from .decoherence import fit_decay, motional_lifetime, retrieval_decay
 from .entanglement import (AngleSettings, ForwardProbs, JointOutcomeProbs,
                            forward_count_probs, projection_probs)
@@ -16,7 +15,7 @@ from .estimators import (BellSettings, EstimateWithError, bell_S,
                          bell_S_signed, correlation_E, estimate_tables,
                          fidelity_from_S, intrinsic_retrieval_mode,
                          intrinsic_retrieval_qubit, poisson_error,
-                         retrieval_background_corrected, visibility_from_S)
+                         visibility_from_S)
 from .repeater import (RateBreakdown, RepeaterParams, calibrate_chi,
                        elementary_probs, swap_chain, sweep_distance,
                        threshold_crossing_distance)

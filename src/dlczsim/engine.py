@@ -82,6 +82,7 @@ class CountsTable:
     c23: int
 
     def __post_init__(self):
+        check_in("storage_time", self.storage_time, "[0, inf)")
         for name in ("n_pulses", "n_d1", "n_d2", "c13", "c24", "c14", "c23"):
             check_in(name, getattr(self, name), "[0, inf)")
         if self.n_d1 + self.n_d2 > self.n_pulses:

@@ -99,14 +99,6 @@ class ForwardProbs(NamedTuple):
     def p_d2(self) -> float:
         return self.p_s / 2.0
 
-    @property
-    def p_d3(self) -> float:
-        return self.p_as / 2.0
-
-    @property
-    def p_d4(self) -> float:
-        return self.p_as / 2.0
-
 
 def forward_count_probs(params: ExperimentParams, t: float,
                         angles: AngleSettings) -> ForwardProbs:

@@ -39,7 +39,8 @@ class FitConvergenceError(DlczError, RuntimeError):
 
 
 class DegenerateStatisticsError(DlczError, RuntimeError):
-    """Too many bootstrap replicas failed to produce an estimate."""
+    """Poisson resampling gave no usable error bar: more than 1% of the
+    replicas failed (NaN), or the estimate or its spread is not finite."""
 
 
 def check_in(name: str, value, interval: str) -> None:

@@ -9,7 +9,6 @@ the estimators read, all at once, and evaluating them on the columns.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -129,31 +128,6 @@ def intrinsic_retrieval_mode(counts: CountsTable, mode: str,
         raise ParameterError(f"mode must be 'L' or 'R', got {mode!r}")
     return _ratio(coincidences, singles,
                   f"no Stokes singles for mode {mode}", eta_td)
-
-
-def retrieval_background_corrected(p_s_as: float, p_s: float, p_as: float,
-                                   noise_b: float, eta_s: float,
-                                   eta_as: float) -> Tuple[float, float]:
-    """Background- and accidental-corrected retrieval efficiencies.
-
-    Returns (R_inc, R_net) with
-    R_net = (P_SaS - P_S P_aS) / (P_S - B eta_S)  and  R_inc = R_net / eta_aS.
-    A negative accidental-corrected numerator (possible at low statistics)
-    is clamped to zero with a warning.
-    """
-    check_in("eta_as", eta_as, "(0, 1]")
-    denom = p_s - noise_b * eta_s
-    if denom <= 0.0:
-        raise ParameterError(
-            "Stokes probability does not exceed the background floor")
-    numerator = p_s_as - p_s * p_as
-    if numerator < 0.0:
-        warnings.warn("accidental correction produced a negative numerator; "
-                      "clamping retrieval efficiency to 0", RuntimeWarning,
-                      stacklevel=2)
-        return 0.0, 0.0
-    r_net = numerator / denom
-    return r_net / eta_as, r_net
 
 
 def correlation_E(counts: CountsTable) -> float:

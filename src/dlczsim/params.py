@@ -14,10 +14,11 @@ from .errors import ParameterError, check_in
 
 # CODATA 2018
 BOLTZMANN_K = 1.380649e-23      # J/K (exact)
-ATOMIC_MASS_U = 1.66053906660e-27  # kg
 
 # Tolerance for an itemized loss budget to be accepted as consistent
 LOSS_ITEM_TOL = 1e-6
+# Relative allowance for float rounding in trials_per_run's quotient
+TRIALS_PER_RUN_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,7 @@ class DetectionChain:
     @property
     def eta_esp(self) -> float:
         """Probability of escaping through the output coupler."""
-        return cavity_escape_efficiency(self.t_oc, self.cavity_loss)
+        return self.t_oc / (self.t_oc + self.cavity_loss)
 
     @property
     def eta_t(self) -> float:
@@ -65,7 +66,8 @@ class DetectionChain:
     @property
     def eta_td(self) -> float:
         """Total detection efficiency of the channel."""
-        return total_detection_efficiency(self)
+        return (self.eta_esp * self.eta_smf * self.eta_filter * self.eta_mmf
+                * self.eta_d)
 
 
 @dataclass(frozen=True)
@@ -145,27 +147,12 @@ class CycleTiming:
 
     @property
     def trials_per_run(self) -> int:
-        return int(math.floor(self.run_duration / self.trial_period))
+        return math.floor(self.run_duration / self.trial_period
+                          * (1.0 + TRIALS_PER_RUN_REL_TOL))
 
     @property
     def cycles_per_second(self) -> float:
         return 1.0 / (self.prep_duration + self.run_duration)
-
-
-def cavity_escape_efficiency(t_oc: float, cavity_loss: float) -> float:
-    """Probability that a cavity photon exits through the output coupler.
-
-    eta_esp = t_oc / (t_oc + cavity_loss).
-    """
-    check_in("t_oc", t_oc, "(0, 1]")
-    check_in("cavity_loss", cavity_loss, "[0, 1)")
-    return t_oc / (t_oc + cavity_loss)
-
-
-def total_detection_efficiency(chain: DetectionChain) -> float:
-    """Product of the chain's escape, transmission and detector efficiencies."""
-    return (cavity_escape_efficiency(chain.t_oc, chain.cavity_loss)
-            * chain.eta_smf * chain.eta_filter * chain.eta_mmf * chain.eta_d)
 
 
 def coupling_angle(geom: EnsembleGeometry) -> float:

@@ -66,10 +66,6 @@ class RepeaterParams:
         return (2 ** self.nest_level if self.link_divisor == "2^n"
                 else self.nest_level)
 
-    @property
-    def link_length(self) -> float:
-        return self.distance / self.n_links
-
 
 class RateBreakdown(NamedTuple):
     """Every intermediate quantity of one rate evaluation, as an immutable

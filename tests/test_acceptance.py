@@ -19,8 +19,7 @@ from dlczsim import (AngleSettings, CycleTiming, DecayParams,
                      bell_S, coupling_angle, fidelity_from_S, fit_decay,
                      forward_count_probs, intrinsic_retrieval_mode,
                      intrinsic_retrieval_qubit, motional_lifetime,
-                     poisson_error, projection_probs,
-                     retrieval_background_corrected, retrieval_decay,
+                     poisson_error, projection_probs, retrieval_decay,
                      run_experiment, swap_chain, threshold_crossing_distance,
                      visibility_from_S, correlation_E)
 from dlczsim.cli import main
@@ -141,13 +140,6 @@ def test_criterion_5_monte_carlo_consistency():
                          for a in CANONICAL_PLAN], n_replicas=100,
                         seed=0).value
     assert abs(s_mc.value - s_expected) < 3 * s_mc.sigma
-
-    # background-corrected inversion is exact on analytic inputs
-    probs = forward_count_probs(params, 0.0, MATCHED)
-    r_inc, _ = retrieval_background_corrected(
-        probs.p_s_as, probs.p_s, probs.p_as, params.noise_b, params.eta_s,
-        params.eta_as)
-    assert r_inc == pytest.approx(0.77, abs=1e-10)
     report(5, "Monte Carlo consistency")
 
 

@@ -186,6 +186,19 @@ def test_estimate_rejects_non_finite_counts_cells(column, value, tmp_path,
     assert not out.exists()
 
 
+def test_estimate_rejects_negative_storage_time(tmp_path, capsys):
+    data = tmp_path / "counts.csv"
+    data.write_text(",".join(COUNTS_COLUMNS)
+                    + "\n0,0,-0.001,100000,700,720,80,70,10,0\n")
+    out = tmp_path / "est"
+    assert main(["estimate", "--eta-td", "0.5", "--replicas", "100",
+                 str(data), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {data}: line 2: storage_time = -0.001 must be finite and "
+        "in [0, inf)"]
+    assert not out.exists()
+
+
 def test_records_reuse_each_settings_outcome_table(config, tmp_path,
                                                     monkeypatch):
     built = []

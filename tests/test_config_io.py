@@ -275,7 +275,8 @@ def test_counts_roundtrip(tmp_path):
 @st.composite
 def counts_tables(draw):
     """A valid CountsTable: angles from any finite degrees (the unit of
-    the file), any finite storage time, counts >= 0 within the
+    the file), any finite storage time >= 0 (a storage time is a delay, so
+    ``CountsTable`` rejects a negative one), counts >= 0 within the
     singles/coincidence invariants."""
     angle = st.floats(allow_nan=False, allow_infinity=False)
     count = st.integers(min_value=0, max_value=2 ** 70)
@@ -283,7 +284,7 @@ def counts_tables(draw):
     n_d1, n_d2 = c13 + c14 + draw(count), c23 + c24 + draw(count)
     return CountsTable(
         settings=AngleSettings.from_degrees(draw(angle), draw(angle)),
-        storage_time=draw(st.floats(allow_nan=False, allow_infinity=False)),
+        storage_time=draw(st.floats(min_value=0.0, allow_infinity=False)),
         n_pulses=n_d1 + n_d2 + draw(count), n_d1=n_d1, n_d2=n_d2,
         c13=c13, c24=c24, c14=c14, c23=c23)
 

@@ -6,14 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dlczsim import (AngleSettings, BellSettings, DecayParams,
-                     DegenerateStatisticsError, ExperimentParams,
+from dlczsim import (AngleSettings, BellSettings, DegenerateStatisticsError,
                      InsufficientDataError, ParameterError, bell_S,
                      bell_S_signed, correlation_E, fidelity_from_S,
-                     forward_count_probs, intrinsic_retrieval_mode,
-                     intrinsic_retrieval_qubit, poisson_error,
-                     projection_probs, retrieval_background_corrected,
-                     visibility_from_S)
+                     intrinsic_retrieval_mode, intrinsic_retrieval_qubit,
+                     poisson_error, projection_probs, visibility_from_S)
 from dlczsim.config import DEFAULT_VISIBILITY
 from dlczsim.engine import CountsTable
 from dlczsim.estimators import (MATCHED_ANGLE_TOL, REPLICAS_MAX,
@@ -104,37 +101,6 @@ def test_retrieval_qubit_is_mean_of_modes_when_balanced():
     r_r = intrinsic_retrieval_mode(table, "R", 0.15)
     assert intrinsic_retrieval_qubit(table, 0.15) == pytest.approx(
         (r_l + r_r) / 2, rel=1e-12)
-
-
-def test_background_corrected_inverts_forward_model():
-    params = ExperimentParams(chi=0.01, noise_b=1e-5, noise_c=1e-4,
-                              eta_s=0.15, eta_as=0.15, v0=0.8839, phase=0.0,
-                              decay=DecayParams(0.77, 1e-3))
-    probs = forward_count_probs(params, 0.0, AngleSettings(0.0, 0.0))
-    r_inc, r_net = retrieval_background_corrected(
-        probs.p_s_as, probs.p_s, probs.p_as, 1e-5, 0.15, 0.15)
-    assert r_inc == pytest.approx(0.77, abs=1e-10)
-    assert r_net == pytest.approx(0.77 * 0.15, abs=1e-10)
-
-
-def test_background_corrected_simplified_form():
-    # B = 0 and accidentals ignored reduces to P_SaS / (P_S * eta_aS)
-    r_inc, _ = retrieval_background_corrected(2e-4, 1.5e-3, 0.0, 0.0,
-                                              0.15, 0.15)
-    assert r_inc == pytest.approx(2e-4 / (1.5e-3 * 0.15), rel=1e-12)
-
-
-def test_background_corrected_all_noise_channel():
-    with pytest.raises(ParameterError):
-        retrieval_background_corrected(1e-5, 1.5e-6, 1e-3, 1e-5, 0.15, 0.15)
-
-
-def test_background_corrected_clamps_negative_numerator():
-    with pytest.warns(RuntimeWarning):
-        r_inc, r_net = retrieval_background_corrected(
-            1e-8, 1e-2, 1e-2, 1e-5, 0.15, 0.15)
-    assert r_inc == 0.0
-    assert r_net == 0.0
 
 
 def test_correlation_perfect_and_flat():
@@ -228,9 +194,6 @@ def test_non_finite_scalar_inputs_are_rejected():
     for eta_td in (math.nan, math.inf):
         with pytest.raises(ParameterError, match="eta_td"):
             intrinsic_retrieval_qubit(matched_table(), eta_td)
-    with pytest.raises(ParameterError, match="eta_as"):
-        retrieval_background_corrected(2e-4, 1.5e-3, 0.0, 0.0, 0.15,
-                                       math.nan)
     with pytest.raises(ParameterError, match="S = nan"):
         visibility_from_S(math.nan)
 

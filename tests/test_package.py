@@ -1,0 +1,32 @@
+import dlczsim
+
+# The package's public names, including the submodules that importing
+# the package binds. A name added to or removed from the package shows
+# up as an edit here.
+PUBLIC_NAMES = [
+    "AngleSettings", "BOLTZMANN_K", "BellSettings", "Config", "ConfigError",
+    "CountsTable", "CycleTiming", "DecayParams", "DegenerateDataError",
+    "DegenerateStatisticsError", "DetectionChain", "DlczError",
+    "EnsembleGeometry", "EstimateWithError", "ExperimentParams",
+    "ExperimentResult", "FitConvergenceError", "ForwardProbs",
+    "InsufficientDataError", "JointOutcomeProbs", "ParameterError",
+    "RateBreakdown", "RepeaterParams", "SchemaError", "TrialRecord",
+    "bell_S", "bell_S_signed", "calibrate_chi", "config", "correlation_E",
+    "coupling_angle", "decoherence", "elementary_probs", "engine",
+    "entanglement", "errors", "estimate_tables", "estimators",
+    "exact_count_probs", "fidelity_from_S", "fit_decay",
+    "forward_count_probs", "intrinsic_retrieval_mode",
+    "intrinsic_retrieval_qubit", "iter_trial_records", "load_config",
+    "motional_lifetime", "params", "poisson_error", "projection_probs",
+    "repeater", "repetition_rate", "retrieval_decay", "run_experiment",
+    "swap_chain", "sweep_distance", "threshold_crossing_distance",
+    "visibility_from_S",
+]
+
+
+def test_public_surface_is_pinned_and_importable():
+    assert sorted(dlczsim.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        namespace = {}
+        exec(f"from dlczsim import {name}", namespace)
+        assert namespace[name] is getattr(dlczsim, name)

@@ -7,8 +7,7 @@ from hypothesis import given, strategies as st
 
 from dlczsim import (CycleTiming, DecayParams, DetectionChain,
                      EnsembleGeometry, ExperimentParams, ParameterError,
-                     cavity_escape_efficiency, coupling_angle,
-                     repetition_rate, total_detection_efficiency)
+                     coupling_angle, repetition_rate)
 from dlczsim.errors import check_in
 from dlczsim.repeater import PRESET_HIGH_RETRIEVAL
 
@@ -20,54 +19,56 @@ LAB_GEOMETRY = EnsembleGeometry(wavelength=795e-9, temperature=100e-6,
                                   bd_separation=5.5e-3, f_btd=2.0, f0=1.5)
 
 
+def escape(t_oc, cavity_loss):
+    """``eta_esp`` of a chain whose other efficiencies are 1."""
+    return DetectionChain(t_oc, cavity_loss, 1.0, 1.0, 1.0, 1.0).eta_esp
+
+
 def test_escape_efficiency_measured_value():
-    assert cavity_escape_efficiency(0.20, 0.13) == pytest.approx(0.606, abs=1e-3)
+    assert MEASURED_CHAIN.eta_esp == pytest.approx(0.606, abs=1e-3)
 
 
 def test_escape_efficiency_lossless():
-    assert cavity_escape_efficiency(0.20, 0.0) == 1.0
+    assert escape(0.20, 0.0) == 1.0
 
 
 def test_escape_efficiency_direct_evaluation():
     # 0.20 / 0.21
-    assert cavity_escape_efficiency(0.20, 0.01) == pytest.approx(
-        0.9523809523809523, rel=1e-12)
+    assert escape(0.20, 0.01) == pytest.approx(0.9523809523809523,
+                                               rel=1e-12)
 
 
 def test_escape_efficiency_domain_errors():
     with pytest.raises(ParameterError):
-        cavity_escape_efficiency(0.0, 0.1)
+        escape(0.0, 0.1)
     with pytest.raises(ParameterError):
-        cavity_escape_efficiency(0.2, -0.01)
+        escape(0.2, -0.01)
     with pytest.raises(ParameterError, match="t_oc"):
-        cavity_escape_efficiency(math.nan, 0.1)
+        escape(math.nan, 0.1)
 
 
 @given(st.floats(0.01, 1.0), st.floats(0.0, 0.9), st.floats(1e-6, 0.09))
 def test_escape_efficiency_monotone(t_oc, loss, bump):
-    assert (cavity_escape_efficiency(t_oc, loss + bump)
-            < cavity_escape_efficiency(t_oc, loss))
+    assert escape(t_oc, loss + bump) < escape(t_oc, loss)
     if t_oc + bump <= 1.0:
-        assert (cavity_escape_efficiency(t_oc + bump, loss)
-                >= cavity_escape_efficiency(t_oc, loss))
+        assert escape(t_oc + bump, loss) >= escape(t_oc, loss)
 
 
 def test_total_detection_efficiency_measured_chain():
-    assert total_detection_efficiency(MEASURED_CHAIN) == pytest.approx(
-        0.150, abs=5e-3)
+    assert MEASURED_CHAIN.eta_td == pytest.approx(0.150, abs=5e-3)
     assert MEASURED_CHAIN.eta_t == pytest.approx(0.366, abs=1e-3)
 
 
 def test_total_detection_efficiency_identity_chain():
     chain = DetectionChain(1.0, 0.0, 1.0, 1.0, 1.0, 1.0)
-    assert total_detection_efficiency(chain) == 1.0
+    assert chain.eta_td == 1.0
 
 
 def test_total_detection_efficiency_improved_chain():
     # 1% cavity loss, ~99% transmissions, 95% superconducting detectors
     chain = DetectionChain(t_oc=0.20, cavity_loss=0.01, eta_smf=0.99,
                            eta_filter=0.99, eta_mmf=0.99, eta_d=0.95)
-    eta = total_detection_efficiency(chain)
+    eta = chain.eta_td
     assert eta == pytest.approx(0.8778895714285714, rel=1e-12)
     assert abs(eta - 0.875) < 0.02
 
@@ -76,7 +77,7 @@ def test_total_detection_efficiency_bounded_by_factors():
     chain = MEASURED_CHAIN
     factors = (chain.eta_esp, chain.eta_smf, chain.eta_filter,
                chain.eta_mmf, chain.eta_d)
-    assert total_detection_efficiency(chain) <= min(factors)
+    assert chain.eta_td <= min(factors)
 
 
 def test_loss_budget_itemization_accepted():
@@ -163,6 +164,14 @@ def test_repetition_rate_integer_trials_identity():
     rate = repetition_rate(LAB_TIMING)
     cycle = LAB_TIMING.prep_duration + LAB_TIMING.run_duration
     assert rate * cycle == LAB_TIMING.trials_per_run
+
+
+def test_trials_per_run_survives_quotient_rounding():
+    # 9e-3 / 3e-6 evaluates to 2999.9999999999995
+    timing = CycleTiming(prep_duration=42e-3, run_duration=9e-3,
+                         trial_period=3e-6)
+    assert timing.trials_per_run == 3000
+    assert CycleTiming(42e-3, 8e-3, 3e-6).trials_per_run == 2666
 
 
 def test_timing_validation():

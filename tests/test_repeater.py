@@ -39,7 +39,6 @@ def test_elementary_probs_direct_evaluation():
     # chi = 1%, 62.5 km links, N = 1000 modes
     p = make_params()
     assert p.n_links == 16
-    assert p.link_length == pytest.approx(62.5e3)
     _, p0, p0_n = elementary_probs(p)
     assert p0 == pytest.approx(2.4613427034445217e-07, rel=1e-9)
     assert p0_n == pytest.approx(0.00024610401207359096, rel=1e-9)
