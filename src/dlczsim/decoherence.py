@@ -46,12 +46,18 @@ def motional_lifetime(geom: EnsembleGeometry) -> float:
 
     tau_a = 1 / (|dk| * v_a) with |dk| = 2 k sin(theta/2) the spin-wave
     wave-vector magnitude and v_a = sqrt(kB T / m) the thermal speed.
+    Raises ``OverflowError`` when 1 / (dk v_a) is not a finite float.
     """
     theta = coupling_angle(geom)
     k = 2.0 * math.pi / geom.wavelength
     dk = 2.0 * k * math.sin(theta / 2.0)
     v_a = math.sqrt(BOLTZMANN_K * geom.temperature / geom.atomic_mass)
-    return 1.0 / (dk * v_a)
+    rate = dk * v_a
+    tau = 1.0 / rate if rate else math.inf
+    if not math.isfinite(tau):
+        raise OverflowError(f"motional lifetime 1 / (dk v_a) is not finite: "
+                            f"dk v_a = {rate!r}")
+    return tau
 
 
 def _as_sample_arrays(samples) -> Tuple[np.ndarray, np.ndarray,

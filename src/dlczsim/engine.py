@@ -18,7 +18,6 @@ whether records are written.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -26,7 +25,7 @@ import numpy as np
 
 from .entanglement import AngleSettings, projection_probs
 from .decoherence import retrieval_decay
-from .errors import ParameterError, check_in, check_seed
+from .errors import ParameterError, Record, check_in, check_seed
 from .params import CycleTiming, ExperimentParams
 
 # Trials per RNG block. Fixed: changing it changes sampled streams.
@@ -67,8 +66,7 @@ class TrialRecord(NamedTuple):
                    bool(pair))
 
 
-@dataclass(frozen=True)
-class CountsTable:
+class CountsTable(Record):
     """Aggregated singles and coincidence counts at one analyzer setting."""
 
     settings: AngleSettings

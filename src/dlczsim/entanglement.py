@@ -8,11 +8,10 @@ analyzer, D3/D4 behind the anti-Stokes analyzer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .decoherence import retrieval_decay
-from .errors import ParameterError, check_in
+from .errors import ParameterError, Record, check_in
 from .params import ExperimentParams
 
 PROB_SUM_TOL = 1e-12
@@ -37,8 +36,7 @@ class AngleSettings(NamedTuple):
         return self.theta_s - self.theta_as
 
 
-@dataclass(frozen=True)
-class JointOutcomeProbs:
+class JointOutcomeProbs(Record):
     """Detector-pair outcome probabilities conditioned on a detected pair."""
 
     p13: float

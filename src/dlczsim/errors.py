@@ -1,11 +1,13 @@
 """Exception types shared across the package, the interval check of
 scalar parameters, the seed check and the UTF-8 decoding of input files
-that raise them.
+that raise them, and the base of the records whose construction checks
+its fields.
 
 The CLI maps these onto exit codes: parameter/schema problems are exit 2,
 numeric failures (fits, degenerate statistics) exit 3, I/O errors exit 4.
 """
 
+import inspect
 import math
 import operator
 
@@ -74,3 +76,63 @@ def decode_utf8(data: bytes, path, error: type) -> str:
     except UnicodeDecodeError as exc:
         raise error(f"{path}: byte {data[exc.start]:#04x} at offset "
                     f"{exc.start} is not UTF-8") from None
+
+
+class Record:
+    """Base of the validated records: immutable values whose fields are
+    the subclass's annotations, in order, with class-attribute defaults.
+
+    The constructor takes the fields by position or keyword and then runs
+    the subclass's ``__post_init__`` checks; ``_replace(**changes)`` builds
+    a changed copy through it, so the checks run again. Records compare
+    and hash by their field values, and ``inspect.signature`` of the class
+    lists the fields. Nothing is generated per class.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        annotations = cls.__dict__.get("__annotations__", {})
+        cls._fields = tuple(annotations)
+        cls._field_set = frozenset(annotations)
+        cls._defaults = {name: cls.__dict__[name] for name in annotations
+                         if name in cls.__dict__}
+        cls.__signature__ = inspect.Signature([inspect.Parameter(
+            name, inspect.Parameter.POSITIONAL_OR_KEYWORD, annotation=kind,
+            default=cls._defaults.get(name, inspect.Parameter.empty))
+            for name, kind in annotations.items()], return_annotation=None)
+
+    def __init__(self, *args, **kwargs):
+        given = dict(zip(self._fields, args), **kwargs)
+        values = ({**self._defaults, **given}
+                  if len(given) < len(self._fields) else given)
+        if (len(given) != len(args) + len(kwargs)  # repeated or surplus
+                or len(values) != len(self._fields)
+                or kwargs and not kwargs.keys() <= self._field_set):
+            self.__signature__.bind(*args, **kwargs)  # raises the TypeError
+        object.__setattr__(self, "__dict__", values)
+        self.__post_init__()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def _replace(self, **changes):
+        """A copy with ``changes`` applied, checked like a new record."""
+        return type(self)(**{**self.__dict__, **changes})
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable: "
+                             f"cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = map("{}={!r}".format, self._fields, self._values())
+        return f"{type(self).__qualname__}({', '.join(fields)})"

@@ -9,7 +9,6 @@ the estimators read, all at once, and evaluating them on the columns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .engine import CountsTable
 from .errors import (DegenerateStatisticsError, InsufficientDataError,
-                     ParameterError, check_in, check_seed)
+                     ParameterError, Record, check_in, check_seed)
 
 TWO_ROOT_TWO = 2.0 * math.sqrt(2.0)
 REPLICAS_MAX = 1_000_000  # at most 5 int64 draws a replica per table
@@ -31,8 +30,7 @@ _MATCHED_CHANNELS = ("n_d1", "n_d2", "c13", "c24", "crossed")
 _POOLED_CHANNELS = ("matched", "crossed")
 
 
-@dataclass(frozen=True)
-class BellSettings:
+class BellSettings(Record):
     """The four analyzer angles of a CHSH measurement, radians."""
 
     theta_s: float
@@ -60,8 +58,7 @@ class BellSettings:
                 (self.theta_s_prime, self.theta_as_prime))
 
 
-@dataclass(frozen=True)
-class EstimateWithError:
+class EstimateWithError(Record):
     """Point estimate with a 1-standard-deviation uncertainty."""
 
     value: float

@@ -7,10 +7,9 @@ seconds, angles in radians unless a function name says otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .errors import ParameterError, check_in
+from .errors import ParameterError, Record, check_in
 
 # CODATA 2018
 BOLTZMANN_K = 1.380649e-23      # J/K (exact)
@@ -21,8 +20,7 @@ LOSS_ITEM_TOL = 1e-6
 TRIALS_PER_RUN_REL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class DetectionChain:
+class DetectionChain(Record):
     """Efficiency budget of one detection channel, cavity to detector.
 
     ``loss_items`` optionally itemizes ``cavity_loss`` (e.g. beam splitters,
@@ -70,8 +68,7 @@ class DetectionChain:
                 * self.eta_d)
 
 
-@dataclass(frozen=True)
-class EnsembleGeometry:
+class EnsembleGeometry(Record):
     """Beam geometry and atomic parameters of the cold ensemble."""
 
     wavelength: float      # write/Stokes wavelength, m
@@ -93,8 +90,7 @@ class EnsembleGeometry:
                  f"(0, {math.pi!r}]")
 
 
-@dataclass(frozen=True)
-class DecayParams:
+class DecayParams(Record):
     """Zero-delay retrieval efficiency and 1/e memory lifetime."""
 
     r0: float     # intrinsic retrieval efficiency at t = 0
@@ -105,8 +101,7 @@ class DecayParams:
         check_in("tau0", self.tau0, "(0, inf]")
 
 
-@dataclass(frozen=True)
-class ExperimentParams:
+class ExperimentParams(Record):
     """Full configuration of one simulated write/read experiment."""
 
     chi: float               # pair-creation probability per write pulse
@@ -116,7 +111,7 @@ class ExperimentParams:
     eta_as: float            # total anti-Stokes detection efficiency
     v0: float                # intrinsic pair visibility at zero delay
     phase: float             # net interferometer phase (phi_S + phi_AS), rad
-    decay: DecayParams = field(default_factory=lambda: DecayParams(0.77, 1e-3))
+    decay: DecayParams = DecayParams(0.77, 1e-3)  # immutable, so shared
 
     def __post_init__(self):
         for name in ("chi", "noise_b", "noise_c", "v0"):
@@ -129,8 +124,7 @@ class ExperimentParams:
                 f"chi + noise_b = {self.chi + self.noise_b!r} exceeds 1")
 
 
-@dataclass(frozen=True)
-class CycleTiming:
+class CycleTiming(Record):
     """Timing of one experimental cycle (preparation stage + trial run)."""
 
     prep_duration: float            # cold-atom preparation stage, s

@@ -10,10 +10,9 @@ zero-delay retrieval efficiency r0 and lifetime tau0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
-from .errors import FitConvergenceError, ParameterError, check_in
+from .errors import FitConvergenceError, ParameterError, Record, check_in
 
 # exp(-t/tau0) underflows well before this; treat deeper levels as dead.
 UNDERFLOW_RATIO = 700.0
@@ -25,8 +24,7 @@ ROOT_MAX_ITER = 200  # in ln x, bisection alone needs < 52 steps
 CROSSING_REL_TOL = 1e-12  # relative bracket width ending a root search
 
 
-@dataclass(frozen=True)
-class RepeaterParams:
+class RepeaterParams(Record):
     """Inputs of the nested-repeater rate recursion.
 
     ``link_divisor`` selects how the end-to-end distance splits into
@@ -243,7 +241,7 @@ def calibrate_chi(p: RepeaterParams, target_rate: float) -> float:
     check_in("target_rate", target_rate, "(0, inf)")
 
     def excess(chi):
-        return swap_chain(replace(p, chi=chi)).rate - target_rate
+        return swap_chain(p._replace(chi=chi)).rate - target_rate
     return _find_root(excess, 1e-6, 1.0, excess(1e-6), excess(1.0))
 
 
@@ -261,7 +259,7 @@ PRESET_HIGH_RETRIEVAL = RepeaterParams(
     nest_level=4, modes=1000, distance=1.0e6, attenuation_length=22e3,
     fiber_speed=2.0e8, chi=PRESET_CHI_CALIBRATED, eta_fc=0.33, eta_td=0.88,
     r0=0.8, tau0=16.0, link_divisor="2^n")
-PRESET_LOW_RETRIEVAL = replace(PRESET_HIGH_RETRIEVAL, r0=0.6)
+PRESET_LOW_RETRIEVAL = PRESET_HIGH_RETRIEVAL._replace(r0=0.6)
 
 PRESETS = {
     "fig8": (("cpe", PRESET_HIGH_RETRIEVAL), ("cie", PRESET_LOW_RETRIEVAL)),

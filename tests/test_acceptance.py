@@ -8,7 +8,6 @@ Carlo criteria use 1e7 trials per setting and dominate the runtime.
 import hashlib
 import math
 import shutil
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -189,8 +188,8 @@ def test_pooled_draw_matches_six_field_draw_at_bell_point():
 
 
 def test_criterion_7_repeater_algebra():
-    high = swap_chain(replace(PRESET_HIGH_RETRIEVAL, tau0=math.inf)).rate
-    low = swap_chain(replace(PRESET_LOW_RETRIEVAL, tau0=math.inf)).rate
+    high = swap_chain(PRESET_HIGH_RETRIEVAL._replace(tau0=math.inf)).rate
+    low = swap_chain(PRESET_LOW_RETRIEVAL._replace(tau0=math.inf)).rate
     assert high / low == pytest.approx((4.0 / 3.0) ** 10, rel=1e-9)
 
     crossing_high = threshold_crossing_distance(PRESET_HIGH_RETRIEVAL, 1e-4,

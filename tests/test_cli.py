@@ -804,6 +804,8 @@ EXTREME_INPUTS = {
         {"geometry__temperature": "1e-320"}, 3, "lifetime --config {conf}"),
     "wavelength_1e-320": (
         {"geometry__wavelength": "1e-320"}, 0, "lifetime --config {conf}"),
+    "wavelength_1e308": (  # dk v_a is subnormal: 1 / (dk v_a) overflows
+        {"geometry__wavelength": "1e308"}, 3, "lifetime --config {conf}"),
     "f_btd_1e-320": (  # 2 f_btd f0 underflows to 0
         {"geometry__f_btd": "1e-320"}, 2, "lifetime --config {conf}"),
     "bd_separation_40": (  # coupling angle 6.67 rad
@@ -901,5 +903,6 @@ def test_extreme_finite_inputs_exit_cleanly(case, tmp_path, capsys):
     assert code == expected
     if code:
         assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "out").exists()
     else:
         assert err == []

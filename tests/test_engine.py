@@ -1,20 +1,20 @@
-import importlib
+import inspect
 import math
-import pkgutil
-from dataclasses import is_dataclass
 
 import numpy as np
 import pytest
 from scipy import stats
 
-import dlczsim
-from dlczsim import (AngleSettings, Config, CycleTiming, DecayParams,
-                     ExperimentParams, ParameterError, TrialRecord,
+from dlczsim import (AngleSettings, BellSettings, Config, CountsTable,
+                     CycleTiming, DecayParams, DetectionChain,
+                     EnsembleGeometry, EstimateWithError, ExperimentParams,
+                     JointOutcomeProbs, ParameterError, TrialRecord,
                      forward_count_probs, run_experiment)
 from dlczsim.config import DEFAULT_VISIBILITY
 from dlczsim.engine import (BLOCK_TRIALS, _blocks, _cells, _decide_one,
                             _outcome_table, _trial_model, exact_count_probs,
                             iter_trial_records, trial_outcome_blocks)
+from dlczsim.repeater import PRESET_HIGH_RETRIEVAL
 
 DEG = math.radians
 TIMING = CycleTiming(prep_duration=42e-3, run_duration=8e-3,
@@ -418,10 +418,61 @@ UNCHECKED_RECORDS = {
     "Config": (Config("x.conf", "sha256:0", None, None, None, None, None,
                       False), "config_hash", "sha256:1"),
 }
-VALIDATED_CLASSES = {
-    "DetectionChain", "EnsembleGeometry", "DecayParams", "ExperimentParams",
-    "CycleTiming", "RepeaterParams", "CountsTable", "JointOutcomeProbs",
-    "BellSettings", "EstimateWithError"}
+# One instance of each record whose construction checks its fields, its
+# pinned signature, and a field with a value outside that field's domain.
+VALIDATED_RECORDS = {
+    "DetectionChain": (
+        DetectionChain(0.2, 0.13, 0.71, 0.56, 0.92, 0.68,
+                       loss_items={"hr": 0.13}),
+        "(t_oc: 'float', cavity_loss: 'float', eta_smf: 'float', "
+        "eta_filter: 'float', eta_mmf: 'float', eta_d: 'float', "
+        "loss_items: 'Optional[Mapping[str, float]]' = None) -> None",
+        "cavity_loss", 1.0),
+    "EnsembleGeometry": (
+        EnsembleGeometry(795e-9, 100e-6, 1.44e-25, 5.5e-3, 2.0, 1.5),
+        "(wavelength: 'float', temperature: 'float', atomic_mass: 'float', "
+        "bd_separation: 'float', f_btd: 'float', f0: 'float') -> None",
+        "temperature", -1.0),
+    "DecayParams": (
+        DecayParams(0.77, 1e-3), "(r0: 'float', tau0: 'float') -> None",
+        "r0", 1.5),
+    "ExperimentParams": (
+        make_params(),
+        "(chi: 'float', noise_b: 'float', noise_c: 'float', eta_s: 'float', "
+        "eta_as: 'float', v0: 'float', phase: 'float', decay: 'DecayParams' "
+        "= DecayParams(r0=0.77, tau0=0.001)) -> None",
+        "noise_b", 0.995),  # chi + noise_b > 1
+    "CycleTiming": (
+        TIMING,
+        "(prep_duration: 'float', run_duration: 'float', "
+        "trial_period: 'float') -> None",
+        "trial_period", 1.0),  # longer than the run
+    "RepeaterParams": (
+        PRESET_HIGH_RETRIEVAL,
+        "(nest_level: 'int', modes: 'int', distance: 'float', "
+        "attenuation_length: 'float', fiber_speed: 'float', chi: 'float', "
+        "eta_fc: 'float', eta_td: 'float', r0: 'float', tau0: 'float', "
+        "link_divisor: 'str' = '2^n') -> None",
+        "link_divisor", "2n"),
+    "CountsTable": (
+        CountsTable(MATCHED, 0.0, 1000, 30, 40, 10, 12, 2, 3),
+        "(settings: 'AngleSettings', storage_time: 'float', "
+        "n_pulses: 'int', n_d1: 'int', n_d2: 'int', c13: 'int', c24: 'int', "
+        "c14: 'int', c23: 'int') -> None",
+        "c13", 29),  # more D1 coincidences than D1 singles
+    "JointOutcomeProbs": (
+        JointOutcomeProbs(0.4, 0.4, 0.1, 0.1),
+        "(p13: 'float', p24: 'float', p14: 'float', p23: 'float') -> None",
+        "p13", 0.5),  # sum 1.1
+    "BellSettings": (
+        BellSettings.canonical(),
+        "(theta_s: 'float', theta_s_prime: 'float', theta_as: 'float', "
+        "theta_as_prime: 'float') -> None",
+        "theta_s_prime", math.pi),  # the same analyzer angle as theta_s
+    "EstimateWithError": (
+        EstimateWithError(0.5, 0.01), "(value: 'float', sigma: 'float') "
+        "-> None", "sigma", -0.01),
+}
 
 
 @pytest.mark.parametrize("name", sorted(UNCHECKED_RECORDS))
@@ -449,12 +500,26 @@ def test_rebuilding_a_setting_hits_the_outcome_table_cache():
     assert _outcome_table.cache_info().hits == hits + 1
 
 
-def test_only_the_validated_classes_are_dataclasses():
-    modules = [importlib.import_module(f"dlczsim.{info.name}")
-               for info in pkgutil.iter_modules(dlczsim.__path__)]
-    classes = [obj for module in modules for obj in vars(module).values()
-               if isinstance(obj, type) and obj.__module__ == module.__name__]
-    assert {cls.__name__ for cls in classes
-            if is_dataclass(cls)} == VALIDATED_CLASSES
-    assert set(UNCHECKED_RECORDS) <= {cls.__name__ for cls in classes
-                                      if issubclass(cls, tuple)}
+@pytest.mark.parametrize("name", sorted(VALIDATED_RECORDS))
+def test_validated_records_are_checked_immutable_values(name):
+    record, signature, field, bad = VALIDATED_RECORDS[name]
+    cls = type(record)
+    assert cls.__name__ == name
+    assert str(inspect.signature(cls)) == signature
+    with pytest.raises(AttributeError):
+        setattr(record, field, bad)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    values = {key: getattr(record, key)
+              for key in inspect.signature(cls).parameters}
+    twin = cls(**values)
+    assert twin is not record and twin == record
+    assert cls(*values.values()) == record
+    if name == "DetectionChain":  # loss_items is a dict
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
+    else:
+        assert hash(twin) == hash(record)
+    assert record._replace() == record
+    with pytest.raises(ParameterError):
+        record._replace(**{field: bad})

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import dlczsim
 
 # The package's public names, including the submodules that importing
@@ -30,3 +34,16 @@ def test_public_surface_is_pinned_and_importable():
         namespace = {}
         exec(f"from dlczsim import {name}", namespace)
         assert namespace[name] is getattr(dlczsim, name)
+
+
+def test_cli_import_generates_no_dataclass_code():
+    # The validated records are built without the dataclasses machinery,
+    # whose per-class code generation every command would pay at start-up.
+    src = Path(dlczsim.__file__).resolve().parents[1]
+    code = ("import sys\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "import dlczsim.cli\n"
+            "assert 'dataclasses' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 from scipy.optimize import brentq
@@ -83,7 +82,7 @@ def test_zero_nest_level_has_empty_swap_product():
 
 def test_underflow_flag_zeroes_rate():
     # low excitation: waiting times blow past the memory lifetime
-    bd = swap_chain(replace(PRESET_HIGH_RETRIEVAL, chi=0.02))
+    bd = swap_chain(PRESET_HIGH_RETRIEVAL._replace(chi=0.02))
     assert bd.underflow
     assert bd.rate == 0.0
 
@@ -94,7 +93,7 @@ def test_rate_monotone_in_each_parameter():
     assert rate0 > 0.0
     for field, better in [("chi", 0.06), ("modes", 2000), ("eta_fc", 0.4),
                           ("eta_td", 0.95), ("r0", 0.9), ("tau0", 32.0)]:
-        rate1 = swap_chain(replace(base, **{field: better})).rate
+        rate1 = swap_chain(base._replace(**{field: better})).rate
         assert rate1 > rate0, field
 
 
@@ -116,8 +115,8 @@ def test_sweep_two_points_equal_direct_calls():
     p = make_params(chi=0.05)
     points, monotone = sweep_distance(p, 5e5, 1e6, 2)
     assert len(points) == 2
-    assert points[0][1] == swap_chain(replace(p, distance=5e5))
-    assert points[1][1] == swap_chain(replace(p, distance=1e6))
+    assert points[0][1] == swap_chain(p._replace(distance=5e5))
+    assert points[1][1] == swap_chain(p._replace(distance=1e6))
     assert monotone
 
 
@@ -126,7 +125,7 @@ def test_rate_breakdown_is_an_immutable_value_record():
     points, _ = sweep_distance(p, 5e5, 1e6, 7)
     distance, bd = points[3]
     assert bd == swap_chain(p, distance=distance)
-    assert bd == swap_chain(replace(p, distance=distance))
+    assert bd == swap_chain(p._replace(distance=distance))
     with pytest.raises(AttributeError):
         bd.rate = 0.0
     dead = bd._replace(rate=0.0, underflow=True)
@@ -170,12 +169,12 @@ def test_calibrate_chi_rejects_degenerate_targets(target):
 
 
 def test_calibrate_chi_needs_the_target_between_its_ends():
-    at_one = swap_chain(replace(PRESET_HIGH_RETRIEVAL, chi=1.0)).rate
+    at_one = swap_chain(PRESET_HIGH_RETRIEVAL._replace(chi=1.0)).rate
     with pytest.raises(ParameterError, match="sign change"):
         calibrate_chi(PRESET_HIGH_RETRIEVAL, 2.0 * at_one)
     # at 1 m a single link at chi = 1e-6 already beats 1e-12 pairs/s
-    short = replace(PRESET_HIGH_RETRIEVAL, nest_level=0, distance=1.0)
-    assert swap_chain(replace(short, chi=1e-6)).rate > 1e-12
+    short = PRESET_HIGH_RETRIEVAL._replace(nest_level=0, distance=1.0)
+    assert swap_chain(short._replace(chi=1e-6)).rate > 1e-12
     with pytest.raises(ParameterError, match="sign change"):
         calibrate_chi(short, 1e-12)
 
@@ -279,7 +278,7 @@ def _reference_crossing(p, threshold, l_min, l_max, rel_tol=1e-12,
     """Bisection on parameter sets rebuilt at every distance; None when
     the threshold is not bracketed."""
     def rate(distance):
-        return swap_chain(replace(p, distance=distance)).rate
+        return swap_chain(p._replace(distance=distance)).rate
     lo, hi = l_min, l_max
     if not rate(lo) > threshold > rate(hi):
         return None
@@ -320,7 +319,7 @@ def test_sweep_at_a_distance_equals_rebuilt_parameter_sets(p):
         points, _ = sweep_distance(p, 1e5, 2e6, 80, approx_multiplex=approx)
         assert [d for d, _ in points][::79] == [1e5, 2e6]
         for distance, bd in points:
-            rebuilt = replace(p, distance=distance)
+            rebuilt = p._replace(distance=distance)
             assert bd == swap_chain(rebuilt, approx_multiplex=approx)
             assert bd == _reference_swap_chain(rebuilt, approx)
     try:
@@ -331,7 +330,7 @@ def test_sweep_at_a_distance_equals_rebuilt_parameter_sets(p):
     assert (crossing is None) == (reference is None)
     if reference is not None:
         def excess(distance):
-            return swap_chain(replace(p, distance=distance)).rate - 1e-4
+            return swap_chain(p._replace(distance=distance)).rate - 1e-4
         assert crossing == _find_root(excess, 1e5, 2e6, excess(1e5),
                                       excess(2e6))
         assert crossing == pytest.approx(reference, rel=1e-11)
