@@ -7,15 +7,15 @@ from .params import (BOLTZMANN_K, CycleTiming, DecayParams, DetectionChain,
                      EnsembleGeometry, ExperimentParams, coupling_angle,
                      repetition_rate)
 from .decoherence import fit_decay, motional_lifetime, retrieval_decay
-from .entanglement import (AngleSettings, ForwardProbs, JointOutcomeProbs,
-                           forward_count_probs, projection_probs)
+from .entanglement import (CHSH_SETTINGS, AngleSettings, ForwardProbs,
+                           JointOutcomeProbs, forward_count_probs,
+                           projection_probs)
 from .engine import (CountsTable, ExperimentResult, TrialRecord,
                      exact_count_probs, iter_trial_records, run_experiment)
-from .estimators import (BellSettings, EstimateWithError, bell_S,
-                         bell_S_signed, correlation_E, estimate_tables,
-                         fidelity_from_S, intrinsic_retrieval_mode,
-                         intrinsic_retrieval_qubit, poisson_error,
-                         visibility_from_S)
+from .estimators import (EstimateWithError, bell_S, bell_S_signed,
+                         correlation_E, estimate_tables, fidelity_from_S,
+                         intrinsic_retrieval_mode, intrinsic_retrieval_qubit,
+                         poisson_error, visibility_from_S)
 from .repeater import (RateBreakdown, RepeaterParams, calibrate_chi,
                        elementary_probs, swap_chain, sweep_distance,
                        threshold_crossing_distance)

@@ -27,12 +27,12 @@ from .datafiles import (DECAY_COLUMNS, DECAY_SIGMA_COLUMN, RECORDS_LIMIT,
 from .decoherence import fit_decay, motional_lifetime
 from .engine import (STREAM_VERSION, CountsTable, run_experiment,
                      trial_outcome_blocks)
-from .entanglement import AngleSettings
+from .entanglement import CHSH_SETTINGS, AngleSettings
 from .errors import (DegenerateDataError, DegenerateStatisticsError,
                      FitConvergenceError, InsufficientDataError,
                      ParameterError, SchemaError, check_in)
-from .estimators import (BellSettings, estimate_tables, fidelity_from_S,
-                         visibility_from_S, REPLICAS_MAX, TWO_ROOT_TWO)
+from .estimators import (estimate_tables, fidelity_from_S, visibility_from_S,
+                         REPLICAS_MAX, TWO_ROOT_TWO)
 from .params import coupling_angle, repetition_rate
 from .repeater import (PRESETS, PRESET_CHI_SOURCE, SWEEP_MAX_STEPS,
                        sweep_distance, threshold_crossing_distance)
@@ -60,9 +60,7 @@ def parse_t_list(spec: str) -> List[float]:
 def parse_angle_plan(spec: str) -> List[AngleSettings]:
     """Angle plan: 'canonical' or comma-separated 'thetaS:thetaAS' degrees."""
     if spec.strip().lower() == "canonical":
-        canonical = BellSettings.canonical()
-        return [AngleSettings(theta_s, theta_as)
-                for theta_s, theta_as in canonical.combinations]
+        return list(CHSH_SETTINGS)
     plan = []
     for part in spec.split(","):
         part = part.strip()
@@ -331,8 +329,8 @@ def cmd_repeater_sweep(args) -> int:
             params, args.l_min, args.l_max, args.steps, grid=args.grid,
             approx_multiplex=args.approx_multiplex)
         head = f"{label},{params.r0!r}"
-        for distance, (t_cc, p0, p0_n, _, stages, p_pr, rate, underflow,
-                       _) in points:
+        for distance, (t_cc, p0, p0_n, _, stages, p_pr, rate,
+                       underflow) in points:
             t_final = stages[-1] if stages else math.nan
             rows.append(
                 f"{head},{distance!r},{rate!r},{t_cc!r},{p0!r},{p0_n!r},"

@@ -57,7 +57,6 @@ _KEYS: Dict[str, Dict[str, tuple]] = {
 class Config(NamedTuple):
     """Parsed configuration; sections absent from the file are None."""
 
-    path: str
     config_hash: str
     experiment: Optional[ExperimentParams]
     chain: Optional[DetectionChain]
@@ -154,7 +153,7 @@ def load_config(path) -> Config:
         raise ConfigError("section 'experiment' requires section 'decay'")
     decay = _build(sections, "decay")  # validated even when unused
     return Config(
-        path=str(path), config_hash=digest,
+        config_hash=digest,
         experiment=_build(sections, "experiment", decay=decay),
         chain=_build(sections, "chain"),
         geometry=_build(sections, "geometry"),

@@ -46,7 +46,8 @@ def motional_lifetime(geom: EnsembleGeometry) -> float:
 
     tau_a = 1 / (|dk| * v_a) with |dk| = 2 k sin(theta/2) the spin-wave
     wave-vector magnitude and v_a = sqrt(kB T / m) the thermal speed.
-    Raises ``OverflowError`` when 1 / (dk v_a) is not a finite float.
+    Raises ``OverflowError`` when dk v_a or 1 / (dk v_a) is not a finite
+    float: an overflowed k or v_a would otherwise give a lifetime of 0.
     """
     theta = coupling_angle(geom)
     k = 2.0 * math.pi / geom.wavelength
@@ -54,9 +55,9 @@ def motional_lifetime(geom: EnsembleGeometry) -> float:
     v_a = math.sqrt(BOLTZMANN_K * geom.temperature / geom.atomic_mass)
     rate = dk * v_a
     tau = 1.0 / rate if rate else math.inf
-    if not math.isfinite(tau):
-        raise OverflowError(f"motional lifetime 1 / (dk v_a) is not finite: "
-                            f"dk v_a = {rate!r}")
+    if not (math.isfinite(rate) and math.isfinite(tau)):
+        raise OverflowError(f"motional lifetime 1 / (dk v_a) is not a finite "
+                            f"nonzero number: dk v_a = {rate!r}")
     return tau
 
 

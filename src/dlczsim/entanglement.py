@@ -36,6 +36,13 @@ class AngleSettings(NamedTuple):
         return self.theta_s - self.theta_as
 
 
+# The four (theta_s, theta_as) settings of the CHSH measurement, in the
+# order of S = |E1 - E2 + E3 + E4|.
+CHSH_SETTINGS = tuple(AngleSettings.from_degrees(s, a)
+                      for s, a in ((0, 22.5), (0, 67.5), (45, 22.5),
+                                   (45, 67.5)))
+
+
 class JointOutcomeProbs(Record):
     """Detector-pair outcome probabilities conditioned on a detected pair."""
 

@@ -15,6 +15,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .engine import CountsTable
+from .entanglement import CHSH_SETTINGS
 from .errors import (DegenerateStatisticsError, InsufficientDataError,
                      ParameterError, Record, check_in, check_seed)
 
@@ -28,34 +29,6 @@ MATCHED_ANGLE_TOL = 1e-6
 # retrieval estimators read; else the two sums E reads.
 _MATCHED_CHANNELS = ("n_d1", "n_d2", "c13", "c24", "crossed")
 _POOLED_CHANNELS = ("matched", "crossed")
-
-
-class BellSettings(Record):
-    """The four analyzer angles of a CHSH measurement, radians."""
-
-    theta_s: float
-    theta_s_prime: float
-    theta_as: float
-    theta_as_prime: float
-
-    def __post_init__(self):
-        if (same_angle(self.theta_s, self.theta_s_prime)
-                or same_angle(self.theta_as, self.theta_as_prime)):
-            raise ParameterError("CHSH settings must be four distinct angles")
-
-    @classmethod
-    def canonical(cls) -> "BellSettings":
-        """The standard settings (0, 45, 22.5, 67.5) degrees."""
-        return cls(0.0, math.radians(45.0), math.radians(22.5),
-                   math.radians(67.5))
-
-    @property
-    def combinations(self):
-        """The four (theta_s, theta_as) pairs entering S, in E-sum order."""
-        return ((self.theta_s, self.theta_as),
-                (self.theta_s, self.theta_as_prime),
-                (self.theta_s_prime, self.theta_as),
-                (self.theta_s_prime, self.theta_as_prime))
 
 
 class EstimateWithError(Record):
@@ -135,12 +108,11 @@ def correlation_E(counts: CountsTable) -> float:
                   "no coincidences recorded")
 
 
-def _match_tables(tables: Sequence[CountsTable],
-                  settings: BellSettings) -> list:
+def _match_tables(tables: Sequence[CountsTable]) -> list:
     if len(tables) != 4:
         raise ParameterError(f"CHSH needs exactly 4 tables, got {len(tables)}")
     ordered = []
-    for theta_s, theta_as in settings.combinations:
+    for theta_s, theta_as in CHSH_SETTINGS:
         matches = [tb for tb in tables
                    if same_angle(tb.settings.theta_s, theta_s)
                    and same_angle(tb.settings.theta_as, theta_as)]
@@ -153,21 +125,16 @@ def _match_tables(tables: Sequence[CountsTable],
     return ordered
 
 
-def bell_S_signed(tables: Sequence[CountsTable],
-                  settings: BellSettings | None = None) -> float:
+def bell_S_signed(tables: Sequence[CountsTable]) -> float:
     """Signed CHSH combination E1 - E2 + E3 + E4 (diagnostic)."""
-    settings = settings or BellSettings.canonical()
-    e1, e2, e3, e4 = (correlation_E(tb) for tb in _match_tables(tables,
-                                                                settings))
+    e1, e2, e3, e4 = (correlation_E(tb) for tb in _match_tables(tables))
     return e1 - e2 + e3 + e4
 
 
-def bell_S(tables: Sequence[CountsTable],
-           settings: BellSettings | None = None, *,
-           n_replicas: int = 10_000, seed: int = 0) -> EstimateWithError:
+def bell_S(tables: Sequence[CountsTable], *, n_replicas: int = 10_000,
+           seed: int = 0) -> EstimateWithError:
     """CHSH parameter |E1 - E2 + E3 + E4| with a Poisson-MC error bar."""
-    settings = settings or BellSettings.canonical()
-    return poisson_error(lambda tbs: abs(bell_S_signed(tbs, settings)),
+    return poisson_error(lambda tbs: abs(bell_S_signed(tbs)),
                          list(tables), n_replicas=n_replicas, seed=seed)
 
 

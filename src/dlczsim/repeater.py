@@ -10,7 +10,7 @@ zero-delay retrieval efficiency r0 and lifetime tau0.
 from __future__ import annotations
 
 import math
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, List, NamedTuple, Tuple
 
 from .errors import FitConvergenceError, ParameterError, Record, check_in
 
@@ -32,7 +32,7 @@ class RepeaterParams(Record):
     or "n" (distance divided by the nest level).
     """
 
-    nest_level: int          # swap tree depth n >= 0
+    nest_level: int          # swap tree depth n in [0, 1023]
     modes: int               # multiplexed memory modes per node, N >= 1
     distance: float          # end-to-end distance L, m
     attenuation_length: float  # fiber attenuation length L_att, m
@@ -45,7 +45,8 @@ class RepeaterParams(Record):
     link_divisor: str = "2^n"
 
     def __post_init__(self):
-        check_in("nest_level", self.nest_level, "[0, inf)")
+        # 2^1023 is the largest power of two that is a finite float
+        check_in("nest_level", self.nest_level, "[0, 1023]")
         check_in("modes", self.modes, "[1, inf)")
         for name in ("distance", "attenuation_length", "fiber_speed"):
             check_in(name, getattr(self, name), "(0, inf)")
@@ -76,23 +77,19 @@ class RateBreakdown(NamedTuple):
     stage_times: Tuple[float, ...]  # t_0 .. t_n, s
     p_pr: float                    # final readout probability
     rate: float                    # distributed pairs per second
-    underflow: bool                # True when memory decay zeroed the rate
-    n_links: int
+    underflow: bool                # the rate fell below the float range
 
 
-def elementary_probs(p: RepeaterParams, *,
-                     distance: Optional[float] = None,
-                     approx_multiplex: bool = False
+def elementary_probs(p: RepeaterParams, *, approx_multiplex: bool = False
                      ) -> Tuple[float, float, float]:
-    """(T_cc, P0, P0^(N)) for one elementary link, at ``distance``
-    (default ``p.distance``): the first three fields of :func:`swap_chain`.
+    """(T_cc, P0, P0^(N)) for one elementary link: the first three fields
+    of :func:`swap_chain`.
 
     P0 = chi^2 exp(-L0/L_att) eta_FC^2 eta_TD^2 / 2; the 1/2 accounts for
     double-excitation events. The multiplexed probability is the exact
     1 - (1 - P0)^N unless ``approx_multiplex`` asks for the N*P0 form.
     """
-    return tuple(swap_chain(p, distance=distance,
-                            approx_multiplex=approx_multiplex)[:3])
+    return tuple(swap_chain(p, approx_multiplex=approx_multiplex)[:3])
 
 
 def _rate_curve(p: RepeaterParams, approx_multiplex: bool = False
@@ -126,36 +123,33 @@ def _rate_curve(p: RepeaterParams, approx_multiplex: bool = False
             t = t_cc / p0_n
             stage_times.append(t)
             for _ in range(nest_level):
-                if t / tau0 > UNDERFLOW_RATIO:
+                # negated comparisons: a NaN (t = tau0 = inf) stops too
+                if not t / tau0 <= UNDERFLOW_RATIO:
                     break
                 p_j = swap_factor * math.exp(-2.0 * t / tau0)
-                if p_j <= 0.0:
+                if not p_j > 0.0:
                     break
                 swap_probs.append(p_j)
                 t = t / p_j
                 stage_times.append(t)
             else:
-                if not t / tau0 > UNDERFLOW_RATIO:
+                if t / tau0 <= UNDERFLOW_RATIO:
                     p_pr = r0_2 * math.exp(-2.0 * t / tau0) / 2.0
                     rate = (1.0 / t_cc) * p0_n * math.prod(swap_probs) * p_pr
                     underflow = False
         return RateBreakdown(t_cc, p0, p0_n, tuple(swap_probs),
-                             tuple(stage_times), p_pr, rate, underflow,
-                             n_links)
+                             tuple(stage_times), p_pr, rate, underflow)
     return at
 
 
-def swap_chain(p: RepeaterParams, *, distance: Optional[float] = None,
+def swap_chain(p: RepeaterParams, *,
                approx_multiplex: bool = False) -> RateBreakdown:
-    """Evaluate the full nested-swap recursion for one parameter set, at
-    ``distance`` (default ``p.distance``; the caller checks it is finite
-    and > 0).
+    """Evaluate the full nested-swap recursion for one parameter set.
 
-    When memory decay zeroes the rate, the breakdown is flagged
+    When the rate falls below the float range, the breakdown is flagged
     ``underflow`` and keeps the stages reached so far.
     """
-    return _rate_curve(p, approx_multiplex)(
-        p.distance if distance is None else distance)
+    return _rate_curve(p, approx_multiplex)(p.distance)
 
 
 def _check_span(l_min: float, l_max: float) -> None:

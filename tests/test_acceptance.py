@@ -23,14 +23,14 @@ from dlczsim import (AngleSettings, CycleTiming, DecayParams,
                      visibility_from_S, correlation_E)
 from dlczsim.cli import main
 from dlczsim.config import DEFAULT_VISIBILITY
-from dlczsim.estimators import BellSettings, TWO_ROOT_TWO
+from dlczsim.entanglement import CHSH_SETTINGS
+from dlczsim.estimators import TWO_ROOT_TWO
 from dlczsim.repeater import PRESET_HIGH_RETRIEVAL, PRESET_LOW_RETRIEVAL
 
 TIMING = CycleTiming(prep_duration=42e-3, run_duration=8e-3,
                      trial_period=2000e-9)
 MATCHED = AngleSettings(0.0, 0.0)
-CANONICAL_PLAN = [AngleSettings(ts, tas)
-                  for ts, tas in BellSettings.canonical().combinations]
+CANONICAL_PLAN = list(CHSH_SETTINGS)
 
 
 def report(criterion, name):
@@ -97,7 +97,7 @@ def test_criterion_4_fidelity_chain():
     assert 0.550 <= fidelity_from_S(1.15) <= 0.560
     assert visibility_from_S(2.5) == pytest.approx(0.8839, abs=0.0005)
     tables = []
-    for theta_s, theta_as in BellSettings.canonical().combinations:
+    for theta_s, theta_as in CHSH_SETTINGS:
         probs = projection_probs(AngleSettings(theta_s, theta_as), 1.0)
         tables.append(SimpleNamespace(
             settings=AngleSettings(theta_s, theta_as), storage_time=0.0,

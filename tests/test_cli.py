@@ -802,8 +802,10 @@ EXTREME_INPUTS = {
     "efficiencies_1e300": ({}, 2, "fit-decay {dir}/huge_r.csv"),
     "temperature_1e-320": (
         {"geometry__temperature": "1e-320"}, 3, "lifetime --config {conf}"),
-    "wavelength_1e-320": (
-        {"geometry__wavelength": "1e-320"}, 0, "lifetime --config {conf}"),
+    "wavelength_1e-320": (  # k overflows: 1 / (dk v_a) would read 0
+        {"geometry__wavelength": "1e-320"}, 3, "lifetime --config {conf}"),
+    "temperature_1e308": (  # v_a overflows: 1 / (dk v_a) would read 0
+        {"geometry__temperature": "1e308"}, 3, "lifetime --config {conf}"),
     "wavelength_1e308": (  # dk v_a is subnormal: 1 / (dk v_a) overflows
         {"geometry__wavelength": "1e308"}, 3, "lifetime --config {conf}"),
     "f_btd_1e-320": (  # 2 f_btd f0 underflows to 0
@@ -820,6 +822,11 @@ EXTREME_INPUTS = {
     "fiber_speed_1e-308": (
         {"repeater__fiber_speed": "1e-308"}, 0,
         "repeater-sweep --config {conf}"),
+    "repeater_tau0_inf": (  # a stage time overflows: t / tau0 is NaN
+        {"repeater__link_divisor": "n", "repeater__tau0": "inf",
+         "repeater__nest_level": "600"}, 0, "repeater-sweep --config {conf}"),
+    "nest_level_1024": (  # 2^1024 is no float
+        {"repeater__nest_level": "1024"}, 2, "repeater-sweep --config {conf}"),
     "modes_1e21": (
         {"repeater__modes": "1000000000000000000000"}, 0,
         "repeater-sweep --config {conf}"),
@@ -906,3 +913,6 @@ def test_extreme_finite_inputs_exit_cleanly(case, tmp_path, capsys):
         assert not (tmp_path / "out").exists()
     else:
         assert err == []
+    if case == "repeater_tau0_inf":  # rate 0, flagged as underflow
+        sweep = tmp_path / "out" / "repeater_sweep.csv"
+        assert "nan" not in sweep.read_text()

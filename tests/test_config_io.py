@@ -225,7 +225,7 @@ def test_config_keys_are_pinned(tmp_path):
         path.write_text("".join(f"{key} = {value}\n"
                                 for key, value in {**lines, **edits}.items()
                                 if key not in drop))
-        return load_config(path)._replace(path="", config_hash="")
+        return load_config(path)._replace(config_hash="")
 
     full = load()
     keys = list(CONFIG_KEYS)

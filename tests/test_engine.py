@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dlczsim import (AngleSettings, BellSettings, Config, CountsTable,
+from dlczsim import (CHSH_SETTINGS, AngleSettings, Config, CountsTable,
                      CycleTiming, DecayParams, DetectionChain,
                      EnsembleGeometry, EstimateWithError, ExperimentParams,
                      JointOutcomeProbs, ParameterError, TrialRecord,
                      forward_count_probs, run_experiment)
+from dlczsim.cli import parse_angle_plan
 from dlczsim.config import DEFAULT_VISIBILITY
 from dlczsim.engine import (BLOCK_TRIALS, _blocks, _cells, _decide_one,
                             _outcome_table, _trial_model, exact_count_probs,
@@ -415,8 +416,8 @@ UNCHECKED_RECORDS = {
     "AngleSettings": (MATCHED, "theta_as", DEG(22.5)),
     "ForwardProbs": (forward_count_probs(make_params(), 0.0, MATCHED),
                      "p_s", 0.5),
-    "Config": (Config("x.conf", "sha256:0", None, None, None, None, None,
-                      False), "config_hash", "sha256:1"),
+    "Config": (Config("sha256:0", None, None, None, None, None, False),
+               "config_hash", "sha256:1"),
 }
 # One instance of each record whose construction checks its fields, its
 # pinned signature, and a field with a value outside that field's domain.
@@ -464,11 +465,6 @@ VALIDATED_RECORDS = {
         JointOutcomeProbs(0.4, 0.4, 0.1, 0.1),
         "(p13: 'float', p24: 'float', p14: 'float', p23: 'float') -> None",
         "p13", 0.5),  # sum 1.1
-    "BellSettings": (
-        BellSettings.canonical(),
-        "(theta_s: 'float', theta_s_prime: 'float', theta_as: 'float', "
-        "theta_as_prime: 'float') -> None",
-        "theta_s_prime", math.pi),  # the same analyzer angle as theta_s
     "EstimateWithError": (
         EstimateWithError(0.5, 0.01), "(value: 'float', sigma: 'float') "
         "-> None", "sigma", -0.01),
@@ -498,6 +494,17 @@ def test_rebuilding_a_setting_hits_the_outcome_table_cache():
     assert rebuilt is not model
     assert _outcome_table(rebuilt) is first
     assert _outcome_table.cache_info().hits == hits + 1
+
+
+def test_chsh_settings_are_the_canonical_angles_in_e_sum_order():
+    # (theta_s, theta_as) of E1 .. E4 in S = |E1 - E2 + E3 + E4|, radians
+    pinned = [(0.0, 0.39269908169872414), (0.0, 1.1780972450961724),
+              (0.7853981633974483, 0.39269908169872414),
+              (0.7853981633974483, 1.1780972450961724)]
+    assert [tuple(s) for s in CHSH_SETTINGS] == pinned
+    assert all(type(s) is AngleSettings for s in CHSH_SETTINGS)
+    assert parse_angle_plan("canonical") == list(CHSH_SETTINGS)
+    assert parse_angle_plan(" Canonical ") == list(CHSH_SETTINGS)
 
 
 @pytest.mark.parametrize("name", sorted(VALIDATED_RECORDS))

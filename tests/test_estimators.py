@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dlczsim import (AngleSettings, BellSettings, DegenerateStatisticsError,
+from dlczsim import (CHSH_SETTINGS, AngleSettings, DegenerateStatisticsError,
                      InsufficientDataError, ParameterError, bell_S,
                      bell_S_signed, correlation_E, fidelity_from_S,
                      intrinsic_retrieval_mode, intrinsic_retrieval_qubit,
@@ -42,7 +42,7 @@ def proj_table(theta_s, theta_as, visibility, n=40_000, n_pulses=10_000_000,
 
 def canonical_proj_tables(visibility, n=40_000):
     return [proj_table(ts, tas, visibility, n=n)
-            for ts, tas in BellSettings.canonical().combinations]
+            for ts, tas in CHSH_SETTINGS]
 
 
 def chsh_tables():
@@ -50,7 +50,7 @@ def chsh_tables():
     return [CountsTable(settings=AngleSettings(ts, tas), storage_time=0.0,
                         n_pulses=100_000, n_d1=700, n_d2=720, c13=80,
                         c24=70, c14=10, c23=12)
-            for ts, tas in BellSettings.canonical().combinations]
+            for ts, tas in CHSH_SETTINGS]
 
 
 def test_retrieval_qubit_reported_combination():

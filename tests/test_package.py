@@ -8,7 +8,7 @@ import dlczsim
 # the package binds. A name added to or removed from the package shows
 # up as an edit here.
 PUBLIC_NAMES = [
-    "AngleSettings", "BOLTZMANN_K", "BellSettings", "Config", "ConfigError",
+    "AngleSettings", "BOLTZMANN_K", "CHSH_SETTINGS", "Config", "ConfigError",
     "CountsTable", "CycleTiming", "DecayParams", "DegenerateDataError",
     "DegenerateStatisticsError", "DetectionChain", "DlczError",
     "EnsembleGeometry", "EstimateWithError", "ExperimentParams",

@@ -124,13 +124,12 @@ def test_rate_breakdown_is_an_immutable_value_record():
     p = make_params(chi=0.05)
     points, _ = sweep_distance(p, 5e5, 1e6, 7)
     distance, bd = points[3]
-    assert bd == swap_chain(p, distance=distance)
     assert bd == swap_chain(p._replace(distance=distance))
     with pytest.raises(AttributeError):
         bd.rate = 0.0
     dead = bd._replace(rate=0.0, underflow=True)
     assert (dead.rate, dead.underflow) == (0.0, True)
-    assert dead[:6] == bd[:6] and dead.n_links == bd.n_links == 16
+    assert dead[:6] == bd[:6]
     assert bd.rate > 0.0 and not bd.underflow
 
 
@@ -196,6 +195,9 @@ def test_threshold_crossing_requires_bracket():
 def test_params_validation():
     with pytest.raises(ParameterError):
         make_params(nest_level=-1)
+    with pytest.raises(ParameterError, match=r"nest_level = 1024 .*1023\]"):
+        make_params(nest_level=1024)
+    assert make_params(nest_level=1023, link_divisor="n").n_links == 1023
     with pytest.raises(ParameterError):
         make_params(modes=0)
     with pytest.raises(ParameterError):
@@ -245,7 +247,7 @@ def _reference_swap_chain(p, approx_multiplex):
     t_cc, p0, p0_n = elementary_probs(p, approx_multiplex=approx_multiplex)
     dead = RateBreakdown(t_cc=t_cc, p0=p0, p0_multiplexed=p0_n,
                          swap_probs=(), stage_times=(), p_pr=0.0, rate=0.0,
-                         underflow=True, n_links=p.n_links)
+                         underflow=True)
     if p0_n <= 0.0:
         return dead
     t = t_cc / p0_n
@@ -270,7 +272,7 @@ def _reference_swap_chain(p, approx_multiplex):
     return RateBreakdown(t_cc=t_cc, p0=p0, p0_multiplexed=p0_n,
                          swap_probs=tuple(swap_probs),
                          stage_times=tuple(stage_times), p_pr=p_pr,
-                         rate=rate, underflow=False, n_links=p.n_links)
+                         rate=rate, underflow=False)
 
 
 def _reference_crossing(p, threshold, l_min, l_max, rel_tol=1e-12,
