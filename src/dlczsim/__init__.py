@@ -5,13 +5,12 @@ __version__ = "0.1.0"
 
 from .params import (BOLTZMANN_K, CycleTiming, DecayParams, DetectionChain,
                      EnsembleGeometry, ExperimentParams, coupling_angle,
-                     repetition_rate)
+                     repetition_rate, simulated_wall_time)
 from .decoherence import fit_decay, motional_lifetime, retrieval_decay
 from .entanglement import (CHSH_SETTINGS, AngleSettings, ForwardProbs,
-                           JointOutcomeProbs, forward_count_probs,
-                           projection_probs)
-from .engine import (CountsTable, ExperimentResult, TrialRecord,
-                     exact_count_probs, iter_trial_records, run_experiment)
+                           forward_count_probs, pair_correlation)
+from .engine import (CountsTable, TrialRecord, exact_count_probs,
+                     iter_trial_records, run_experiment)
 from .estimators import (EstimateWithError, bell_S, bell_S_signed,
                          correlation_E, estimate_tables, fidelity_from_S,
                          intrinsic_retrieval_mode, intrinsic_retrieval_qubit,

@@ -33,7 +33,7 @@ from .errors import (DegenerateDataError, DegenerateStatisticsError,
                      ParameterError, SchemaError, check_in)
 from .estimators import (estimate_tables, fidelity_from_S, visibility_from_S,
                          REPLICAS_MAX, TWO_ROOT_TWO)
-from .params import coupling_angle, repetition_rate
+from .params import coupling_angle, repetition_rate, simulated_wall_time
 from .repeater import (PRESETS, PRESET_CHI_SOURCE, SWEEP_MAX_STEPS,
                        sweep_distance, threshold_crossing_distance)
 
@@ -165,16 +165,15 @@ def cmd_simulate(args) -> int:
 
     wall_total = 0.0
     for ti, t in enumerate(t_list):
-        result = run_experiment(params, timing, t, plan, args.trials,
-                                args.seed, double_pair=cfg.double_pair,
-                                run_tag=ti)
-        wall_total += result.wall_time
-        for ai, table in enumerate(result.tables):
+        tables = run_experiment(params, t, plan, args.trials, args.seed,
+                                double_pair=cfg.double_pair, run_tag=ti)
+        wall_total += simulated_wall_time(timing, args.trials * len(plan))
+        for ai, table in enumerate(tables):
+            theta_s_deg, theta_as_deg = table.settings.degrees
             prov = {
                 **art.provenance, "run_tag": ti, "setting_index": ai,
                 "t_seconds": t,
-                "theta_s_deg": math.degrees(table.settings.theta_s),
-                "theta_as_deg": math.degrees(table.settings.theta_as),
+                "theta_s_deg": theta_s_deg, "theta_as_deg": theta_as_deg,
                 "trials": args.trials,
                 "double_pair": cfg.double_pair,
                 "stream": STREAM_VERSION,
@@ -236,8 +235,8 @@ def cmd_estimate(args) -> int:
     retrieval_rows: List[Tuple[float, float, float]] = []
     for i, (tb, estimates) in enumerate(zip(tables, per_table)):
         tag = f"table{i:02d}"
-        entries[f"{tag}.theta_s_deg"] = math.degrees(tb.settings.theta_s)
-        entries[f"{tag}.theta_as_deg"] = math.degrees(tb.settings.theta_as)
+        entries[f"{tag}.theta_s_deg"], entries[f"{tag}.theta_as_deg"] = (
+            tb.settings.degrees)
         entries[f"{tag}.storage_time_s"] = tb.storage_time
         for name, est in estimates.items():
             entries[f"{tag}.{name}"] = est.value
@@ -343,7 +342,8 @@ def cmd_repeater_sweep(args) -> int:
         if args.threshold is not None:
             try:
                 crossing = threshold_crossing_distance(
-                    params, args.threshold, args.l_min, args.l_max)
+                    params, args.threshold, args.l_min, args.l_max,
+                    approx_multiplex=args.approx_multiplex)
             except ParameterError:
                 entries[f"{label}.threshold_crossing_m"] = "none"
             else:

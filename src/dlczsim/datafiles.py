@@ -159,27 +159,10 @@ def _read_rows(path, kinds: Mapping[str, type], optional: Sequence[str] = (),
     return provenance, rows()
 
 
-def _degrees(theta: float) -> float:
-    """``theta`` in degrees, read back as exactly ``theta``: of
-    math.degrees(theta) and its two neighbours, the first whose
-    math.radians is ``theta`` (one exists for every angle made by
-    ``AngleSettings.from_degrees``)."""
-    deg = math.degrees(theta)
-    for candidate in (deg, math.nextafter(deg, math.inf),
-                      math.nextafter(deg, -math.inf)):
-        if math.radians(candidate) == theta:
-            return candidate
-    return deg
-
-
 def write_counts_csv(path, tables: Sequence[CountsTable],
                      provenance: Mapping[str, object]) -> None:
-    rows = []
-    for tb in tables:
-        rows.append((_degrees(tb.settings.theta_s),
-                     _degrees(tb.settings.theta_as),
-                     tb.storage_time, tb.n_pulses, tb.n_d1, tb.n_d2,
-                     tb.c13, tb.c24, tb.c14, tb.c23))
+    rows = [(*tb.settings.degrees, tb.storage_time, tb.n_pulses, tb.n_d1,
+             tb.n_d2, tb.c13, tb.c24, tb.c14, tb.c23) for tb in tables]
     write_csv(path, "counts", COUNTS_COLUMNS, rows, provenance)
 
 
@@ -195,8 +178,7 @@ def write_records_csv(path, storage_time: float, outcomes, blocks,
         r.pair_created)) + "\n" for r in records])
 
     def chunks():
-        for first, draw in blocks:
-            trials = draw()
+        for first, trials in blocks:
             for lo in range(0, len(trials), RECORDS_CHUNK):
                 yield _render_rows(table, first + lo,
                                    trials[lo:lo + RECORDS_CHUNK])

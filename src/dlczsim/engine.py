@@ -17,16 +17,15 @@ whether records are written.
 
 from __future__ import annotations
 
-import math
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .entanglement import AngleSettings, projection_probs
+from .entanglement import AngleSettings, pair_correlation
 from .decoherence import retrieval_decay
 from .errors import ParameterError, Record, check_in, check_seed
-from .params import CycleTiming, ExperimentParams
+from .params import ExperimentParams
 
 # Trials per RNG block. Fixed: changing it changes sampled streams.
 BLOCK_TRIALS = 1 << 20
@@ -34,10 +33,9 @@ BLOCK_TRIALS = 1 << 20
 # histogram per RNG block; records are a seeded arrangement of it.
 STREAM_VERSION = "v3"
 
-# Draw roles of _decide_one's uniforms. Roles 9-12 exist only when
+# Draw roles of _decide_one's uniforms. Roles 9-12 are compared only when
 # double-pair sampling is enabled.
-_N_COLS_SINGLE = 9
-_N_COLS_DOUBLE = 13
+_N_COLS = 13
 (_U_PAIR, _U_S_DETECT, _U_S_WHICH, _U_S_BG, _U_S_BG_WHICH,
  _U_RETRIEVE, _U_AS_WHICH, _U_AS_BG, _U_AS_BG_WHICH,
  _U_P2_S_DETECT, _U_P2_S_WHICH, _U_P2_RETRIEVE, _U_P2_AS_WHICH) = range(13)
@@ -101,13 +99,6 @@ class CountsTable(Record):
         return self.c14 + self.c23
 
 
-class ExperimentResult(NamedTuple):
-    """Counts per analyzer setting plus the simulated wall-clock time."""
-
-    tables: Tuple[CountsTable, ...]
-    wall_time: float  # seconds of simulated laboratory time
-
-
 class _TrialModel(NamedTuple):
     """Per-trial probabilities derived from the experiment parameters."""
 
@@ -120,14 +111,10 @@ class _TrialModel(NamedTuple):
     match_prob: float      # P(matched detector pair | correlated click)
     double_pair: bool
 
-    @property
-    def n_cols(self) -> int:
-        return _N_COLS_DOUBLE if self.double_pair else _N_COLS_SINGLE
-
 
 def _trial_model(params: ExperimentParams, t: float, angles: AngleSettings,
                  double_pair: bool) -> _TrialModel:
-    proj = projection_probs(angles, params.v0, params.phase)
+    k = pair_correlation(angles, params.v0, params.phase)
     return _TrialModel(
         chi=params.chi,
         chi2_half=params.chi ** 2 / 2.0,
@@ -135,7 +122,7 @@ def _trial_model(params: ExperimentParams, t: float, angles: AngleSettings,
         p_s_bg=params.noise_b * params.eta_s,
         p_retrieve=retrieval_decay(params.decay, t) * params.eta_as,
         p_as_bg=params.noise_c * params.eta_as,
-        match_prob=2.0 * proj.p13,
+        match_prob=(1.0 + k) / 2.0,
         double_pair=double_pair,
     )
 
@@ -222,17 +209,17 @@ class _Draw:
 
 
 def _cells(model: _TrialModel) -> Iterator[tuple]:
-    """Partition [0, 1)^n_cols into boxes on which ``_decide_one`` is constant.
+    """Partition [0, 1)^13 into boxes on which ``_decide_one`` is constant.
 
     Yields ``(outcome, probability, lo, hi)`` per box, depth first, so the
     order is deterministic. Every box has positive probability.
     """
-    n_cols, cell = model.n_cols, _Cell()
-    draws = [_Draw(cell, role) for role in range(n_cols)]
+    cell = _Cell()
+    draws = [_Draw(cell, role) for role in range(_N_COLS)]
     pending: List[Tuple[bool, ...]] = [()]
     while pending:
         path = pending.pop()
-        cell.lo, cell.hi = [0.0] * n_cols, [1.0] * n_cols
+        cell.lo, cell.hi = [0.0] * _N_COLS, [1.0] * _N_COLS
         cell.path, cell.splits, cell.weight = path, 0, 1.0
         outcome = _decide_one(model, draws)  # a tuple of bools
         # every split past the path went "below"; queue each one's other side
@@ -312,31 +299,31 @@ def trial_outcome_blocks(params: ExperimentParams, t: float,
     """Outcome table of one setting and its trials' outcomes, block by block.
 
     Returns the sorted outcomes and, per RNG block, (first trial index,
-    draw): ``draw()`` gives each trial's outcome index, on call, so that a
-    caller holds one block at a time. A block's outcomes tally to the
-    histogram :func:`run_experiment` counts for the same block.
+    trials): ``trials`` holds each trial's outcome index and is drawn only
+    when the iterator reaches its block, so that a caller holds one block
+    at a time. A block's outcomes tally to the histogram
+    :func:`run_experiment` counts for the same block.
     """
     check_in("n_trials", n_trials, "[1, inf)")
     check_seed(seed)
     outcomes, probs = _outcome_table(
         _trial_model(params, t, angles, double_pair))
-    blocks = ((block * BLOCK_TRIALS, partial(_block_arrangement, probs, seed,
-                                             run_tag, setting_index, block,
-                                             size))
+    blocks = ((block * BLOCK_TRIALS,
+               _block_arrangement(probs, seed, run_tag, setting_index,
+                                  block, size))
               for block, size in _blocks(n_trials))
     return outcomes, blocks
 
 
-def run_experiment(params: ExperimentParams, timing: CycleTiming, t: float,
+def run_experiment(params: ExperimentParams, t: float,
                    angle_list: Sequence[AngleSettings],
                    n_trials_per_setting: int, seed: int, *,
                    double_pair: bool = False,
-                   run_tag: int = 0) -> ExperimentResult:
-    """Run ``n_trials_per_setting`` trials at each analyzer setting.
+                   run_tag: int = 0) -> Tuple[CountsTable, ...]:
+    """Counts of ``n_trials_per_setting`` trials at each analyzer setting.
 
-    Counts sum one multinomial histogram per RNG block; the simulated wall
-    time follows the preparation/run duty cycle of ``timing``. Identical (seed, run_tag,
-    settings) always produce identical tables.
+    Counts sum one multinomial histogram per RNG block. Identical (seed,
+    run_tag, settings) always produce identical tables.
     """
     if not angle_list:
         raise ParameterError("angle_list must contain at least one setting")
@@ -351,11 +338,7 @@ def run_experiment(params: ExperimentParams, timing: CycleTiming, t: float,
                    for block, size in _blocks(n_trials_per_setting))
         counts = (int(v) for v in hist @ _count_matrix(outcomes))
         tables.append(CountsTable(angles, t, n_trials_per_setting, *counts))
-
-    total_trials = n_trials_per_setting * len(angle_list)
-    runs_needed = math.ceil(total_trials / timing.trials_per_run)
-    wall_time = runs_needed * (timing.prep_duration + timing.run_duration)
-    return ExperimentResult(tables=tuple(tables), wall_time=wall_time)
+    return tuple(tables)
 
 
 def iter_trial_records(params: ExperimentParams, t: float,
@@ -367,6 +350,6 @@ def iter_trial_records(params: ExperimentParams, t: float,
     outcomes, blocks = trial_outcome_blocks(
         params, t, angles, n_trials, seed, setting_index=setting_index,
         double_pair=double_pair, run_tag=run_tag)
-    for first, draw in blocks:
-        for i, k in enumerate(draw().tolist(), start=first):
+    for first, trials in blocks:
+        for i, k in enumerate(trials.tolist(), start=first):
             yield TrialRecord.from_outcome(i, t, outcomes[k])

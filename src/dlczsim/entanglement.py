@@ -8,13 +8,11 @@ analyzer, D3/D4 behind the anti-Stokes analyzer.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Tuple
 
 from .decoherence import retrieval_decay
-from .errors import ParameterError, Record, check_in
+from .errors import check_in
 from .params import ExperimentParams
-
-PROB_SUM_TOL = 1e-12
 
 
 class AngleSettings(NamedTuple):
@@ -35,6 +33,25 @@ class AngleSettings(NamedTuple):
         """Analyzer angle difference theta_s - theta_as."""
         return self.theta_s - self.theta_as
 
+    @property
+    def degrees(self) -> Tuple[float, float]:
+        """(theta_s, theta_as) in degrees, each read back as exactly its
+        angle by :meth:`from_degrees`."""
+        return _degrees(self.theta_s), _degrees(self.theta_as)
+
+
+def _degrees(theta: float) -> float:
+    """``theta`` in degrees, read back as exactly ``theta``: of
+    math.degrees(theta) and its two neighbours, the first whose
+    math.radians is ``theta`` (one exists for every angle made by
+    ``AngleSettings.from_degrees``)."""
+    deg = math.degrees(theta)
+    for candidate in (deg, math.nextafter(deg, math.inf),
+                      math.nextafter(deg, -math.inf)):
+        if math.radians(candidate) == theta:
+            return candidate
+    return deg
+
 
 # The four (theta_s, theta_as) settings of the CHSH measurement, in the
 # order of S = |E1 - E2 + E3 + E4|.
@@ -43,42 +60,18 @@ CHSH_SETTINGS = tuple(AngleSettings.from_degrees(s, a)
                                    (45, 67.5)))
 
 
-class JointOutcomeProbs(Record):
-    """Detector-pair outcome probabilities conditioned on a detected pair."""
+def pair_correlation(angles: AngleSettings, visibility: float,
+                     phase: float = 0.0) -> float:
+    """Correlation K = V cos(phase) cos(2 delta) of a detected pair at
+    analyzer settings ``angles``.
 
-    p13: float
-    p24: float
-    p14: float
-    p23: float
-
-    def __post_init__(self):
-        for name in ("p13", "p24", "p14", "p23"):
-            check_in(name, getattr(self, name), "[0, 1]")
-        total = self.p13 + self.p24 + self.p14 + self.p23
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ParameterError(f"outcome probabilities sum to {total!r}")
-
-    @property
-    def correlation(self) -> float:
-        """E = p13 + p24 - p14 - p23."""
-        return self.p13 + self.p24 - self.p14 - self.p23
-
-
-def projection_probs(angles: AngleSettings, visibility: float,
-                     phase: float = 0.0) -> JointOutcomeProbs:
-    """Coincidence outcome probabilities for analyzer settings ``angles``.
-
-    For the white-noise-degraded state the matched pairs (D1,D3)/(D2,D4)
-    carry probability (1 + K)/4 each and the crossed pairs (1 - K)/4, with
-    K = V cos(phase) cos(2 delta).
+    For the white-noise-degraded state the matched detector pairs
+    (D1,D3)/(D2,D4) carry probability (1 + K)/4 each and the crossed pairs
+    (1 - K)/4.
     """
     check_in("visibility", visibility, "[0, 1]")
     check_in("phase", phase, "(-inf, inf)")
-    k = visibility * math.cos(phase) * math.cos(2.0 * angles.delta)
-    matched = (1.0 + k) / 4.0
-    crossed = (1.0 - k) / 4.0
-    return JointOutcomeProbs(p13=matched, p24=matched, p14=crossed,
-                             p23=crossed)
+    return visibility * math.cos(phase) * math.cos(2.0 * angles.delta)
 
 
 class ForwardProbs(NamedTuple):
@@ -91,19 +84,6 @@ class ForwardProbs(NamedTuple):
     p14: float
     p23: float
 
-    @property
-    def p_s_as(self) -> float:
-        """Total Stokes/anti-Stokes coincidence probability per pulse."""
-        return self.p13 + self.p24 + self.p14 + self.p23
-
-    @property
-    def p_d1(self) -> float:
-        return self.p_s / 2.0
-
-    @property
-    def p_d2(self) -> float:
-        return self.p_s / 2.0
-
 
 def forward_count_probs(params: ExperimentParams, t: float,
                         angles: AngleSettings) -> ForwardProbs:
@@ -111,22 +91,20 @@ def forward_count_probs(params: ExperimentParams, t: float,
 
     P_S = (chi + B) eta_S, P_aS = (chi R + C) eta_aS, and the coincidence
     probability chi R eta_S eta_aS + P_S P_aS is apportioned over detector
-    pairs by the projection probabilities (correlated part) and evenly
-    (accidental part). Singles split 50/50 between the two detectors of a
-    channel because either photon's reduced state is maximally mixed.
+    pairs by the pair correlation K, (1 +- K)/4 (correlated part), and
+    evenly (accidental part). Singles split 50/50 between the two
+    detectors of a channel because either photon's reduced state is
+    maximally mixed.
     """
     r_inc = retrieval_decay(params.decay, t)
     p_s = (params.chi + params.noise_b) * params.eta_s
     p_as = (params.chi * r_inc + params.noise_c) * params.eta_as
     correlated = params.chi * r_inc * params.eta_s * params.eta_as
     accidental = p_s * p_as
-    proj = projection_probs(angles, params.v0, params.phase)
-    pairwise = {
-        "p13": correlated * proj.p13 + accidental / 4.0,
-        "p24": correlated * proj.p24 + accidental / 4.0,
-        "p14": correlated * proj.p14 + accidental / 4.0,
-        "p23": correlated * proj.p23 + accidental / 4.0,
-    }
-    for name, value in [("p_s", p_s), ("p_as", p_as), *pairwise.items()]:
+    k = pair_correlation(angles, params.v0, params.phase)
+    matched = correlated * ((1.0 + k) / 4.0) + accidental / 4.0
+    crossed = correlated * ((1.0 - k) / 4.0) + accidental / 4.0
+    for name, value in (("p_s", p_s), ("p_as", p_as), ("p13", matched),
+                        ("p14", crossed)):
         check_in(f"computed probability {name}", value, "[0, 1]")
-    return ForwardProbs(p_s=p_s, p_as=p_as, **pairwise)
+    return ForwardProbs(p_s, p_as, matched, matched, crossed, crossed)

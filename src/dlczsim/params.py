@@ -144,10 +144,6 @@ class CycleTiming(Record):
         return math.floor(self.run_duration / self.trial_period
                           * (1.0 + TRIALS_PER_RUN_REL_TOL))
 
-    @property
-    def cycles_per_second(self) -> float:
-        return 1.0 / (self.prep_duration + self.run_duration)
-
 
 def coupling_angle(geom: EnsembleGeometry) -> float:
     """Angle between one interferometer arm and the write beam, radians.
@@ -161,4 +157,12 @@ def coupling_angle(geom: EnsembleGeometry) -> float:
 
 def repetition_rate(timing: CycleTiming) -> float:
     """Trial rate in trials per second over the full duty cycle."""
-    return timing.cycles_per_second * timing.trials_per_run
+    return (1.0 / (timing.prep_duration + timing.run_duration)
+            * timing.trials_per_run)
+
+
+def simulated_wall_time(timing: CycleTiming, n_trials: int) -> float:
+    """Laboratory time of ``n_trials`` trials, s: whole preparation/run
+    cycles of ``timing``."""
+    return (math.ceil(n_trials / timing.trials_per_run)
+            * (timing.prep_duration + timing.run_duration))

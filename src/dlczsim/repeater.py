@@ -217,12 +217,14 @@ def _find_root(f, a, b, fa, fb):
 
 
 def threshold_crossing_distance(p: RepeaterParams, threshold: float,
-                                l_min: float, l_max: float) -> float:
-    """Distance in [l_min, l_max] where rate - threshold changes sign."""
+                                l_min: float, l_max: float, *,
+                                approx_multiplex: bool = False) -> float:
+    """Distance in [l_min, l_max] where rate - threshold changes sign, on
+    the curve :func:`sweep_distance` gives for ``approx_multiplex``."""
     check_in("threshold", threshold, "(0, inf)")
     _check_span(l_min, l_max)
 
-    at = _rate_curve(p)
+    at = _rate_curve(p, approx_multiplex)
 
     def excess(distance):
         return at(distance).rate - threshold

@@ -13,12 +13,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dlczsim import (AngleSettings, CycleTiming, DecayParams,
-                     DetectionChain, EnsembleGeometry, ExperimentParams,
-                     bell_S, coupling_angle, fidelity_from_S, fit_decay,
+from dlczsim import (AngleSettings, DecayParams, DetectionChain,
+                     EnsembleGeometry, ExperimentParams, bell_S,
+                     coupling_angle, fidelity_from_S, fit_decay,
                      forward_count_probs, intrinsic_retrieval_mode,
                      intrinsic_retrieval_qubit, motional_lifetime,
-                     poisson_error, projection_probs, retrieval_decay,
+                     pair_correlation, poisson_error, retrieval_decay,
                      run_experiment, swap_chain, threshold_crossing_distance,
                      visibility_from_S, correlation_E)
 from dlczsim.cli import main
@@ -27,8 +27,6 @@ from dlczsim.entanglement import CHSH_SETTINGS
 from dlczsim.estimators import TWO_ROOT_TWO
 from dlczsim.repeater import PRESET_HIGH_RETRIEVAL, PRESET_LOW_RETRIEVAL
 
-TIMING = CycleTiming(prep_duration=42e-3, run_duration=8e-3,
-                     trial_period=2000e-9)
 MATCHED = AngleSettings(0.0, 0.0)
 CANONICAL_PLAN = list(CHSH_SETTINGS)
 
@@ -50,8 +48,8 @@ def analytic_table(params, t, angles, n_pulses):
     probs = forward_count_probs(params, t, angles)
     return SimpleNamespace(settings=angles, storage_time=t,
                            n_pulses=n_pulses,
-                           n_d1=probs.p_d1 * n_pulses,
-                           n_d2=probs.p_d2 * n_pulses,
+                           n_d1=probs.p_s / 2.0 * n_pulses,
+                           n_d2=probs.p_s / 2.0 * n_pulses,
                            c13=probs.p13 * n_pulses,
                            c24=probs.p24 * n_pulses,
                            c14=probs.p14 * n_pulses,
@@ -98,14 +96,15 @@ def test_criterion_4_fidelity_chain():
     assert visibility_from_S(2.5) == pytest.approx(0.8839, abs=0.0005)
     tables = []
     for theta_s, theta_as in CHSH_SETTINGS:
-        probs = projection_probs(AngleSettings(theta_s, theta_as), 1.0)
+        k = pair_correlation(AngleSettings(theta_s, theta_as), 1.0)
+        matched, crossed = (1.0 + k) / 4.0, (1.0 - k) / 4.0
         tables.append(SimpleNamespace(
             settings=AngleSettings(theta_s, theta_as), storage_time=0.0,
             n_pulses=10**9, n_d1=10**6, n_d2=10**6,
-            c13=probs.p13 * 10**5, c24=probs.p24 * 10**5,
-            c14=probs.p14 * 10**5, c23=probs.p23 * 10**5,
-            matched=(probs.p13 + probs.p24) * 10**5,
-            crossed=(probs.p14 + probs.p23) * 10**5))
+            c13=matched * 10**5, c24=matched * 10**5,
+            c14=crossed * 10**5, c23=crossed * 10**5,
+            matched=(matched + matched) * 10**5,
+            crossed=(crossed + crossed) * 10**5))
     s = bell_S(tables, n_replicas=100, seed=0)
     assert s.value == pytest.approx(TWO_ROOT_TWO, abs=1e-12)
     report(4, "fidelity chain")
@@ -117,7 +116,7 @@ def test_criterion_5_monte_carlo_consistency():
     eta_td = params.eta_as
 
     # matched-angle run drives the retrieval estimators and E
-    mc = run_experiment(params, TIMING, 0.0, [MATCHED], n, seed=50).tables[0]
+    mc, = run_experiment(params, 0.0, [MATCHED], n, seed=50)
     expected = analytic_table(params, 0.0, MATCHED, n)
     checks = [
         (lambda c: intrinsic_retrieval_qubit(c, eta_td), "R_qubit"),
@@ -132,8 +131,8 @@ def test_criterion_5_monte_carlo_consistency():
             f"{label}: {est.value} vs {target} (sigma {est.sigma})")
 
     # canonical CHSH run against the analytic chain
-    mc_tables = run_experiment(params, TIMING, 0.0, CANONICAL_PLAN, n,
-                               seed=52, run_tag=1).tables
+    mc_tables = run_experiment(params, 0.0, CANONICAL_PLAN, n, seed=52,
+                               run_tag=1)
     s_mc = bell_S(list(mc_tables), n_replicas=10_000, seed=53)
     s_expected = bell_S([analytic_table(params, 0.0, a, n)
                          for a in CANONICAL_PLAN], n_replicas=100,
@@ -146,16 +145,15 @@ def test_criterion_6_bell_end_to_end():
     n = 10_000_000
     # calibrated visibility at the Bell-measurement excitation probability
     params = operating_point(chi=0.02, eta_s=1.0, eta_as=1.0)
-    tables = run_experiment(params, TIMING, 0.0, CANONICAL_PLAN, n,
-                            seed=60).tables
+    tables = run_experiment(params, 0.0, CANONICAL_PLAN, n, seed=60)
     s = bell_S(list(tables), n_replicas=10_000, seed=61)
     assert s.value == pytest.approx(2.50, abs=0.05)
 
     # ideal state, no backgrounds: the Tsirelson bound of the model
     ideal = operating_point(chi=0.05, noise_b=0.0, noise_c=0.0, eta_s=1.0,
                         eta_as=1.0, v0=1.0, decay=DecayParams(1.0, 1e-3))
-    tables = run_experiment(ideal, TIMING, 0.0, CANONICAL_PLAN, n,
-                            seed=62, run_tag=1).tables
+    tables = run_experiment(ideal, 0.0, CANONICAL_PLAN, n, seed=62,
+                            run_tag=1)
     s = bell_S(list(tables), n_replicas=10_000, seed=63)
     assert s.value == pytest.approx(2.828, abs=0.01)
     report(6, "Bell end to end")
@@ -166,8 +164,8 @@ def test_pooled_draw_matches_six_field_draw_at_bell_point():
     # of independent Poisson counts are Poisson, so S spreads as it does
     # when all six fields are drawn
     params = operating_point(chi=0.02, eta_s=1.0, eta_as=1.0)
-    tables = run_experiment(params, TIMING, 0.0, CANONICAL_PLAN, 10_000_000,
-                            seed=60).tables
+    tables = run_experiment(params, 0.0, CANONICAL_PLAN, 10_000_000,
+                            seed=60)
     replicas = 100_000
     s = bell_S(list(tables), n_replicas=replicas, seed=64)
 

@@ -15,6 +15,7 @@ from dlczsim.cli import main
 from dlczsim.datafiles import (COUNTS_COLUMNS, read_counts_csv, read_kv,
                                write_counts_csv)
 from dlczsim.estimators import TWO_ROOT_TWO, estimate_tables
+from dlczsim.repeater import PRESET_HIGH_RETRIEVAL, _rate_curve
 
 CONFIG = """\
 experiment.chi = 0.05
@@ -231,6 +232,24 @@ def test_simulate_writes_counts_with_provenance(config, tmp_path):
     assert provenance["config_hash"].startswith("sha256:")
     assert tables[0].storage_time == 0.00054
     assert tables[0].n_pulses == 20000
+
+
+def test_degrees_agree_across_provenance_rows_and_estimates(config,
+                                                           tmp_path):
+    # math.degrees(math.radians(1.5)) is 1.5000000000000002
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", config, "--seed", "5", "--trials",
+                 "20000", "--angles", "1.5:1.5", "--out", str(out)]) == 0
+    text = (out / "counts_t00_a00.csv").read_text()
+    assert "# theta_s_deg = 1.5\n" in text
+    assert "# theta_as_deg = 1.5\n" in text
+    assert text.splitlines()[-1].startswith("1.5,1.5,")
+    assert main(["estimate", "--eta-td", "0.5", "--replicas", "100",
+                 str(out / "counts_t00_a00.csv"),
+                 "--out", str(tmp_path / "est")]) == 0
+    entries, _ = read_kv(tmp_path / "est" / "estimates.kv")
+    assert entries["table00.theta_s_deg"] == "1.5"
+    assert entries["table00.theta_as_deg"] == "1.5"
 
 
 def test_simulate_rerun_is_byte_identical(config, tmp_path):
@@ -517,6 +536,20 @@ def test_repeater_sweep_preset(tmp_path):
                  "1e-4", "--l-min", "2e5", "--l-max", "1.5e6",
                  "--steps", "30", "--out", str(out)]) == 0
     assert hash_dir(out) == first
+
+
+def test_approx_multiplex_threshold_crosses_the_approximated_curve(
+        tmp_path):
+    exact, approx = tmp_path / "exact", tmp_path / "approx"
+    base = ["repeater-sweep", "--preset", "fig8", "--threshold", "1e-4"]
+    assert main(base + ["--out", str(exact)]) == 0
+    assert main(base + ["--approx-multiplex", "--out", str(approx)]) == 0
+    crossing = kv_floats(approx / "repeater_summary.kv")[
+        "cpe.threshold_crossing_m"]
+    assert crossing != kv_floats(exact / "repeater_summary.kv")[
+        "cpe.threshold_crossing_m"]
+    rate = _rate_curve(PRESET_HIGH_RETRIEVAL, True)(crossing).rate
+    assert rate == pytest.approx(1e-4, rel=1e-9)
 
 
 def test_simulate_estimate_fit_round_trip(tmp_path):

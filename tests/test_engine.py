@@ -8,13 +8,14 @@ from scipy import stats
 from dlczsim import (CHSH_SETTINGS, AngleSettings, Config, CountsTable,
                      CycleTiming, DecayParams, DetectionChain,
                      EnsembleGeometry, EstimateWithError, ExperimentParams,
-                     JointOutcomeProbs, ParameterError, TrialRecord,
-                     forward_count_probs, run_experiment)
+                     ParameterError, TrialRecord, engine,
+                     forward_count_probs, pair_correlation, run_experiment)
 from dlczsim.cli import parse_angle_plan
 from dlczsim.config import DEFAULT_VISIBILITY
-from dlczsim.engine import (BLOCK_TRIALS, _blocks, _cells, _decide_one,
-                            _outcome_table, _trial_model, exact_count_probs,
-                            iter_trial_records, trial_outcome_blocks)
+from dlczsim.engine import (BLOCK_TRIALS, _N_COLS, _blocks, _cells,
+                            _decide_one, _outcome_table, _trial_model,
+                            exact_count_probs, iter_trial_records,
+                            trial_outcome_blocks)
 from dlczsim.repeater import PRESET_HIGH_RETRIEVAL
 
 DEG = math.radians
@@ -35,8 +36,7 @@ MATCHED = AngleSettings(0.0, 0.0)
 
 def test_no_excitation_no_noise_means_no_clicks():
     params = make_params(chi=0.0, noise_b=0.0, noise_c=0.0)
-    result = run_experiment(params, TIMING, 0.0, [MATCHED], 20_000, seed=1)
-    table = result.tables[0]
+    table, = run_experiment(params, 0.0, [MATCHED], 20_000, seed=1)
     assert table.n_d1 == table.n_d2 == 0
     assert table.c13 == table.c24 == table.c14 == table.c23 == 0
 
@@ -45,8 +45,7 @@ def test_deterministic_limit_every_trial_matched():
     params = make_params(chi=1.0, noise_b=0.0, noise_c=0.0, eta_s=1.0,
                          eta_as=1.0, v0=1.0, decay=DecayParams(1.0, 1e-3))
     n = 50_000
-    result = run_experiment(params, TIMING, 0.0, [MATCHED], n, seed=2)
-    table = result.tables[0]
+    table, = run_experiment(params, 0.0, [MATCHED], n, seed=2)
     assert table.n_d1 + table.n_d2 == n
     assert table.c13 + table.c24 == n
     assert table.c14 == table.c23 == 0
@@ -54,10 +53,10 @@ def test_deterministic_limit_every_trial_matched():
 
 def test_identical_seeds_identical_tables():
     params = make_params()
-    a = run_experiment(params, TIMING, 0.0, [MATCHED], 100_000, seed=7)
-    b = run_experiment(params, TIMING, 0.0, [MATCHED], 100_000, seed=7)
+    a = run_experiment(params, 0.0, [MATCHED], 100_000, seed=7)
+    b = run_experiment(params, 0.0, [MATCHED], 100_000, seed=7)
     assert a == b
-    c = run_experiment(params, TIMING, 0.0, [MATCHED], 100_000, seed=8)
+    c = run_experiment(params, 0.0, [MATCHED], 100_000, seed=8)
     assert a != c
 
 
@@ -66,10 +65,10 @@ def test_multi_block_runs_are_deterministic():
     plan = [MATCHED, AngleSettings(DEG(45), DEG(22.5))]
     # > BLOCK_TRIALS, so the run spans several blocks
     n = BLOCK_TRIALS + 12_345
-    first = run_experiment(params, TIMING, 0.0, plan, n, seed=11)
-    again = run_experiment(params, TIMING, 0.0, plan, n, seed=11)
-    assert first.tables == again.tables
-    assert all(table.n_pulses == n for table in first.tables)
+    first = run_experiment(params, 0.0, plan, n, seed=11)
+    again = run_experiment(params, 0.0, plan, n, seed=11)
+    assert first == again
+    assert all(table.n_pulses == n for table in first)
 
 
 def test_outcome_table_is_exact_for_decide_one():
@@ -87,7 +86,7 @@ def test_outcome_table_is_exact_for_decide_one():
         # one _decide_one gives for that row
         lo = np.array([cell[2] for cell in cells])
         hi = np.array([cell[3] for cell in cells])
-        u = np.random.default_rng(99).random((4096, model.n_cols))
+        u = np.random.default_rng(99).random((4096, _N_COLS))
         inside = ((u[:, None, :] >= lo) & (u[:, None, :] < hi)).all(axis=2)
         assert (inside.sum(axis=1) == 1).all()
         for row, cell in zip(u, inside.argmax(axis=1)):
@@ -96,8 +95,8 @@ def test_outcome_table_is_exact_for_decide_one():
 
         # sampled counts follow the table
         n = 1_000_000
-        table = run_experiment(params, TIMING, 0.1e-3, [angles], n, seed=5,
-                               double_pair=double_pair).tables[0]
+        table, = run_experiment(params, 0.1e-3, [angles], n, seed=5,
+                                double_pair=double_pair)
         observed = np.array([table.n_d1, table.n_d2, table.c13, table.c24,
                              table.c14, table.c23])
         p = exact_count_probs(params, 0.1e-3, angles,
@@ -121,8 +120,8 @@ class _ReferenceProbe:
     """The interval-valued uniforms as first written: one probe and a new
     draw object per comparison, for each cell."""
 
-    def __init__(self, n_cols, path):
-        self.lo, self.hi = [0.0] * n_cols, [1.0] * n_cols
+    def __init__(self, path):
+        self.lo, self.hi = [0.0] * _N_COLS, [1.0] * _N_COLS
         self.path, self.splits, self.weight = list(path), 0, 1.0
 
     def __getitem__(self, role):
@@ -145,7 +144,7 @@ def _reference_cells(model):
     pending = [()]
     while pending:
         path = pending.pop()
-        probe = _ReferenceProbe(model.n_cols, path)
+        probe = _ReferenceProbe(path)
         outcome = tuple(bool(v) for v in _decide_one(model, probe))
         for depth in range(len(path), probe.splits):
             pending.append(tuple(probe.path[:depth]) + (False,))
@@ -196,7 +195,8 @@ def test_analytic_model_gap_to_exact_table_is_pinned(double_pair, angles,
     params = make_params(v0=DEFAULT_VISIBILITY)
     exact = exact_count_probs(params, 0.0, angles, double_pair=double_pair)
     f = forward_count_probs(params, 0.0, angles)
-    analytic = np.array([f.p_d1, f.p_d2, f.p13, f.p24, f.p14, f.p23])
+    analytic = np.array([f.p_s / 2.0, f.p_s / 2.0, f.p13, f.p24, f.p14,
+                         f.p23])
     assert analytic / exact - 1 == pytest.approx(gaps, abs=5e-4)
 
 
@@ -206,9 +206,9 @@ def test_counts_at_1e9_trials_follow_the_exact_table(double_pair):
     params = make_params(chi=0.05, eta_s=0.5, eta_as=0.5)
     plan = [MATCHED, AngleSettings(DEG(45), DEG(22.5))]
     n = 10**9
-    result = run_experiment(params, TIMING, 0.2e-3, plan, n, seed=37,
+    tables = run_experiment(params, 0.2e-3, plan, n, seed=37,
                             double_pair=double_pair)
-    for angles, table in zip(plan, result.tables):
+    for angles, table in zip(plan, tables):
         observed = np.array([table.n_d1, table.n_d2, table.c13, table.c24,
                              table.c14, table.c23])
         p = exact_count_probs(params, 0.2e-3, angles,
@@ -221,16 +221,16 @@ def test_records_tally_equals_counts_across_blocks():
     params = make_params(chi=0.05, eta_s=0.5, eta_as=0.5)
     plan = [MATCHED, AngleSettings(DEG(45), DEG(22.5))]
     n = BLOCK_TRIALS + 12_345
-    result = run_experiment(params, TIMING, 0.3e-3, plan, n, seed=41,
+    tables = run_experiment(params, 0.3e-3, plan, n, seed=41,
                             double_pair=True, run_tag=2)
-    for s_idx, (angles, table) in enumerate(zip(plan, result.tables)):
+    for s_idx, (angles, table) in enumerate(zip(plan, tables)):
         outcomes, blocks = trial_outcome_blocks(
             params, 0.3e-3, angles, n, 41, setting_index=s_idx,
             double_pair=True, run_tag=2)
         firsts, hist = [], np.zeros(len(outcomes), dtype=np.int64)
-        for first, draw in blocks:
+        for first, trials in blocks:
             firsts.append(first)
-            hist += np.bincount(draw(), minlength=len(outcomes))
+            hist += np.bincount(trials, minlength=len(outcomes))
         assert firsts == [0, BLOCK_TRIALS]
         tally = {name: 0 for name in ("n_d1", "n_d2", "c13", "c24", "c14",
                                       "c23")}
@@ -251,8 +251,7 @@ def test_records_order_is_uniform_given_the_histogram():
     size = 200_000
     outcomes, blocks = trial_outcome_blocks(params, 0.0, MATCHED, size, 43,
                                             double_pair=True)
-    (_, draw), = blocks
-    trials = draw()
+    (_, trials), = blocks
     positions = np.arange(size)
     for k in range(len(outcomes)):
         c = int(np.count_nonzero(trials == k))
@@ -271,6 +270,20 @@ def test_blocks_are_lazy_and_cover_the_remainder():
     assert list(_blocks(5)) == [(0, 5)]
 
 
+def test_trial_outcome_blocks_draw_each_block_when_reached(monkeypatch):
+    drawn = []
+    arrange = engine._block_arrangement
+    monkeypatch.setattr(engine, "_block_arrangement",
+                        lambda *key: drawn.append(key[-2]) or arrange(*key))
+    _, blocks = trial_outcome_blocks(make_params(), 0.0, MATCHED,
+                                     BLOCK_TRIALS + 7, 3)
+    assert drawn == []
+    first, trials = next(blocks)
+    assert (first, len(trials), drawn) == (0, BLOCK_TRIALS, [0])
+    first, trials = next(blocks)
+    assert (first, len(trials), drawn) == (BLOCK_TRIALS, 7, [0, 1])
+
+
 def test_trial_record_fields_without_excitation_or_noise():
     params = make_params(chi=0.0, noise_b=0.0, noise_c=0.0)
     records = list(iter_trial_records(params, 1e-6, MATCHED, 6, seed=0))
@@ -285,8 +298,7 @@ def test_trial_record_fields_without_excitation_or_noise():
 def test_empirical_stokes_rate_matches_forward_model():
     params = make_params()
     n = 1_000_000
-    result = run_experiment(params, TIMING, 0.0, [MATCHED], n, seed=13)
-    table = result.tables[0]
+    table, = run_experiment(params, 0.0, [MATCHED], n, seed=13)
     expected = forward_count_probs(params, 0.0, MATCHED).p_s
     p_emp = (table.n_d1 + table.n_d2) / n
     sigma = math.sqrt(expected * (1 - expected) / n)
@@ -298,8 +310,7 @@ def test_retrieval_inversion_at_unit_visibility():
     params = make_params(noise_b=0.0, noise_c=0.0, v0=1.0)
     n = 1_000_000
     t = 0.54e-3
-    result = run_experiment(params, TIMING, t, [MATCHED], n, seed=17)
-    table = result.tables[0]
+    table, = run_experiment(params, t, [MATCHED], n, seed=17)
     r_emp = (table.c13 + table.c24) / (0.15 * (table.n_d1 + table.n_d2))
     r_true = 0.5119789888718064
     n_coinc = table.c13 + table.c24
@@ -307,17 +318,14 @@ def test_retrieval_inversion_at_unit_visibility():
 
 
 def test_coincidence_ratios_match_projection_probs():
-    from dlczsim import projection_probs
     params = make_params(chi=0.02, noise_b=0.0, noise_c=0.0, eta_s=0.3,
                          eta_as=0.3)
     angles = AngleSettings(DEG(22.5), 0.0)
-    result = run_experiment(params, TIMING, 0.0, [angles], 1_000_000,
-                            seed=19)
-    table = result.tables[0]
+    table, = run_experiment(params, 0.0, [angles], 1_000_000, seed=19)
     observed = np.array([table.c13, table.c24, table.c14, table.c23])
-    probs = projection_probs(angles, params.v0, params.phase)
-    expected = observed.sum() * np.array(
-        [probs.p13, probs.p24, probs.p14, probs.p23])
+    k = pair_correlation(angles, params.v0, params.phase)
+    expected = observed.sum() * np.array([1.0 + k, 1.0 + k, 1.0 - k,
+                                          1.0 - k]) / 4.0
     chi2 = float(np.sum((observed - expected) ** 2 / expected))
     p_value = stats.chi2.sf(chi2, df=3)
     assert p_value > 0.001
@@ -339,8 +347,7 @@ def test_feed_forward_gates_all_antistokes_clicks():
 def test_records_match_experiment_counts():
     params = make_params(chi=0.1, eta_s=0.5, eta_as=0.5)
     n = 30_000
-    result = run_experiment(params, TIMING, 0.0, [MATCHED], n, seed=29)
-    table = result.tables[0]
+    table, = run_experiment(params, 0.0, [MATCHED], n, seed=29)
     records = list(iter_trial_records(params, 0.0, MATCHED, n, seed=29))
     n_d1 = sum(1 for r in records if r.stokes_click == "D1")
     c13 = sum(1 for r in records
@@ -349,37 +356,27 @@ def test_records_match_experiment_counts():
     assert c13 == table.c13
 
 
-def test_simulated_wall_time_follows_duty_cycle():
-    params = make_params()
-    result = run_experiment(params, TIMING, 0.0, [MATCHED], 4000, seed=3)
-    assert result.wall_time == pytest.approx(50e-3, rel=1e-12)
-    result = run_experiment(params, TIMING, 0.0, [MATCHED], 4001, seed=3)
-    assert result.wall_time == pytest.approx(100e-3, rel=1e-12)
-    result = run_experiment(params, TIMING, 0.0, [MATCHED] * 2, 4000, seed=3)
-    assert result.wall_time == pytest.approx(100e-3, rel=1e-12)
-
-
 def test_configuration_errors():
     params = make_params()
     with pytest.raises(ParameterError):
-        run_experiment(params, TIMING, 0.0, [], 1000, seed=1)
+        run_experiment(params, 0.0, [], 1000, seed=1)
     with pytest.raises(ParameterError):
-        run_experiment(params, TIMING, 0.0, [MATCHED], 0, seed=1)
+        run_experiment(params, 0.0, [MATCHED], 0, seed=1)
     with pytest.raises(ParameterError):
-        run_experiment(params, TIMING, 0.0, [MATCHED], 1000, seed=-1)
+        run_experiment(params, 0.0, [MATCHED], 1000, seed=-1)
 
 
 def test_double_pair_sampling_is_off_by_default():
     # crossed coincidences are impossible for single pairs at V=1, delta=0
     params = make_params(chi=0.2, noise_b=0.0, noise_c=0.0, eta_s=0.5,
                          eta_as=0.5, v0=1.0, decay=DecayParams(1.0, 1e-3))
-    off = run_experiment(params, TIMING, 0.0, [MATCHED], 200_000, seed=31)
-    assert off.tables[0].c14 == 0
-    assert off.tables[0].c23 == 0
-    on = run_experiment(params, TIMING, 0.0, [MATCHED], 200_000, seed=31,
-                        double_pair=True)
-    crossed = on.tables[0].c14 + on.tables[0].c23
-    total = crossed + on.tables[0].c13 + on.tables[0].c24
+    off, = run_experiment(params, 0.0, [MATCHED], 200_000, seed=31)
+    assert off.c14 == 0
+    assert off.c23 == 0
+    on, = run_experiment(params, 0.0, [MATCHED], 200_000, seed=31,
+                         double_pair=True)
+    crossed = on.c14 + on.c23
+    total = crossed + on.c13 + on.c24
     assert crossed > 0
     assert crossed / total < 0.05
 
@@ -387,20 +384,20 @@ def test_double_pair_sampling_is_off_by_default():
 def test_seeds_must_be_non_negative_integers():
     params = make_params()
     with pytest.raises(ParameterError, match="seed = 1.5 must be an integer"):
-        run_experiment(params, TIMING, 0.0, [MATCHED], 1000, seed=1.5)
+        run_experiment(params, 0.0, [MATCHED], 1000, seed=1.5)
     for seed in (1.5, -1):
         with pytest.raises(ParameterError, match=f"seed = {seed}"):
             trial_outcome_blocks(params, 0.0, MATCHED, 1000, seed)
-    plain = run_experiment(params, TIMING, 0.0, [MATCHED], 1000, seed=7)
-    assert run_experiment(params, TIMING, 0.0, [MATCHED], 1000,
+    plain = run_experiment(params, 0.0, [MATCHED], 1000, seed=7)
+    assert run_experiment(params, 0.0, [MATCHED], 1000,
                           seed=np.int64(7)) == plain
     outcomes, blocks = trial_outcome_blocks(params, 0.0, MATCHED, 1000, 7)
-    (_, draw), = blocks
+    (_, trials), = blocks
     numpy_outcomes, numpy_blocks = trial_outcome_blocks(
         params, 0.0, MATCHED, 1000, np.int64(7))
-    (_, numpy_draw), = numpy_blocks
+    (_, numpy_trials), = numpy_blocks
     assert numpy_outcomes == outcomes
-    assert numpy_draw().tobytes() == draw().tobytes()
+    assert numpy_trials.tobytes() == trials.tobytes()
 
 
 # One instance of each record whose construction checks nothing, a field
@@ -408,9 +405,6 @@ def test_seeds_must_be_non_negative_integers():
 UNCHECKED_RECORDS = {
     "TrialRecord": (TrialRecord(3, 5e-4, "D1", None, True),
                     "antistokes_click", "D4"),
-    "ExperimentResult": (run_experiment(make_params(), TIMING, 0.0,
-                                        [MATCHED], 1000, seed=1),
-                         "wall_time", 1.0),
     "_TrialModel": (_trial_model(make_params(), 0.0, MATCHED, False),
                     "double_pair", True),
     "AngleSettings": (MATCHED, "theta_as", DEG(22.5)),
@@ -461,10 +455,6 @@ VALIDATED_RECORDS = {
         "n_pulses: 'int', n_d1: 'int', n_d2: 'int', c13: 'int', c24: 'int', "
         "c14: 'int', c23: 'int') -> None",
         "c13", 29),  # more D1 coincidences than D1 singles
-    "JointOutcomeProbs": (
-        JointOutcomeProbs(0.4, 0.4, 0.1, 0.1),
-        "(p13: 'float', p24: 'float', p14: 'float', p23: 'float') -> None",
-        "p13", 0.5),  # sum 1.1
     "EstimateWithError": (
         EstimateWithError(0.5, 0.01), "(value: 'float', sigma: 'float') "
         "-> None", "sigma", -0.01),

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dlczsim import (AngleSettings, DecayParams, ExperimentParams,
-                     ParameterError, forward_count_probs, projection_probs)
+                     ParameterError, forward_count_probs, pair_correlation,
+                     retrieval_decay)
 
 DEG = math.radians
 
@@ -18,54 +19,54 @@ def reference_params(**overrides):
 
 
 def test_projection_perfect_correlation_shared_basis():
-    probs = projection_probs(AngleSettings(0.0, 0.0), visibility=1.0)
-    assert probs.p13 == pytest.approx(0.5)
-    assert probs.p24 == pytest.approx(0.5)
-    assert probs.p14 == 0.0
-    assert probs.p23 == 0.0
+    k = pair_correlation(AngleSettings(0.0, 0.0), visibility=1.0)
+    assert (1.0 + k) / 4.0 == pytest.approx(0.5)  # p13 = p24
+    assert (1.0 - k) / 4.0 == 0.0  # p14 = p23
 
 
 def test_projection_unbiased_bases():
-    probs = projection_probs(AngleSettings(DEG(45), 0.0), visibility=1.0)
-    for p in (probs.p13, probs.p24, probs.p14, probs.p23):
+    k = pair_correlation(AngleSettings(DEG(45), 0.0), visibility=1.0)
+    for p in ((1.0 + k) / 4.0, (1.0 - k) / 4.0):
         assert p == pytest.approx(0.25, rel=1e-12)
 
 
 def test_projection_partial_visibility():
     # delta = 22.5 deg, visibility tuned so the CHSH parameter is 2.5
-    probs = projection_probs(AngleSettings(DEG(22.5), 0.0),
-                             visibility=0.8839)
-    assert probs.p13 == pytest.approx(0.4062529209726974, rel=1e-12)
-    assert probs.p13 == pytest.approx(0.4063, abs=1e-4)
+    k = pair_correlation(AngleSettings(DEG(22.5), 0.0), visibility=0.8839)
+    assert (1.0 + k) / 4.0 == pytest.approx(0.4062529209726974, rel=1e-12)
+    assert (1.0 + k) / 4.0 == pytest.approx(0.4063, abs=1e-4)
 
 
 @given(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0), st.floats(0.0, 1.0),
        st.floats(-3.2, 3.2))
 def test_projection_correlation_identity(theta_s, theta_as, v, phase):
     angles = AngleSettings(theta_s, theta_as)
-    probs = projection_probs(angles, v, phase)
+    k = pair_correlation(angles, v, phase)
     expected = v * math.cos(phase) * math.cos(2.0 * angles.delta)
-    assert probs.correlation == pytest.approx(expected, abs=1e-12)
-    assert abs(probs.correlation) <= v + 1e-12
-    total = probs.p13 + probs.p24 + probs.p14 + probs.p23
-    assert total == pytest.approx(1.0, abs=1e-12)
-    assert probs.p13 == probs.p24
-    assert probs.p14 == probs.p23
+    assert k == pytest.approx(expected, abs=1e-12)
+    assert abs(k) <= v + 1e-12
 
 
 def test_projection_joint_basis_rotation_symmetry():
-    base = projection_probs(AngleSettings(DEG(10), DEG(40)), 0.9)
-    shifted = projection_probs(
+    base = pair_correlation(AngleSettings(DEG(10), DEG(40)), 0.9)
+    shifted = pair_correlation(
         AngleSettings(DEG(10) + math.pi / 2, DEG(40) + math.pi / 2), 0.9)
-    assert shifted.p13 == pytest.approx(base.p13, rel=1e-12)
-    assert shifted.p14 == pytest.approx(base.p14, rel=1e-12)
+    assert shifted == pytest.approx(base, rel=1e-12)
 
 
 def test_projection_visibility_validation():
     with pytest.raises(ParameterError):
-        projection_probs(AngleSettings(0.0, 0.0), visibility=1.5)
+        pair_correlation(AngleSettings(0.0, 0.0), visibility=1.5)
     with pytest.raises(ParameterError, match="phase = inf"):
-        projection_probs(AngleSettings(0.0, 0.0), 0.9, phase=math.inf)
+        pair_correlation(AngleSettings(0.0, 0.0), 0.9, phase=math.inf)
+
+
+def test_angle_degrees_read_back_exactly():
+    # every tenth of a degree in [0, 360): math.degrees alone misses 429
+    for tenths in range(3600):
+        settings = AngleSettings.from_degrees(tenths / 10, -tenths / 10)
+        assert AngleSettings.from_degrees(*settings.degrees) == settings
+    assert AngleSettings.from_degrees(1.5, 22.5).degrees == (1.5, 22.5)
 
 
 def test_forward_no_excitation_no_noise():
@@ -80,7 +81,8 @@ def test_forward_operating_point_noiseless():
     assert probs.p_s == pytest.approx(1.5e-3, rel=1e-12)
     # correlated part chi * R * eta_s * eta_as plus the accidental term
     accidental = probs.p_s * probs.p_as
-    assert probs.p_s_as - accidental == pytest.approx(
+    total = probs.p13 + probs.p24 + probs.p14 + probs.p23
+    assert total - accidental == pytest.approx(
         0.00017324999999999998, rel=1e-12)
 
 
@@ -92,10 +94,14 @@ def test_forward_operating_point_with_backgrounds():
 
 
 def test_forward_pairwise_sum_matches_total():
-    probs = forward_count_probs(reference_params(), 0.2e-3,
-                                AngleSettings(DEG(22.5), 0.0))
+    params = reference_params()
+    probs = forward_count_probs(params, 0.2e-3, AngleSettings(DEG(22.5), 0.0))
     total = probs.p13 + probs.p24 + probs.p14 + probs.p23
-    assert total == pytest.approx(probs.p_s_as, abs=1e-12)
+    # correlated plus accidental: the pair correlation only apportions
+    correlated = (params.chi * retrieval_decay(params.decay, 0.2e-3)
+                  * params.eta_s * params.eta_as)
+    assert total == pytest.approx(correlated + probs.p_s * probs.p_as,
+                                  abs=1e-12)
 
 
 @pytest.mark.parametrize("chi", [1e-3, 1e-4])
@@ -105,7 +111,7 @@ def test_forward_accidental_ratio_scales_as_chi(chi):
     probs = forward_count_probs(params, 0.0, AngleSettings(0.0, 0.0))
     r = 0.77
     correlated = chi * r * 0.15 * 0.15
-    accidental = probs.p_s_as - correlated
+    accidental = probs.p13 + probs.p24 + probs.p14 + probs.p23 - correlated
     assert accidental / correlated == pytest.approx(chi, rel=1e-9)
 
 

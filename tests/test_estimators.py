@@ -10,7 +10,7 @@ from dlczsim import (CHSH_SETTINGS, AngleSettings, DegenerateStatisticsError,
                      InsufficientDataError, ParameterError, bell_S,
                      bell_S_signed, correlation_E, fidelity_from_S,
                      intrinsic_retrieval_mode, intrinsic_retrieval_qubit,
-                     poisson_error, projection_probs, visibility_from_S)
+                     pair_correlation, poisson_error, visibility_from_S)
 from dlczsim.config import DEFAULT_VISIBILITY
 from dlczsim.engine import CountsTable
 from dlczsim.estimators import (MATCHED_ANGLE_TOL, REPLICAS_MAX,
@@ -29,15 +29,17 @@ def matched_table(n_pulses=1_000_000, n_d1=5000, n_d2=5000, c13=578,
 
 def proj_table(theta_s, theta_as, visibility, n=40_000, n_pulses=10_000_000,
                singles=100_000):
-    """Float-count table built from the exact projection probabilities."""
-    probs = projection_probs(AngleSettings(theta_s, theta_as), visibility)
+    """Float-count table built from the exact projection probabilities,
+    (1 + K)/4 on matched and (1 - K)/4 on crossed detector pairs."""
+    k = pair_correlation(AngleSettings(theta_s, theta_as), visibility)
+    matched, crossed = (1.0 + k) / 4.0, (1.0 - k) / 4.0
     return SimpleNamespace(settings=AngleSettings(theta_s, theta_as),
                            storage_time=0.0, n_pulses=n_pulses,
                            n_d1=singles, n_d2=singles,
-                           c13=probs.p13 * n, c24=probs.p24 * n,
-                           c14=probs.p14 * n, c23=probs.p23 * n,
-                           matched=(probs.p13 + probs.p24) * n,
-                           crossed=(probs.p14 + probs.p23) * n)
+                           c13=matched * n, c24=matched * n,
+                           c14=crossed * n, c23=crossed * n,
+                           matched=(matched + matched) * n,
+                           crossed=(crossed + crossed) * n)
 
 
 def canonical_proj_tables(visibility, n=40_000):

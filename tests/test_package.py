@@ -12,8 +12,8 @@ PUBLIC_NAMES = [
     "CountsTable", "CycleTiming", "DecayParams", "DegenerateDataError",
     "DegenerateStatisticsError", "DetectionChain", "DlczError",
     "EnsembleGeometry", "EstimateWithError", "ExperimentParams",
-    "ExperimentResult", "FitConvergenceError", "ForwardProbs",
-    "InsufficientDataError", "JointOutcomeProbs", "ParameterError",
+    "FitConvergenceError", "ForwardProbs", "InsufficientDataError",
+    "ParameterError",
     "RateBreakdown", "RepeaterParams", "SchemaError", "TrialRecord",
     "bell_S", "bell_S_signed", "calibrate_chi", "config", "correlation_E",
     "coupling_angle", "decoherence", "elementary_probs", "engine",
@@ -21,9 +21,10 @@ PUBLIC_NAMES = [
     "exact_count_probs", "fidelity_from_S", "fit_decay",
     "forward_count_probs", "intrinsic_retrieval_mode",
     "intrinsic_retrieval_qubit", "iter_trial_records", "load_config",
-    "motional_lifetime", "params", "poisson_error", "projection_probs",
+    "motional_lifetime", "pair_correlation", "params", "poisson_error",
     "repeater", "repetition_rate", "retrieval_decay", "run_experiment",
-    "swap_chain", "sweep_distance", "threshold_crossing_distance",
+    "simulated_wall_time", "swap_chain", "sweep_distance",
+    "threshold_crossing_distance",
     "visibility_from_S",
 ]
 

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from dlczsim import (CycleTiming, DecayParams, DetectionChain,
                      EnsembleGeometry, ExperimentParams, ParameterError,
-                     coupling_angle, repetition_rate)
+                     coupling_angle, repetition_rate, simulated_wall_time)
 from dlczsim.errors import check_in
 from dlczsim.repeater import PRESET_HIGH_RETRIEVAL
 
@@ -163,6 +163,16 @@ def test_repetition_rate_integer_trials_identity():
     rate = repetition_rate(LAB_TIMING)
     cycle = LAB_TIMING.prep_duration + LAB_TIMING.run_duration
     assert rate * cycle == LAB_TIMING.trials_per_run
+
+
+def test_simulated_wall_time_follows_duty_cycle():
+    # 4000 trials fill one 50 ms cycle; one more trial starts a second
+    assert simulated_wall_time(LAB_TIMING, 4000) == pytest.approx(
+        50e-3, rel=1e-12)
+    assert simulated_wall_time(LAB_TIMING, 4001) == pytest.approx(
+        100e-3, rel=1e-12)
+    assert simulated_wall_time(LAB_TIMING, 2 * 4000) == pytest.approx(
+        100e-3, rel=1e-12)
 
 
 def test_trials_per_run_survives_quotient_rounding():
