@@ -24,16 +24,16 @@ from .datafiles import (DECAY_COLUMNS, DECAY_SIGMA_COLUMN, RECORDS_LIMIT,
                         fmt_value, read_counts_csv, read_decay_csv,
                         write_counts_csv, write_csv, write_kv,
                         write_records_csv)
-from .decoherence import fit_decay, motional_lifetime
-from .engine import (STREAM_VERSION, CountsTable, run_experiment,
-                     trial_outcome_blocks)
+from .decoherence import fit_decay
+from .engine import STREAM_VERSION, run_experiment, trial_outcome_blocks
 from .entanglement import CHSH_SETTINGS, AngleSettings
 from .errors import (DegenerateDataError, DegenerateStatisticsError,
                      FitConvergenceError, InsufficientDataError,
                      ParameterError, SchemaError, check_in)
 from .estimators import (estimate_tables, fidelity_from_S, visibility_from_S,
                          REPLICAS_MAX, TWO_ROOT_TWO)
-from .params import coupling_angle, repetition_rate, simulated_wall_time
+from .params import (CountsTable, coupling_angle, motional_lifetime,
+                     repetition_rate, simulated_wall_time)
 from .repeater import (PRESETS, PRESET_CHI_SOURCE, SWEEP_MAX_STEPS,
                        sweep_distance, threshold_crossing_distance)
 

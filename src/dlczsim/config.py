@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import inspect
-import math
 from pathlib import Path
 from typing import Dict, NamedTuple, Optional
 
@@ -20,28 +19,12 @@ from .params import (CycleTiming, DecayParams, DetectionChain,
                      EnsembleGeometry, ExperimentParams)
 from .repeater import RepeaterParams
 
-# Zero-delay visibility calibration: the value implied by a CHSH parameter
-# of 2.5 through V = S / (2 sqrt 2).
-DEFAULT_VISIBILITY = 2.5 / (2.0 * math.sqrt(2.0))
-
-
-def _experiment(decay, chi: float, noise_b: float, noise_c: float,
-                eta_as: float, eta_s: float = None,
-                visibility: float = DEFAULT_VISIBILITY,
-                phase: float = 0.0) -> ExperimentParams:
-    """ExperimentParams under the file's names: ``visibility`` is ``v0``,
-    and ``eta_s`` defaults to ``eta_as``."""
-    return ExperimentParams(chi=chi, noise_b=noise_b, noise_c=noise_c,
-                            eta_s=eta_as if eta_s is None else eta_s,
-                            eta_as=eta_as, v0=visibility, phase=phase,
-                            decay=decay)
-
 
 def _engine(double_pair: bool = False) -> bool:
     return double_pair
 
 
-_BUILDERS = {"experiment": _experiment, "decay": DecayParams,
+_BUILDERS = {"experiment": ExperimentParams, "decay": DecayParams,
              "chain": DetectionChain, "geometry": EnsembleGeometry,
              "timing": CycleTiming, "engine": _engine,
              "repeater": RepeaterParams}

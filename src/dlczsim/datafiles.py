@@ -14,9 +14,10 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
-from .engine import CountsTable, TrialRecord
+from .engine import TrialRecord
 from .entanglement import AngleSettings
 from .errors import SchemaError, decode_utf8
+from .params import CountsTable
 
 FORMAT_VERSION = "v1"
 

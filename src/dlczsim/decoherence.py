@@ -1,4 +1,4 @@
-"""Retrieval-efficiency decay model, motional-lifetime estimate, and fitting.
+"""Retrieval-efficiency decay model and its least-squares fit.
 
 The decay model is R(t) = R0 * (exp(-t^2/tau0^2) + exp(-t/tau0)) / 2, a
 half-Gaussian/half-exponential mix whose 1/e point sits exactly at t = tau0.
@@ -11,9 +11,9 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import (DegenerateDataError, FitConvergenceError, ParameterError)
-from .params import (BOLTZMANN_K, DecayParams, EnsembleGeometry,
-                     coupling_angle)
+from .errors import DegenerateDataError, ParameterError
+from .params import DecayParams
+from .solve import find_minimum
 
 # Fitter: r0 has a closed form for each tau0, which leaves a 1-D search in
 # y = log(tau0 / t_max): a grid seed, a walk past its edge, then Brent.
@@ -26,8 +26,6 @@ GRID_TIE_REL = 1e-9
 # The walk stops at |y| = WALK_LIMIT, where exp(y) is still a normal float.
 WALK_LIMIT = 700.0
 FIT_MAX_ITER = 10_000
-LOG_TAU_TOL = 1e-10  # Brent's absolute tolerance in log tau0
-GOLDEN = 0.3819660112501051  # (3 - sqrt(5)) / 2
 
 
 def retrieval_decay(p: DecayParams, t):
@@ -39,26 +37,6 @@ def retrieval_decay(p: DecayParams, t):
         x = t / p.tau0
         out = p.r0 * (np.exp(-x * x) + np.exp(-x)) / 2.0
     return float(out) if out.ndim == 0 else out
-
-
-def motional_lifetime(geom: EnsembleGeometry) -> float:
-    """Memory lifetime limited by thermal atomic motion, seconds.
-
-    tau_a = 1 / (|dk| * v_a) with |dk| = 2 k sin(theta/2) the spin-wave
-    wave-vector magnitude and v_a = sqrt(kB T / m) the thermal speed.
-    Raises ``OverflowError`` when dk v_a or 1 / (dk v_a) is not a finite
-    float: an overflowed k or v_a would otherwise give a lifetime of 0.
-    """
-    theta = coupling_angle(geom)
-    k = 2.0 * math.pi / geom.wavelength
-    dk = 2.0 * k * math.sin(theta / 2.0)
-    v_a = math.sqrt(BOLTZMANN_K * geom.temperature / geom.atomic_mass)
-    rate = dk * v_a
-    tau = 1.0 / rate if rate else math.inf
-    if not (math.isfinite(rate) and math.isfinite(tau)):
-        raise OverflowError(f"motional lifetime 1 / (dk v_a) is not a finite "
-                            f"nonzero number: dk v_a = {rate!r}")
-    return tau
 
 
 def _as_sample_arrays(samples) -> Tuple[np.ndarray, np.ndarray,
@@ -104,55 +82,6 @@ def _as_sample_arrays(samples) -> Tuple[np.ndarray, np.ndarray,
         raise DegenerateDataError(
             "samples need at least 3 distinct storage times")
     return t, r, w
-
-
-def _brent(f, a, x, b, fx, max_iter):
-    """Minimum of ``f`` on [a, b] by Brent's method, from x in [a, b] with
-    f(x) = fx: parabolic steps through the three best points, golden
-    section when a parabola would not shrink the bracket. A point replaces
-    the best only when strictly lower, so ties keep the earlier one."""
-    v = w = x
-    fv = fw = fx
-    d = e = 0.0
-    for _ in range(max_iter):
-        m = 0.5 * (a + b)
-        if abs(x - m) <= 2.0 * LOG_TAU_TOL - 0.5 * (b - a):
-            return x, fx
-        p = q = 0.0
-        if abs(e) > LOG_TAU_TOL:  # parabola through x, w and v
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-        if q and abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
-            e, d = d, p / q
-            if x + d - a < 2.0 * LOG_TAU_TOL or b - x - d < 2.0 * LOG_TAU_TOL:
-                d = math.copysign(LOG_TAU_TOL, m - x)
-        else:
-            e = (a if x >= m else b) - x
-            d = GOLDEN * e
-        u = x + (d if abs(d) >= LOG_TAU_TOL else math.copysign(LOG_TAU_TOL, d))
-        fu = f(u)
-        if fu < fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-    raise FitConvergenceError(
-        f"decay fit did not converge within {max_iter} iterations")
 
 
 def fit_decay(samples: Sequence[Sequence[float]]) -> Tuple[DecayParams, float]:
@@ -224,7 +153,7 @@ def fit_decay(samples: Sequence[Sequence[float]]) -> Tuple[DecayParams, float]:
             if fx == f_inf:  # the walk reached the limit's objective
                 return DecayParams(r0_inf, math.inf), f_inf
             a, b = sorted((inner, out))
-        x, _ = _brent(objective, a, x, b, fx, FIT_MAX_ITER)
+        x, _ = find_minimum(objective, a, x, b, fx, FIT_MAX_ITER)
         r0, fx = best_r0(shape(s / math.exp(x)))
     if f_inf <= fx:
         return DecayParams(r0_inf, math.inf), f_inf

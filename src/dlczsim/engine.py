@@ -24,8 +24,8 @@ import numpy as np
 
 from .entanglement import AngleSettings, pair_correlation
 from .decoherence import retrieval_decay
-from .errors import ParameterError, Record, check_in, check_seed
-from .params import ExperimentParams
+from .errors import ParameterError, check_in, check_seed
+from .params import CountsTable, ExperimentParams
 
 # Trials per RNG block. Fixed: changing it changes sampled streams.
 BLOCK_TRIALS = 1 << 20
@@ -64,41 +64,6 @@ class TrialRecord(NamedTuple):
                    bool(pair))
 
 
-class CountsTable(Record):
-    """Aggregated singles and coincidence counts at one analyzer setting."""
-
-    settings: AngleSettings
-    storage_time: float
-    n_pulses: int
-    n_d1: int
-    n_d2: int
-    c13: int
-    c24: int
-    c14: int
-    c23: int
-
-    def __post_init__(self):
-        check_in("storage_time", self.storage_time, "[0, inf)")
-        for name in ("n_pulses", "n_d1", "n_d2", "c13", "c24", "c14", "c23"):
-            check_in(name, getattr(self, name), "[0, inf)")
-        if self.n_d1 + self.n_d2 > self.n_pulses:
-            raise ParameterError("more Stokes singles than pulses")
-        if self.c13 + self.c14 > self.n_d1:
-            raise ParameterError("more D1 coincidences than D1 singles")
-        if self.c23 + self.c24 > self.n_d2:
-            raise ParameterError("more D2 coincidences than D2 singles")
-
-    @property
-    def matched(self) -> int:
-        """Coincidences on matched detector pairs, D1-D3 and D2-D4."""
-        return self.c13 + self.c24
-
-    @property
-    def crossed(self) -> int:
-        """Coincidences on crossed detector pairs, D1-D4 and D2-D3."""
-        return self.c14 + self.c23
-
-
 class _TrialModel(NamedTuple):
     """Per-trial probabilities derived from the experiment parameters."""
 
@@ -114,7 +79,7 @@ class _TrialModel(NamedTuple):
 
 def _trial_model(params: ExperimentParams, t: float, angles: AngleSettings,
                  double_pair: bool) -> _TrialModel:
-    k = pair_correlation(angles, params.v0, params.phase)
+    k = pair_correlation(angles, params.visibility, params.phase)
     return _TrialModel(
         chi=params.chi,
         chi2_half=params.chi ** 2 / 2.0,

@@ -101,7 +101,7 @@ def forward_count_probs(params: ExperimentParams, t: float,
     p_as = (params.chi * r_inc + params.noise_c) * params.eta_as
     correlated = params.chi * r_inc * params.eta_s * params.eta_as
     accidental = p_s * p_as
-    k = pair_correlation(angles, params.v0, params.phase)
+    k = pair_correlation(angles, params.visibility, params.phase)
     matched = correlated * ((1.0 + k) / 4.0) + accidental / 4.0
     crossed = correlated * ((1.0 - k) / 4.0) + accidental / 4.0
     for name, value in (("p_s", p_s), ("p_as", p_as), ("p13", matched),

@@ -14,10 +14,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .engine import CountsTable
 from .entanglement import CHSH_SETTINGS
 from .errors import (DegenerateStatisticsError, InsufficientDataError,
                      ParameterError, Record, check_in, check_seed)
+from .params import CountsTable
 
 TWO_ROOT_TWO = 2.0 * math.sqrt(2.0)
 REPLICAS_MAX = 1_000_000  # at most 5 int64 draws a replica per table

@@ -1,4 +1,5 @@
-"""Configuration types and deterministic efficiency/geometry calculators.
+"""Validated input and counts records, and the deterministic efficiency,
+geometry, motional-lifetime and timing calculators, in pure ``math``.
 
 All efficiencies are dimensionless in [0, 1], lengths in meters, times in
 seconds, angles in radians unless a function name says otherwise.
@@ -18,6 +19,9 @@ BOLTZMANN_K = 1.380649e-23      # J/K (exact)
 LOSS_ITEM_TOL = 1e-6
 # Relative allowance for float rounding in trials_per_run's quotient
 TRIALS_PER_RUN_REL_TOL = 1e-12
+# Zero-delay visibility calibration: the value implied by a CHSH parameter
+# of 2.5 through V = S / (2 sqrt 2).
+DEFAULT_VISIBILITY = 2.5 / (2.0 * math.sqrt(2.0))
 
 
 class DetectionChain(Record):
@@ -102,19 +106,21 @@ class DecayParams(Record):
 
 
 class ExperimentParams(Record):
-    """Full configuration of one simulated write/read experiment."""
+    """Full configuration of one write/read experiment; config defaults."""
 
     chi: float               # pair-creation probability per write pulse
     noise_b: float           # Stokes-channel background probability/pulse
     noise_c: float           # anti-Stokes background probability/read pulse
-    eta_s: float             # total Stokes detection efficiency
     eta_as: float            # total anti-Stokes detection efficiency
-    v0: float                # intrinsic pair visibility at zero delay
-    phase: float             # net interferometer phase (phi_S + phi_AS), rad
+    eta_s: float = None      # Stokes detection efficiency, eta_as if None
+    visibility: float = DEFAULT_VISIBILITY  # pair visibility at zero delay
+    phase: float = 0.0       # net interferometer phase (phi_S + phi_AS), rad
     decay: DecayParams = DecayParams(0.77, 1e-3)  # immutable, so shared
 
     def __post_init__(self):
-        for name in ("chi", "noise_b", "noise_c", "v0"):
+        if self.eta_s is None:
+            object.__setattr__(self, "eta_s", self.eta_as)
+        for name in ("chi", "noise_b", "noise_c", "visibility"):
             check_in(name, getattr(self, name), "[0, 1]")
         check_in("eta_s", self.eta_s, "(0, 1]")
         check_in("eta_as", self.eta_as, "(0, 1]")
@@ -135,14 +141,51 @@ class CycleTiming(Record):
         check_in("run_duration", self.run_duration, "(0, inf)")
         check_in("trial_period", self.trial_period, "(0, inf)")
         check_in("prep_duration", self.prep_duration, "[0, inf)")
-        if self.trials_per_run < 1:
-            raise ParameterError(
-                "run_duration shorter than one trial_period")
+        check_in("prep_duration + run_duration",
+                 self.prep_duration + self.run_duration, "(0, inf)")
+        check_in("run_duration / trial_period (1 + 1e-12)", self.run_duration
+                 / self.trial_period * (1.0 + TRIALS_PER_RUN_REL_TOL),
+                 "[1, inf)")
 
     @property
     def trials_per_run(self) -> int:
         return math.floor(self.run_duration / self.trial_period
                           * (1.0 + TRIALS_PER_RUN_REL_TOL))
+
+
+class CountsTable(Record):
+    """Aggregated singles and coincidence counts at one analyzer setting."""
+
+    settings: AngleSettings
+    storage_time: float
+    n_pulses: int
+    n_d1: int
+    n_d2: int
+    c13: int
+    c24: int
+    c14: int
+    c23: int
+
+    def __post_init__(self):
+        check_in("storage_time", self.storage_time, "[0, inf)")
+        for name in ("n_pulses", "n_d1", "n_d2", "c13", "c24", "c14", "c23"):
+            check_in(name, getattr(self, name), "[0, inf)")
+        if self.n_d1 + self.n_d2 > self.n_pulses:
+            raise ParameterError("more Stokes singles than pulses")
+        if self.c13 + self.c14 > self.n_d1:
+            raise ParameterError("more D1 coincidences than D1 singles")
+        if self.c23 + self.c24 > self.n_d2:
+            raise ParameterError("more D2 coincidences than D2 singles")
+
+    @property
+    def matched(self) -> int:
+        """Coincidences on matched detector pairs, D1-D3 and D2-D4."""
+        return self.c13 + self.c24
+
+    @property
+    def crossed(self) -> int:
+        """Coincidences on crossed detector pairs, D1-D4 and D2-D3."""
+        return self.c14 + self.c23
 
 
 def coupling_angle(geom: EnsembleGeometry) -> float:
@@ -153,6 +196,26 @@ def coupling_angle(geom: EnsembleGeometry) -> float:
     maps transverse offset to angle.
     """
     return geom.bd_separation / (2.0 * geom.f_btd * geom.f0)
+
+
+def motional_lifetime(geom: EnsembleGeometry) -> float:
+    """Memory lifetime limited by thermal atomic motion, seconds.
+
+    tau_a = 1 / (|dk| * v_a) with |dk| = 2 k sin(theta/2) the spin-wave
+    wave-vector magnitude and v_a = sqrt(kB T / m) the thermal speed.
+    Raises ``OverflowError`` when dk v_a or 1 / (dk v_a) is not a finite
+    float: an overflowed k or v_a would otherwise give a lifetime of 0.
+    """
+    theta = coupling_angle(geom)
+    k = 2.0 * math.pi / geom.wavelength
+    dk = 2.0 * k * math.sin(theta / 2.0)
+    v_a = math.sqrt(BOLTZMANN_K * geom.temperature / geom.atomic_mass)
+    rate = dk * v_a
+    tau = 1.0 / rate if rate else math.inf
+    if not (math.isfinite(rate) and math.isfinite(tau)):
+        raise OverflowError(f"motional lifetime 1 / (dk v_a) is not a finite "
+                            f"nonzero number: dk v_a = {rate!r}")
+    return tau
 
 
 def repetition_rate(timing: CycleTiming) -> float:

@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from typing import Callable, List, NamedTuple, Tuple
 
-from .errors import FitConvergenceError, ParameterError, Record, check_in
+from .errors import ParameterError, Record, check_in
+from .solve import find_root
 
 # exp(-t/tau0) underflows well before this; treat deeper levels as dead.
 UNDERFLOW_RATIO = 700.0
@@ -20,8 +21,6 @@ UNDERFLOW_RATIO = 700.0
 LINK_DIVISOR_CHOICES = ("2^n", "n")
 
 SWEEP_MAX_STEPS = 10_000  # sweep_distance keeps one RateBreakdown a point
-ROOT_MAX_ITER = 200  # in ln x, bisection alone needs < 52 steps
-CROSSING_REL_TOL = 1e-12  # relative bracket width ending a root search
 
 
 class RepeaterParams(Record):
@@ -184,38 +183,6 @@ def sweep_distance(p: RepeaterParams, l_min: float, l_max: float,
     return points, monotone
 
 
-def _find_root(f, a, b, fa, fb):
-    """Zero of f between a, b > 0 (fa = f(a) and fb = f(b) differ in sign)
-    by Brent's method (Brent 1973, ch. 4) in ln x to CROSSING_REL_TOL."""
-    if fa == 0.0 or fb == 0.0:
-        return a if fa == 0.0 else b
-    if not (fa < 0.0 < fb or fb < 0.0 < fa):
-        raise ParameterError(f"no sign change on [{a!r}, {b!r}]")
-    a, b, tol = math.log(a), math.log(b), 0.5 * CROSSING_REL_TOL
-    for _ in range(ROOT_MAX_ITER):
-        if (fa < 0.0) != (fb < 0.0):  # the root is between a and b
-            c, fc, d, e = a, fa, b - a, b - a
-        if abs(fc) < abs(fb):  # b is the best point so far
-            a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
-        if fb == 0.0 or abs(m := 0.5 * (c - b)) <= tol:
-            return math.exp(b)
-        fast = False  # take the interpolated step p / q, else bisect by m
-        if abs(e) > tol and abs(fb) < abs(fa):
-            s = fb / fa
-            if a == c:  # secant through a and b
-                p, q = 2.0 * m * s, 1.0 - s
-            else:  # inverse quadratic through a, b and c
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            p, q = abs(p), (-q if p > 0.0 else q)
-            fast = 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q))
-        e, d = (d, p / q) if fast else (m, m)
-        a, fa, b = b, fb, b + (d if abs(d) > tol else math.copysign(tol, m))
-        fb = f(math.exp(b))
-    raise FitConvergenceError("root search did not converge")
-
-
 def threshold_crossing_distance(p: RepeaterParams, threshold: float,
                                 l_min: float, l_max: float, *,
                                 approx_multiplex: bool = False) -> float:
@@ -228,7 +195,7 @@ def threshold_crossing_distance(p: RepeaterParams, threshold: float,
 
     def excess(distance):
         return at(distance).rate - threshold
-    return _find_root(excess, l_min, l_max, excess(l_min), excess(l_max))
+    return find_root(excess, l_min, l_max, excess(l_min), excess(l_max))
 
 
 def calibrate_chi(p: RepeaterParams, target_rate: float) -> float:
@@ -238,7 +205,7 @@ def calibrate_chi(p: RepeaterParams, target_rate: float) -> float:
 
     def excess(chi):
         return swap_chain(p._replace(chi=chi)).rate - target_rate
-    return _find_root(excess, 1e-6, 1.0, excess(1e-6), excess(1.0))
+    return find_root(excess, 1e-6, 1.0, excess(1e-6), excess(1.0))
 
 
 # CLI preset "fig8": an integrated high-performance-node study. Nest level

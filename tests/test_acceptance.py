@@ -22,9 +22,9 @@ from dlczsim import (AngleSettings, DecayParams, DetectionChain,
                      run_experiment, swap_chain, threshold_crossing_distance,
                      visibility_from_S, correlation_E)
 from dlczsim.cli import main
-from dlczsim.config import DEFAULT_VISIBILITY
 from dlczsim.entanglement import CHSH_SETTINGS
 from dlczsim.estimators import TWO_ROOT_TWO
+from dlczsim.params import DEFAULT_VISIBILITY
 from dlczsim.repeater import PRESET_HIGH_RETRIEVAL, PRESET_LOW_RETRIEVAL
 
 MATCHED = AngleSettings(0.0, 0.0)
@@ -37,7 +37,7 @@ def report(criterion, name):
 
 def operating_point(**overrides):
     fields = dict(chi=0.01, noise_b=1e-5, noise_c=1e-4, eta_s=0.15,
-                  eta_as=0.15, v0=DEFAULT_VISIBILITY, phase=0.0,
+                  eta_as=0.15, visibility=DEFAULT_VISIBILITY, phase=0.0,
                   decay=DecayParams(0.77, 1e-3))
     fields.update(overrides)
     return ExperimentParams(**fields)
@@ -151,7 +151,8 @@ def test_criterion_6_bell_end_to_end():
 
     # ideal state, no backgrounds: the Tsirelson bound of the model
     ideal = operating_point(chi=0.05, noise_b=0.0, noise_c=0.0, eta_s=1.0,
-                        eta_as=1.0, v0=1.0, decay=DecayParams(1.0, 1e-3))
+                        eta_as=1.0, visibility=1.0,
+                        decay=DecayParams(1.0, 1e-3))
     tables = run_experiment(ideal, 0.0, CANONICAL_PLAN, n, seed=62,
                             run_tag=1)
     s = bell_S(list(tables), n_replicas=10_000, seed=63)

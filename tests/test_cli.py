@@ -804,13 +804,39 @@ def test_invalid_inputs_leave_no_output(case, tmp_path, capsys):
     assert not out.exists()
 
 
+CYCLE_OVERFLOW = {"timing__prep_duration": "1.7e308",
+                  "timing__run_duration": "1.7e308",
+                  "timing__trial_period": "1e300"}
+
+
+@pytest.mark.parametrize("edits", [{"timing__trial_period": "1e-320"},
+                                   CYCLE_OVERFLOW])
+@pytest.mark.parametrize("command", ["simulate --seed 1 --trials 1000",
+                                     "budget"])
+def test_cycle_timing_overflow_names_the_timing_section(edits, command,
+                                                        tmp_path, capsys):
+    """A duty cycle whose trials per run or cycle length is not a finite
+    float is a parameter error of the timing section, for every command
+    that loads the config."""
+    conf = tmp_path / "x.conf"
+    conf.write_text(_sample_conf(**edits))
+    out = tmp_path / "out"
+    assert main(command.split() + ["--config", str(conf),
+                                   "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: section 'timing': ")
+    assert not out.exists()
+
+
 # Extreme but finite inputs, one command line each, with the exit code
 # they give. {conf} is sample.conf with the listed edits; {dir} holds the
 # data files written by the test.
 EXTREME_INPUTS = {
-    "trial_period_1e-320": (
-        {"timing__trial_period": "1e-320"}, 3,
+    "trial_period_1e-320": (  # run_duration / trial_period overflows
+        {"timing__trial_period": "1e-320"}, 2,
         "simulate --config {conf} --seed 1 --trials 1000"),
+    "cycle_overflow": (  # prep_duration + run_duration overflows
+        CYCLE_OVERFLOW, 2, "simulate --config {conf} --seed 1 --trials 1000"),
     "decay_tau0_1e-300": (
         {"decay__tau0": "1e-300"}, 0,
         "simulate --config {conf} --seed 1 --trials 1000 --t 0,1e-3"),

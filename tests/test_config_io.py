@@ -1,15 +1,16 @@
 import hashlib
 import math
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from dlczsim import (AngleSettings, ConfigError, CountsTable, SchemaError,
-                     load_config)
-from dlczsim.config import DEFAULT_VISIBILITY
+from dlczsim import (AngleSettings, ConfigError, CountsTable, DecayParams,
+                     ExperimentParams, SchemaError, load_config)
 from dlczsim.datafiles import (read_counts_csv, read_decay_csv, read_kv,
                                write_counts_csv, write_csv, write_kv)
+from dlczsim.params import DEFAULT_VISIBILITY
 
 FULL_CONFIG = """\
 # cavity-enhanced memory, measured operating point
@@ -67,7 +68,7 @@ def config_file(tmp_path):
 def test_load_full_config(config_file):
     cfg = load_config(config_file)
     assert cfg.experiment.chi == 0.01
-    assert cfg.experiment.v0 == DEFAULT_VISIBILITY  # default calibration
+    assert cfg.experiment.visibility == DEFAULT_VISIBILITY  # the default
     assert cfg.experiment.phase == 0.0
     assert cfg.experiment.decay.tau0 == 1e-3
     assert cfg.chain.eta_td == pytest.approx(0.1507, abs=1e-3)
@@ -164,6 +165,22 @@ def test_out_of_range_value_names_section(tmp_path):
                                         "chain.eta_d = 1.68"))
     with pytest.raises(ConfigError, match="chain"):
         load_config(path)
+
+
+def test_experiment_record_holds_the_config_defaults(tmp_path):
+    """A library caller and a config file get one default rule: eta_s =
+    eta_as, the default visibility and phase 0; an explicit eta_s wins."""
+    sample = Path(__file__).resolve().parents[1] / "sample.conf"
+    assert load_config(sample).experiment == ExperimentParams(
+        chi=0.01, noise_b=1e-5, noise_c=1e-4, eta_as=0.15,
+        decay=DecayParams(0.77, 1e-3))
+    path = tmp_path / "eta_s.conf"
+    path.write_text(sample.read_text().replace("experiment.eta_s = 0.15",
+                                               "experiment.eta_s = 0.3"))
+    loaded = load_config(path).experiment
+    assert (loaded.eta_s, loaded.eta_as) == (0.3, 0.15)
+    assert loaded == ExperimentParams(0.01, 1e-5, 1e-4, 0.15, 0.3,
+                                      decay=DecayParams(0.77, 1e-3))
 
 
 REQUIRED = None

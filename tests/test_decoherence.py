@@ -10,7 +10,7 @@ from dlczsim import (DecayParams, DegenerateDataError, EnsembleGeometry,
                      FitConvergenceError, ParameterError, fit_decay,
                      motional_lifetime, retrieval_decay)
 from dlczsim import decoherence
-from dlczsim.decoherence import _brent
+from dlczsim.solve import find_minimum
 
 MEASURED_DECAY = DecayParams(r0=0.77, tau0=1e-3)
 # The three efficiency/storage-time points quoted for the measured decay
@@ -301,10 +301,10 @@ def test_fit_at_the_inf_limit_skips_brent(monkeypatch):
         def counted(y):
             evaluations["brent"] += 1
             return f(y)
-        return _brent(counted, *args)
+        return find_minimum(counted, *args)
 
     monkeypatch.setattr(decoherence, "math", CountingMath())
-    monkeypatch.setattr(decoherence, "_brent", brent)
+    monkeypatch.setattr(decoherence, "find_minimum", brent)
     sets = _pin_corpus()
     for k, expected in ((203, (DecayParams(0.5, math.inf), 0.0)),
                         (204, (DecayParams(0.0, math.inf), 0.0))):
@@ -357,11 +357,12 @@ SIMPLEX_STARTS = [(0.1, 0.0), (0.3, 1.5), (0.25, 0.9)]
     _terraced_bowl,
 ])
 @pytest.mark.parametrize("x0", SIMPLEX_STARTS)
-def test_simplex_on_floats_matches_numpy_reference(fun, x0):
-    """_brent, the 1-D search that replaced the (r0, log tau0) simplex, on
-    the simplex's objectives and starts, checked against a numpy scan of
-    the same cut: it ends in its bracket, never above its start, and at a
-    point that no scanned value within two scan steps undercuts. A NaN
+def test_brent_on_floats_matches_dense_numpy_scan(fun, x0):
+    """find_minimum, the 1-D search that replaced the (r0, log tau0)
+    simplex, on the simplex's objectives and starts, checked against a
+    numpy scan of the same cut: it ends in its bracket, never above its
+    start, and at a point that no scanned value within two scan steps
+    undercuts. A NaN
     start, which the fitter's grid seed never is, is kept: nothing compares
     lower than NaN."""
     y0, c = x0
@@ -370,7 +371,7 @@ def test_simplex_on_floats_matches_numpy_reference(fun, x0):
     def cut(y):
         return fun((y, c))
     start = cut(y0)
-    y, fy = _brent(cut, a, y0, b, start, 300)
+    y, fy = find_minimum(cut, a, y0, b, start, 300)
     assert a <= y <= b
     assert repr(fy) == repr(cut(y))
     if math.isnan(start):

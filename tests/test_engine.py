@@ -11,11 +11,11 @@ from dlczsim import (CHSH_SETTINGS, AngleSettings, Config, CountsTable,
                      ParameterError, TrialRecord, engine,
                      forward_count_probs, pair_correlation, run_experiment)
 from dlczsim.cli import parse_angle_plan
-from dlczsim.config import DEFAULT_VISIBILITY
 from dlczsim.engine import (BLOCK_TRIALS, _N_COLS, _blocks, _cells,
                             _decide_one, _outcome_table, _trial_model,
                             exact_count_probs, iter_trial_records,
                             trial_outcome_blocks)
+from dlczsim.params import DEFAULT_VISIBILITY
 from dlczsim.repeater import PRESET_HIGH_RETRIEVAL
 
 DEG = math.radians
@@ -25,7 +25,7 @@ TIMING = CycleTiming(prep_duration=42e-3, run_duration=8e-3,
 
 def make_params(**overrides):
     defaults = dict(chi=0.01, noise_b=1e-5, noise_c=1e-4, eta_s=0.15,
-                    eta_as=0.15, v0=0.8839, phase=0.0,
+                    eta_as=0.15, visibility=0.8839, phase=0.0,
                     decay=DecayParams(0.77, 1e-3))
     defaults.update(overrides)
     return ExperimentParams(**defaults)
@@ -43,7 +43,8 @@ def test_no_excitation_no_noise_means_no_clicks():
 
 def test_deterministic_limit_every_trial_matched():
     params = make_params(chi=1.0, noise_b=0.0, noise_c=0.0, eta_s=1.0,
-                         eta_as=1.0, v0=1.0, decay=DecayParams(1.0, 1e-3))
+                         eta_as=1.0, visibility=1.0,
+                         decay=DecayParams(1.0, 1e-3))
     n = 50_000
     table, = run_experiment(params, 0.0, [MATCHED], n, seed=2)
     assert table.n_d1 + table.n_d2 == n
@@ -73,7 +74,7 @@ def test_multi_block_runs_are_deterministic():
 
 def test_outcome_table_is_exact_for_decide_one():
     params = make_params(chi=0.3, noise_b=0.05, noise_c=0.2, eta_s=0.6,
-                         eta_as=0.7, v0=0.9)
+                         eta_as=0.7, visibility=0.9)
     angles = AngleSettings(DEG(22.5), 0.0)
     for double_pair in (False, True):
         model = _trial_model(params, 0.1e-3, angles, double_pair)
@@ -152,7 +153,7 @@ def _reference_cells(model):
 
 
 REFERENCE_MODELS = {
-    "default": make_params(v0=DEFAULT_VISIBILITY),
+    "default": make_params(visibility=DEFAULT_VISIBILITY),
     "noise_free": make_params(noise_b=0.0, noise_c=0.0),
     "chi_one": make_params(chi=1.0, noise_b=0.0),
 }
@@ -192,7 +193,7 @@ def test_analytic_model_gap_to_exact_table_is_pinned(double_pair, angles,
     # The analytic model counts accidentals as P_S * P_aS without the
     # herald conditioning of the feed-forward read; it also ignores
     # double pairs. The gap at the sample.conf operating point:
-    params = make_params(v0=DEFAULT_VISIBILITY)
+    params = make_params(visibility=DEFAULT_VISIBILITY)
     exact = exact_count_probs(params, 0.0, angles, double_pair=double_pair)
     f = forward_count_probs(params, 0.0, angles)
     analytic = np.array([f.p_s / 2.0, f.p_s / 2.0, f.p13, f.p24, f.p14,
@@ -307,7 +308,7 @@ def test_empirical_stokes_rate_matches_forward_model():
 
 def test_retrieval_inversion_at_unit_visibility():
     # with V = 1 and no backgrounds the qubit estimator inverts R(t) exactly
-    params = make_params(noise_b=0.0, noise_c=0.0, v0=1.0)
+    params = make_params(noise_b=0.0, noise_c=0.0, visibility=1.0)
     n = 1_000_000
     t = 0.54e-3
     table, = run_experiment(params, t, [MATCHED], n, seed=17)
@@ -323,7 +324,7 @@ def test_coincidence_ratios_match_projection_probs():
     angles = AngleSettings(DEG(22.5), 0.0)
     table, = run_experiment(params, 0.0, [angles], 1_000_000, seed=19)
     observed = np.array([table.c13, table.c24, table.c14, table.c23])
-    k = pair_correlation(angles, params.v0, params.phase)
+    k = pair_correlation(angles, params.visibility, params.phase)
     expected = observed.sum() * np.array([1.0 + k, 1.0 + k, 1.0 - k,
                                           1.0 - k]) / 4.0
     chi2 = float(np.sum((observed - expected) ** 2 / expected))
@@ -369,7 +370,8 @@ def test_configuration_errors():
 def test_double_pair_sampling_is_off_by_default():
     # crossed coincidences are impossible for single pairs at V=1, delta=0
     params = make_params(chi=0.2, noise_b=0.0, noise_c=0.0, eta_s=0.5,
-                         eta_as=0.5, v0=1.0, decay=DecayParams(1.0, 1e-3))
+                         eta_as=0.5, visibility=1.0,
+                         decay=DecayParams(1.0, 1e-3))
     off, = run_experiment(params, 0.0, [MATCHED], 200_000, seed=31)
     assert off.c14 == 0
     assert off.c23 == 0
@@ -433,8 +435,9 @@ VALIDATED_RECORDS = {
         "r0", 1.5),
     "ExperimentParams": (
         make_params(),
-        "(chi: 'float', noise_b: 'float', noise_c: 'float', eta_s: 'float', "
-        "eta_as: 'float', v0: 'float', phase: 'float', decay: 'DecayParams' "
+        "(chi: 'float', noise_b: 'float', noise_c: 'float', eta_as: 'float', "
+        "eta_s: 'float' = None, visibility: 'float' = 0.8838834764831843, "
+        "phase: 'float' = 0.0, decay: 'DecayParams' "
         "= DecayParams(r0=0.77, tau0=0.001)) -> None",
         "noise_b", 0.995),  # chi + noise_b > 1
     "CycleTiming": (

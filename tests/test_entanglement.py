@@ -12,7 +12,7 @@ DEG = math.radians
 
 def reference_params(**overrides):
     defaults = dict(chi=0.01, noise_b=1e-5, noise_c=1e-4, eta_s=0.15,
-                    eta_as=0.15, v0=0.8839, phase=0.0,
+                    eta_as=0.15, visibility=0.8839, phase=0.0,
                     decay=DecayParams(0.77, 1e-3))
     defaults.update(overrides)
     return ExperimentParams(**defaults)

@@ -11,10 +11,9 @@ from dlczsim import (CHSH_SETTINGS, AngleSettings, DegenerateStatisticsError,
                      bell_S_signed, correlation_E, fidelity_from_S,
                      intrinsic_retrieval_mode, intrinsic_retrieval_qubit,
                      pair_correlation, poisson_error, visibility_from_S)
-from dlczsim.config import DEFAULT_VISIBILITY
-from dlczsim.engine import CountsTable
 from dlczsim.estimators import (MATCHED_ANGLE_TOL, REPLICAS_MAX,
                                 estimate_tables)
+from dlczsim.params import DEFAULT_VISIBILITY, CountsTable
 
 DEG = math.radians
 TWO_ROOT_TWO = 2.0 * math.sqrt(2.0)

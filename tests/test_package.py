@@ -1,3 +1,4 @@
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +24,7 @@ PUBLIC_NAMES = [
     "intrinsic_retrieval_qubit", "iter_trial_records", "load_config",
     "motional_lifetime", "pair_correlation", "params", "poisson_error",
     "repeater", "repetition_rate", "retrieval_decay", "run_experiment",
-    "simulated_wall_time", "swap_chain", "sweep_distance",
+    "simulated_wall_time", "solve", "swap_chain", "sweep_distance",
     "threshold_crossing_distance",
     "visibility_from_S",
 ]
@@ -48,3 +49,54 @@ def test_cli_import_generates_no_dataclass_code():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_block_runs_verbatim(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(block, "README.md (Library)", "exec"), {})
+    assert capsys.readouterr().out.count("\n") == 2
+
+
+PACKAGE_DIR = Path(dlczsim.__file__).resolve().parent
+# The modules that never import numpy, directly or through the package.
+NUMPY_FREE_CORE = ("errors", "params", "solve", "repeater", "config")
+
+
+def _reached_imports(modules):
+    """Every module name that the import statements of the package modules
+    ``modules`` reach, following package-relative imports through the
+    package (``from . import x`` is module x when x.py exists, else the
+    package's ``__init__``)."""
+    reached, todo = set(), [f"dlczsim.{name}" for name in modules]
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        if not name.startswith("dlczsim"):
+            continue
+        path = (PACKAGE_DIR / "__init__.py" if name == "dlczsim" else
+                PACKAGE_DIR / f"{name.split('.', 1)[1]}.py")
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                todo += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                todo.append(node.module)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                todo.append(f"dlczsim.{node.module}")
+            elif isinstance(node, ast.ImportFrom):
+                todo += [f"dlczsim.{alias.name}"
+                         if (PACKAGE_DIR / f"{alias.name}.py").is_file()
+                         else "dlczsim" for alias in node.names]
+    return reached
+
+
+def test_core_modules_never_import_numpy():
+    reached = _reached_imports(NUMPY_FREE_CORE)
+    assert {f"dlczsim.{name}" for name in NUMPY_FREE_CORE} <= reached
+    assert not {name for name in reached
+                if name.partition(".")[0] == "numpy"}, sorted(reached)
+    # the walk does see numpy where a module imports it
+    assert "numpy" in _reached_imports(["decoherence"])

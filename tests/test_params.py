@@ -218,7 +218,7 @@ def test_check_in_message_names_the_field_and_says_finite():
 # A valid instance of each parameter class; its float fields are swept.
 VALID_PARAMETER_SETS = [
     ExperimentParams(chi=0.01, noise_b=1e-5, noise_c=1e-4, eta_s=0.15,
-                     eta_as=0.15, v0=0.88, phase=0.3),
+                     eta_as=0.15, visibility=0.88, phase=0.3),
     DecayParams(0.77, 1e-3),
     MEASURED_CHAIN,
     LAB_GEOMETRY,

@@ -7,10 +7,10 @@ from dlczsim import repeater
 from dlczsim import (ParameterError, RepeaterParams, calibrate_chi,
                      elementary_probs, swap_chain, sweep_distance,
                      threshold_crossing_distance)
-from dlczsim.repeater import (CROSSING_REL_TOL, PRESET_CHI_CALIBRATED,
-                              PRESET_HIGH_RETRIEVAL, PRESET_LOW_RETRIEVAL,
-                              PRESETS, RateBreakdown, UNDERFLOW_RATIO,
-                              _find_root)
+from dlczsim.repeater import (PRESET_CHI_CALIBRATED, PRESET_HIGH_RETRIEVAL,
+                              PRESET_LOW_RETRIEVAL, PRESETS, RateBreakdown,
+                              UNDERFLOW_RATIO)
+from dlczsim.solve import CROSSING_REL_TOL, find_root
 
 
 def make_params(**overrides):
@@ -333,7 +333,7 @@ def test_sweep_at_a_distance_equals_rebuilt_parameter_sets(p):
     if reference is not None:
         def excess(distance):
             return swap_chain(p._replace(distance=distance)).rate - 1e-4
-        assert crossing == _find_root(excess, 1e5, 2e6, excess(1e5),
+        assert crossing == find_root(excess, 1e5, 2e6, excess(1e5),
                                       excess(2e6))
         assert crossing == pytest.approx(reference, rel=1e-11)
 
@@ -354,14 +354,14 @@ def _brentq(f, a, b):
 def test_find_root_agrees_with_brentq(f, a, b):
     expected = _brentq(f, a, b)
     for lo, hi in ((a, b), (b, a)):
-        root = _find_root(f, lo, hi, f(lo), f(hi))
+        root = find_root(f, lo, hi, f(lo), f(hi))
         assert root == pytest.approx(expected, rel=2 * CROSSING_REL_TOL)
 
 
 def test_find_root_stops_at_an_exact_zero():
     def f(x):  # exactly 0 on [2, 3]
         return min(x - 2.0, 0.0) + max(x - 3.0, 0.0)
-    root = _find_root(f, 0.5, 5.0, f(0.5), f(5.0))
+    root = find_root(f, 0.5, 5.0, f(0.5), f(5.0))
     assert 2.0 <= root <= 3.0 and f(root) == 0.0
     assert 2.0 <= _brentq(f, 0.5, 5.0) <= 3.0
 
@@ -369,8 +369,8 @@ def test_find_root_stops_at_an_exact_zero():
 def test_find_root_returns_a_zero_end_point():
     def f(x):
         return x - 1.0
-    assert _find_root(f, 1.0, 3.0, 0.0, 2.0) == 1.0
-    assert _find_root(f, 0.5, 1.0, -0.5, 0.0) == 1.0
+    assert find_root(f, 1.0, 3.0, 0.0, 2.0) == 1.0
+    assert find_root(f, 0.5, 1.0, -0.5, 0.0) == 1.0
     assert _brentq(f, 1.0, 3.0) == _brentq(f, 0.5, 1.0) == 1.0
 
 
@@ -378,7 +378,7 @@ def test_find_root_returns_a_zero_end_point():
                                     (math.nan, 1.0), (-1.0, math.nan)])
 def test_find_root_rejects_ends_without_a_sign_change(fa, fb):
     with pytest.raises(ParameterError, match="sign change"):
-        _find_root(math.cos, 1.0, 2.0, fa, fb)
+        find_root(math.cos, 1.0, 2.0, fa, fb)
 
 
 @pytest.fixture
