@@ -8,8 +8,8 @@ from .params import (BOLTZMANN_K, CountsTable, CycleTiming, DecayParams,
                      coupling_angle, motional_lifetime, repetition_rate,
                      simulated_wall_time)
 from .decoherence import fit_decay, retrieval_decay
-from .entanglement import (CHSH_SETTINGS, AngleSettings, ForwardProbs,
-                           forward_count_probs, pair_correlation)
+from .entanglement import (CHSH_SETTINGS, AngleSettings, forward_count_probs,
+                           pair_correlation)
 from .engine import (TrialRecord, exact_count_probs, iter_trial_records,
                      run_experiment)
 from .estimators import (EstimateWithError, bell_S, bell_S_signed,

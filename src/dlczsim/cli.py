@@ -161,13 +161,17 @@ def cmd_simulate(args) -> int:
     if args.records and args.trials > RECORDS_LIMIT:
         raise ParameterError(
             f"--records supports at most {RECORDS_LIMIT} trials per setting")
+    wall_total = 0.0  # checked before any file is written
+    for _ in t_list:
+        wall_total += simulated_wall_time(timing, args.trials * len(plan))
+    if not math.isfinite(wall_total):
+        raise OverflowError(f"simulated wall time {wall_total!r} s is not "
+                            "a finite float")
     art = _Artifacts(args, cfg)
 
-    wall_total = 0.0
     for ti, t in enumerate(t_list):
         tables = run_experiment(params, t, plan, args.trials, args.seed,
                                 double_pair=cfg.double_pair, run_tag=ti)
-        wall_total += simulated_wall_time(timing, args.trials * len(plan))
         for ai, table in enumerate(tables):
             theta_s_deg, theta_as_deg = table.settings.degrees
             prov = {
@@ -241,8 +245,8 @@ def cmd_estimate(args) -> int:
         for name, est in estimates.items():
             entries[f"{tag}.{name}"] = est.value
             entries[f"{tag}.{name}_sigma"] = est.sigma
-        if "r_qubit" in estimates:
-            r = estimates["r_qubit"]
+        r = estimates.get("r_qubit")
+        if r is not None and r.sigma > 0:  # fit-decay weights by 1/sigma^2
             retrieval_rows.append((tb.storage_time, r.value, r.sigma))
 
     chsh = entries["s.available"] = (None, "S") in results

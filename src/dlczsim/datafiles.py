@@ -24,8 +24,8 @@ FORMAT_VERSION = "v1"
 # Column -> type of each input CSV, in parse order (for the counts, the
 # order of CountsTable's fields).
 COUNTS_KINDS = dict(theta_s_deg=float, theta_as_deg=float,
-                    storage_time_s=float, n_pulses=int, n_d1=int, n_d2=int,
-                    c13=int, c24=int, c14=int, c23=int)
+                    storage_time_s=float,
+                    **dict.fromkeys(CountsTable._fields[2:], int))
 COUNTS_COLUMNS = tuple(COUNTS_KINDS)
 DECAY_COLUMNS = ("t_seconds", "R")
 DECAY_SIGMA_COLUMN = "sigma_R"
@@ -162,8 +162,7 @@ def _read_rows(path, kinds: Mapping[str, type], optional: Sequence[str] = (),
 
 def write_counts_csv(path, tables: Sequence[CountsTable],
                      provenance: Mapping[str, object]) -> None:
-    rows = [(*tb.settings.degrees, tb.storage_time, tb.n_pulses, tb.n_d1,
-             tb.n_d2, tb.c13, tb.c24, tb.c14, tb.c23) for tb in tables]
+    rows = [(*tb.settings.degrees, *tb._values()[1:]) for tb in tables]
     write_csv(path, "counts", COUNTS_COLUMNS, rows, provenance)
 
 

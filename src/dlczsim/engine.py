@@ -208,7 +208,7 @@ def _outcome_table(model: _TrialModel
 
 
 def _count_matrix(outcomes: Sequence[_Outcome]) -> np.ndarray:
-    """Per outcome, its contribution to (n_d1, n_d2, c13, c24, c14, c23)."""
+    """Per outcome, its contribution to each of CountsTable's six counts."""
     return np.array([(s and d1, s and not d1,
                       s and a and d1 and d3, s and a and not (d1 or d3),
                       s and a and d1 and not d3, s and a and d3 and not d1)
@@ -218,7 +218,7 @@ def _count_matrix(outcomes: Sequence[_Outcome]) -> np.ndarray:
 def exact_count_probs(params: ExperimentParams, t: float,
                       angles: AngleSettings, *,
                       double_pair: bool = False) -> np.ndarray:
-    """Exact per-trial probabilities of (n_d1, n_d2, c13, c24, c14, c23)."""
+    """Exact per-trial probabilities of CountsTable's six counts."""
     outcomes, probs = _outcome_table(
         _trial_model(params, t, angles, double_pair))
     return probs @ _count_matrix(outcomes)

@@ -74,20 +74,10 @@ def pair_correlation(angles: AngleSettings, visibility: float,
     return visibility * math.cos(phase) * math.cos(2.0 * angles.delta)
 
 
-class ForwardProbs(NamedTuple):
-    """Per-pulse detection probabilities predicted by the counting model."""
-
-    p_s: float     # any Stokes click per write pulse
-    p_as: float    # any anti-Stokes click per read pulse
-    p13: float     # coincidence per pulse, detector pair D1-D3
-    p24: float
-    p14: float
-    p23: float
-
-
 def forward_count_probs(params: ExperimentParams, t: float,
-                        angles: AngleSettings) -> ForwardProbs:
-    """Singles and coincidence probabilities at storage time ``t``.
+                        angles: AngleSettings) -> Tuple[float, ...]:
+    """Per-pulse probabilities of the six counts at storage time ``t``, in
+    the order of :class:`~dlczsim.params.CountsTable`'s count fields.
 
     P_S = (chi + B) eta_S, P_aS = (chi R + C) eta_aS, and the coincidence
     probability chi R eta_S eta_aS + P_S P_aS is apportioned over detector
@@ -107,4 +97,4 @@ def forward_count_probs(params: ExperimentParams, t: float,
     for name, value in (("p_s", p_s), ("p_as", p_as), ("p13", matched),
                         ("p14", crossed)):
         check_in(f"computed probability {name}", value, "[0, 1]")
-    return ForwardProbs(p_s, p_as, matched, matched, crossed, crossed)
+    return p_s / 2.0, p_s / 2.0, matched, matched, crossed, crossed

@@ -122,6 +122,10 @@ def _match_tables(tables: Sequence[CountsTable]) -> list:
                 f"(setting {math.degrees(theta_s):g}/"
                 f"{math.degrees(theta_as):g} deg matched {len(matches)})")
         ordered.append(matches[0])
+    times = sorted({tb.storage_time for tb in tables})
+    if len(times) > 1:
+        raise ParameterError(f"CHSH tables must share one storage time, "
+                             f"got {', '.join(map(repr, times))} s")
     return ordered
 
 

@@ -154,7 +154,8 @@ class CycleTiming(Record):
 
 
 class CountsTable(Record):
-    """Aggregated singles and coincidence counts at one analyzer setting."""
+    """Aggregated singles and coincidence counts at one analyzer setting;
+    the fields after ``n_pulses`` are the six counts, in their one order."""
 
     settings: AngleSettings
     storage_time: float
@@ -168,7 +169,7 @@ class CountsTable(Record):
 
     def __post_init__(self):
         check_in("storage_time", self.storage_time, "[0, inf)")
-        for name in ("n_pulses", "n_d1", "n_d2", "c13", "c24", "c14", "c23"):
+        for name in self._fields[2:]:  # n_pulses and the six counts
             check_in(name, getattr(self, name), "[0, inf)")
         if self.n_d1 + self.n_d2 > self.n_pulses:
             raise ParameterError("more Stokes singles than pulses")

@@ -45,17 +45,14 @@ def operating_point(**overrides):
 
 def analytic_table(params, t, angles, n_pulses):
     """Expected (float) counts implied by the forward counting model."""
-    probs = forward_count_probs(params, t, angles)
+    n_d1, n_d2, c13, c24, c14, c23 = forward_count_probs(params, t, angles)
     return SimpleNamespace(settings=angles, storage_time=t,
                            n_pulses=n_pulses,
-                           n_d1=probs.p_s / 2.0 * n_pulses,
-                           n_d2=probs.p_s / 2.0 * n_pulses,
-                           c13=probs.p13 * n_pulses,
-                           c24=probs.p24 * n_pulses,
-                           c14=probs.p14 * n_pulses,
-                           c23=probs.p23 * n_pulses,
-                           matched=(probs.p13 + probs.p24) * n_pulses,
-                           crossed=(probs.p14 + probs.p23) * n_pulses)
+                           n_d1=n_d1 * n_pulses, n_d2=n_d2 * n_pulses,
+                           c13=c13 * n_pulses, c24=c24 * n_pulses,
+                           c14=c14 * n_pulses, c23=c23 * n_pulses,
+                           matched=(c13 + c24) * n_pulses,
+                           crossed=(c14 + c23) * n_pulses)
 
 
 def test_criterion_1_detection_budget():

@@ -594,6 +594,27 @@ def test_simulate_estimate_fit_round_trip(tmp_path):
     assert abs(report["tau0_s"] - 1e-3) < 3 * sig_tau
 
 
+def test_zero_sigma_retrieval_stays_out_of_the_decay_fit(tmp_path):
+    # at 6 ms and 2e5 trials no matched coincidence is seen: r_qubit and
+    # every Poisson replica of it are 0, which fit-decay cannot weight
+    conf = Path(__file__).resolve().parents[1] / "sample.conf"
+    sim, est = tmp_path / "sim", tmp_path / "est"
+    assert main(["simulate", "--config", str(conf), "--seed", "3",
+                 "--trials", "200000", "--t", "0,0.0003,0.0006,0.006",
+                 "--out", str(sim)]) == 0
+    assert main(["estimate", "--eta-td", "0.15",
+                 *sorted(str(p) for p in sim.glob("counts_*.csv")),
+                 "--out", str(est)]) == 0
+    report = kv_floats(est / "estimates.kv")
+    assert report["table03.storage_time_s"] == 0.006
+    assert report["table03.r_qubit"] == report["table03.r_qubit_sigma"] == 0
+    rows = [line.split(",")[0] for line in
+            (est / "retrieval.csv").read_text().splitlines()[-4:]]
+    assert rows == ["t_seconds", "0.0", "0.0003", "0.0006"]
+    assert main(["fit-decay", str(est / "retrieval.csv"),
+                 "--out", str(tmp_path / "fit")]) == 0
+
+
 @pytest.mark.parametrize("argv", [
     ["fit-decay", "decay.csv", "--config", "lab.conf"],
     ["fit-decay", "decay.csv", "--seed", "5"],
@@ -828,6 +849,11 @@ def test_cycle_timing_overflow_names_the_timing_section(edits, command,
     assert not out.exists()
 
 
+# A finite 1.6e308 s cycle of one trial.
+WALL_TIME_8E307 = {"timing__prep_duration": "8e307",
+                   "timing__run_duration": "8e307",
+                   "timing__trial_period": "8e307"}
+
 # Extreme but finite inputs, one command line each, with the exit code
 # they give. {conf} is sample.conf with the listed edits; {dir} holds the
 # data files written by the test.
@@ -837,6 +863,13 @@ EXTREME_INPUTS = {
         "simulate --config {conf} --seed 1 --trials 1000"),
     "cycle_overflow": (  # prep_duration + run_duration overflows
         CYCLE_OVERFLOW, 2, "simulate --config {conf} --seed 1 --trials 1000"),
+    "wall_time_1.6e308": (  # one 1.6e308 s cycle
+        WALL_TIME_8E307, 0, "simulate --config {conf} --seed 1 --trials 1"),
+    "wall_time_overflow_cycles": (  # two cycles of one run
+        WALL_TIME_8E307, 3, "simulate --config {conf} --seed 1 --trials 2"),
+    "wall_time_overflow_storage_times": (  # one cycle at each of two times
+        WALL_TIME_8E307, 3,
+        "simulate --config {conf} --seed 1 --trials 1 --t 0,0.001"),
     "decay_tau0_1e-300": (
         {"decay__tau0": "1e-300"}, 0,
         "simulate --config {conf} --seed 1 --trials 1000 --t 0,1e-3"),

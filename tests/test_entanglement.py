@@ -71,47 +71,57 @@ def test_angle_degrees_read_back_exactly():
 
 def test_forward_no_excitation_no_noise():
     params = reference_params(chi=0.0, noise_b=0.0)
-    probs = forward_count_probs(params, 0.0, AngleSettings(0.0, 0.0))
-    assert probs.p_s == 0.0
+    n_d1, n_d2, *_ = forward_count_probs(params, 0.0, AngleSettings(0.0, 0.0))
+    assert n_d1 + n_d2 == 0.0
 
 
 def test_forward_operating_point_noiseless():
     params = reference_params(noise_b=0.0, noise_c=0.0)
-    probs = forward_count_probs(params, 0.0, AngleSettings(0.0, 0.0))
-    assert probs.p_s == pytest.approx(1.5e-3, rel=1e-12)
+    n_d1, n_d2, *coincidences = forward_count_probs(
+        params, 0.0, AngleSettings(0.0, 0.0))
+    p_s = n_d1 + n_d2
+    assert p_s == pytest.approx(1.5e-3, rel=1e-12)
     # correlated part chi * R * eta_s * eta_as plus the accidental term
-    accidental = probs.p_s * probs.p_as
-    total = probs.p13 + probs.p24 + probs.p14 + probs.p23
-    assert total - accidental == pytest.approx(
+    # P_S * P_aS, with P_aS = chi * R * eta_as when there is no background
+    accidental = p_s * (0.01 * 0.77 * 0.15)
+    assert sum(coincidences) - accidental == pytest.approx(
         0.00017324999999999998, rel=1e-12)
 
 
 def test_forward_operating_point_with_backgrounds():
-    probs = forward_count_probs(reference_params(), 0.0, AngleSettings(0.0, 0.0))
-    # both the retrieved-signal and the background term feed P_aS
-    assert probs.p_as == pytest.approx(0.00117, rel=1e-12)
-    assert probs.p_s == pytest.approx((0.01 + 1e-5) * 0.15, rel=1e-12)
+    params = reference_params()
+    n_d1, n_d2, *coincidences = forward_count_probs(
+        params, 0.0, AngleSettings(0.0, 0.0))
+    p_s = n_d1 + n_d2
+    # both the retrieved-signal and the background term feed P_aS, read
+    # as (coincidence total - correlated part) / P_S
+    correlated = params.chi * 0.77 * params.eta_s * params.eta_as
+    assert (sum(coincidences) - correlated) / p_s == pytest.approx(
+        0.00117, rel=1e-12)
+    assert p_s == pytest.approx((0.01 + 1e-5) * 0.15, rel=1e-12)
 
 
 def test_forward_pairwise_sum_matches_total():
     params = reference_params()
-    probs = forward_count_probs(params, 0.2e-3, AngleSettings(DEG(22.5), 0.0))
-    total = probs.p13 + probs.p24 + probs.p14 + probs.p23
+    n_d1, n_d2, *coincidences = forward_count_probs(
+        params, 0.2e-3, AngleSettings(DEG(22.5), 0.0))
+    r = retrieval_decay(params.decay, 0.2e-3)
     # correlated plus accidental: the pair correlation only apportions
-    correlated = (params.chi * retrieval_decay(params.decay, 0.2e-3)
-                  * params.eta_s * params.eta_as)
-    assert total == pytest.approx(correlated + probs.p_s * probs.p_as,
-                                  abs=1e-12)
+    correlated = params.chi * r * params.eta_s * params.eta_as
+    p_as = (params.chi * r + params.noise_c) * params.eta_as
+    assert sum(coincidences) == pytest.approx(
+        correlated + (n_d1 + n_d2) * p_as, abs=1e-12)
 
 
 @pytest.mark.parametrize("chi", [1e-3, 1e-4])
 def test_forward_accidental_ratio_scales_as_chi(chi):
     # with no backgrounds, accidentals / correlated equals chi exactly
     params = reference_params(chi=chi, noise_b=0.0, noise_c=0.0)
-    probs = forward_count_probs(params, 0.0, AngleSettings(0.0, 0.0))
+    _, _, *coincidences = forward_count_probs(params, 0.0,
+                                              AngleSettings(0.0, 0.0))
     r = 0.77
     correlated = chi * r * 0.15 * 0.15
-    accidental = probs.p13 + probs.p24 + probs.p14 + probs.p23 - correlated
+    accidental = sum(coincidences) - correlated
     assert accidental / correlated == pytest.approx(chi, rel=1e-9)
 
 

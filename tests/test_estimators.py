@@ -172,6 +172,18 @@ def test_bell_s_rejects_wrong_settings():
         bell_S_signed(tables[:3])
 
 
+def test_chsh_set_must_share_one_storage_time():
+    # the four CHSH settings, split over two storage times
+    tables = [tb._replace(storage_time=t)
+              for tb, t in zip(chsh_tables(), (0.0, 2e-3, 0.0, 2e-3))]
+    for estimate in (bell_S_signed, bell_S):
+        with pytest.raises(ParameterError,
+                           match="share one storage time, got 0.0, 0.002 s"):
+            estimate(tables)
+    assert list(estimate_tables(tables, 0.5, n_replicas=100)) == [
+        (i, "E") for i in range(4)]
+
+
 def test_visibility_and_fidelity_values():
     assert fidelity_from_S(1.15) == pytest.approx(0.5549397993866986,
                                                   rel=1e-12)

@@ -13,7 +13,7 @@ PUBLIC_NAMES = [
     "CountsTable", "CycleTiming", "DecayParams", "DegenerateDataError",
     "DegenerateStatisticsError", "DetectionChain", "DlczError",
     "EnsembleGeometry", "EstimateWithError", "ExperimentParams",
-    "FitConvergenceError", "ForwardProbs", "InsufficientDataError",
+    "FitConvergenceError", "InsufficientDataError",
     "ParameterError",
     "RateBreakdown", "RepeaterParams", "SchemaError", "TrialRecord",
     "bell_S", "bell_S_signed", "calibrate_chi", "config", "correlation_E",
