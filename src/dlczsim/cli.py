@@ -145,14 +145,8 @@ def _require(section, name: str):
     return section
 
 
-def _load_required_config(args) -> Config:
-    if not args.config:
-        raise ParameterError("--config is required for this command")
-    return load_config(args.config)
-
-
 def cmd_simulate(args) -> int:
-    cfg = _load_required_config(args)
+    cfg = load_config(args.config)
     params = _require(cfg.experiment, "experiment")
     timing = _require(cfg.timing, "timing")
     check_in("--workers", args.workers, "[1, inf)")
@@ -283,7 +277,7 @@ def cmd_fit_decay(args) -> int:
 
 
 def cmd_lifetime(args) -> int:
-    cfg = _load_required_config(args)
+    cfg = load_config(args.config)
     geometry = _require(cfg.geometry, "geometry")
     theta = coupling_angle(geometry)
     tau = motional_lifetime(geometry)
@@ -297,7 +291,7 @@ def cmd_lifetime(args) -> int:
 
 
 def cmd_budget(args) -> int:
-    cfg = _load_required_config(args)
+    cfg = load_config(args.config)
     chain = _require(cfg.chain, "chain")
     art = _Artifacts(args, cfg)
     entries = {
@@ -319,7 +313,7 @@ def cmd_repeater_sweep(args) -> int:
         cfg, curves = None, PRESETS[args.preset]
         chi_source = PRESET_CHI_SOURCE
     else:
-        cfg = _load_required_config(args)
+        cfg = load_config(args.config)
         curves = (("config", _require(cfg.repeater, "repeater")),)
         chi_source = "config"
     if args.threshold is not None:
@@ -366,19 +360,29 @@ def cmd_repeater_sweep(args) -> int:
     return art.finish(preset=args.preset or "none", chi_source=chi_source)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose faults raise :class:`ParameterError` for :func:`main`
+    to report, prefixed by the (sub)command's ``prog``."""
+
+    def error(self, message):
+        raise ParameterError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dlczsim",
         description="Photon-counting simulator and analytic toolkit for "
                     "cavity-enhanced atom-photon entanglement memories.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, config=True, report=True):
-        """Add --out, and --config (to ``config`` if a group) and --format."""
+    def common(p, *, config="required", report=True):
+        """Add --out, --format if ``report``, and --config: "required",
+        "optional", None, or (an argument group) the group to add it to."""
         if config:
-            (p if config is True else config).add_argument(
-                "--config", help="key = value configuration file")
+            (p if isinstance(config, str) else config).add_argument(
+                "--config", required=config == "required",
+                help="key = value configuration file")
         p.add_argument("--out", help=f"output directory (default: "
                        f"${OUTPUT_DIR_ENV} or '.')")
         if report:
@@ -403,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("estimate", help="estimators on counts CSV files")
-    common(p)
+    common(p, config="optional")
     p.add_argument("--seed", type=int, default=0,
                    help="RNG seed of the error-bar replicas (default 0)")
     p.add_argument("counts", nargs="+", help="counts CSV files")
@@ -415,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("fit-decay", help="fit the retrieval decay model")
-    common(p, config=False)
+    common(p, config=None)
     p.add_argument("data", help="CSV with t_seconds,R[,sigma_R]")
     p.set_defaults(func=cmd_fit_decay)
 
@@ -428,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_budget)
 
     p = sub.add_parser("repeater-sweep", help="repeater rate vs distance")
-    source = p.add_mutually_exclusive_group()
+    source = p.add_mutually_exclusive_group(required=True)
     common(p, config=source)
     source.add_argument("--preset", choices=sorted(PRESETS),
                         help="named parameter preset (excludes --config)")
@@ -456,23 +460,29 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    """Run one command; a failure prints one ``error:`` line and returns
+    its exit code. ``--help`` and ``--version`` exit 0 by ``SystemExit``."""
     try:
+        for arg in sys.argv[1:] if argv is None else argv:
+            try:
+                arg.encode("utf-8")  # os.fsdecode maps bad bytes to surrogates
+            except UnicodeEncodeError:
+                raise ParameterError(
+                    f"dlczsim: argument {arg!r} is not UTF-8") from None
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (InsufficientDataError, DegenerateDataError,
             DegenerateStatisticsError, FitConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        code, message = EXIT_NUMERIC, exc
     except ArithmeticError as exc:  # overflow, division by zero
-        print(f"error: numeric failure ({type(exc).__name__}: {exc})",
-              file=sys.stderr)
-        return EXIT_NUMERIC
+        code = EXIT_NUMERIC
+        message = f"numeric failure ({type(exc).__name__}: {exc})"
     except (ParameterError, SchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        code, message = EXIT_VALIDATION, exc
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        code, message = EXIT_IO, exc
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
 """Flat key-value configuration files with dotted section names.
 
-Format: one ``section.key = value`` per line, ``#`` comments, blank lines
-ignored. A section's keys are the parameters of the class that builds it
-(``_BUILDERS``) annotated ``float``, ``int``, ``bool`` or ``str``; those
-without a default are required. Unknown keys are hard errors; a silent
-typo in a physics parameter is worse than a rejected file.
+Format: UTF-8 text (a leading byte-order mark is dropped) read by
+:func:`errors.read_lines`, one ``section.key = value`` per line, ``#``
+comments, blank lines ignored. A section's keys are the parameters of the
+class that builds it (``_BUILDERS``) annotated ``float``, ``int``, ``bool``
+or ``str``; those without a default are required. Unknown keys are hard
+errors; a silent typo in a physics parameter is worse than a rejected file.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from __future__ import annotations
 import hashlib
 import inspect
 from pathlib import Path
-from typing import Dict, NamedTuple, Optional
+from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
-from .errors import ConfigError, decode_utf8
+from .errors import ConfigError, read_lines
 from .params import (CycleTiming, DecayParams, DetectionChain,
                      EnsembleGeometry, ExperimentParams)
 from .repeater import RepeaterParams
@@ -49,13 +50,11 @@ class Config(NamedTuple):
     double_pair: bool
 
 
-def parse_kv_lines(text: str) -> Dict[str, str]:
-    """Parse ``key = value`` lines, rejecting malformed or duplicate keys."""
+def parse_kv_lines(lines: Iterable[Tuple[int, str]]) -> Dict[str, str]:
+    """Parse numbered ``key = value`` lines, as :func:`errors.read_lines`
+    gives them, rejecting malformed or duplicate keys."""
     out: Dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in lines:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', "
                               f"got {line!r}")
@@ -124,19 +123,17 @@ def _build(sections, section: str, **context):
 
 def load_config(path) -> Config:
     """Load, hash and validate a configuration file."""
-    path = Path(path)
+    path, digest = Path(path), hashlib.sha256()
     try:
-        data = path.read_bytes()
+        _, lines = read_lines(path, ConfigError, digest)
     except OSError as exc:
         raise OSError(f"cannot read config file {path}: {exc}") from exc
-    digest = "sha256:" + hashlib.sha256(data).hexdigest()
-    sections = _split_sections(parse_kv_lines(
-        decode_utf8(data, path, ConfigError)))
+    sections = _split_sections(parse_kv_lines(lines))
     if "experiment" in sections and "decay" not in sections:
         raise ConfigError("section 'experiment' requires section 'decay'")
     decay = _build(sections, "decay")  # validated even when unused
     return Config(
-        config_hash=digest,
+        config_hash="sha256:" + digest.hexdigest(),
         experiment=_build(sections, "experiment", decay=decay),
         chain=_build(sections, "chain"),
         geometry=_build(sections, "geometry"),

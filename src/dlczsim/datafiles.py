@@ -3,7 +3,8 @@
 Every file starts with a ``#`` comment block ("# dlczsim <kind> v1" then
 "# key = value" lines) so outputs are self-describing; the payload is a
 plain one-header CSV readable by any plotting tool. Writers are
-deterministic: no timestamps, fixed float repr, LF newlines.
+deterministic: no timestamps, fixed float repr, LF newlines. Readers take
+the provenance and numbered lines from :func:`errors.read_lines`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .engine import TrialRecord
 from .entanglement import AngleSettings
-from .errors import SchemaError, decode_utf8
+from .errors import SchemaError, read_lines
 from .params import CountsTable
 
 FORMAT_VERSION = "v1"
@@ -76,40 +77,12 @@ def write_kv(path, kind: str, entries: Mapping[str, object],
     Path(path).write_text("".join(out), encoding="utf-8", newline="\n")
 
 
-def _put_pair(target: Dict[str, str], text: str) -> None:
-    key, sep, value = text.partition("=")
-    if sep:
-        target[key.strip()] = value.strip()
-
-
-def _read_lines(path, digest=None
-                ) -> Tuple[Dict[str, str], List[Tuple[int, str]]]:
-    """Provenance from ``# key = value`` comments, then every other
-    non-blank line with its 1-based line number. The file is opened once;
-    ``digest`` (a hashlib object), if given, is updated with the bytes
-    parsed."""
-    data = Path(path).read_bytes()
-    if digest is not None:
-        digest.update(data)
-    provenance: Dict[str, str] = {}
-    body: List[Tuple[int, str]] = []
-    for lineno, raw in enumerate(decode_utf8(data, path, SchemaError)
-                                 .splitlines(), start=1):
-        line = raw.strip()
-        if line.startswith("#"):
-            _put_pair(provenance, line[1:])
-        elif line:
-            body.append((lineno, line))
-    return provenance, body
-
-
 def read_kv(path) -> Tuple[Dict[str, str], Dict[str, str]]:
     """Read a kv file, returning (entries, provenance)."""
-    provenance, body = _read_lines(path)
-    entries: Dict[str, str] = {}
-    for _, line in body:
-        _put_pair(entries, line)
-    return entries, provenance
+    provenance, body = read_lines(path, SchemaError)
+    pairs = (line.partition("=") for _, line in body)
+    return ({key.strip(): value.strip() for key, sep, value in pairs if sep},
+            provenance)
 
 
 _NOT_A = {float: "a number", int: "an integer"}
@@ -123,8 +96,8 @@ def _read_rows(path, kinds: Mapping[str, type], optional: Sequence[str] = (),
     Header faults raise at once: missing columns (all of ``kinds`` but
     ``optional`` are required), then unexpected or duplicate ones in
     header order. Rows are checked as they are consumed. ``digest`` is
-    passed to :func:`_read_lines`."""
-    provenance, body = _read_lines(path, digest)
+    passed to :func:`errors.read_lines`."""
+    provenance, body = read_lines(path, SchemaError, digest)
     if not body:
         raise SchemaError(f"{path}: no header row found")
     header = [c.strip() for c in body[0][1].split(",")]

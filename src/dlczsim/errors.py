@@ -1,7 +1,7 @@
 """Exception types shared across the package, the interval check of
-scalar parameters, the seed check and the UTF-8 decoding of input files
-that raise them, and the base of the records whose construction checks
-its fields.
+scalar parameters, the seed check and the one reader of input files
+(config and CSV alike) that raise them, and the base of the records whose
+construction checks its fields.
 
 The CLI maps these onto exit codes: parameter/schema problems are exit 2,
 numeric failures (fits, degenerate statistics) exit 3, I/O errors exit 4.
@@ -10,6 +10,7 @@ numeric failures (fits, degenerate statistics) exit 3, I/O errors exit 4.
 import inspect
 import math
 import operator
+from pathlib import Path
 
 
 class DlczError(Exception):
@@ -68,14 +69,31 @@ def check_seed(seed) -> None:
     check_in("seed", seed, "[0, inf)")
 
 
-def decode_utf8(data: bytes, path, error: type) -> str:
-    """``data`` as UTF-8 text; ``error`` names ``path`` and the offset of
-    the first byte that is not UTF-8."""
+def read_lines(path, error: type, digest=None) -> tuple:
+    """The provenance (``# key = value`` comments) of an input file and
+    its other non-blank lines, stripped, with their 1-based numbers.
+
+    The file is read once, and ``digest`` (a hashlib object), if given, is
+    updated with its bytes. Unless they are all UTF-8, ``error`` names
+    ``path`` and the offset of the first byte that is not; one leading
+    byte-order mark is then dropped."""
+    data = Path(path).read_bytes()
+    if digest is not None:
+        digest.update(data)
     try:
-        return data.decode("utf-8")
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: byte {data[exc.start]:#04x} at offset "
                     f"{exc.start} is not UTF-8") from None
+    provenance, body = {}, []
+    for lineno, line in enumerate(map(str.strip, text.splitlines()), 1):
+        if line.startswith("#"):
+            key, sep, value = line[1:].partition("=")
+            if sep:
+                provenance[key.strip()] = value.strip()
+        elif line:
+            body.append((lineno, line))
+    return provenance, body
 
 
 class Record:

@@ -8,9 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dlczsim import (AngleSettings, CountsTable, bell_S, cli, correlation_E,
-                     datafiles, engine, estimators, fidelity_from_S,
-                     fit_decay, visibility_from_S)
+from dlczsim import (AngleSettings, CountsTable, ParameterError, bell_S, cli,
+                     correlation_E, datafiles, engine, estimators,
+                     fidelity_from_S, fit_decay, visibility_from_S)
 from dlczsim.cli import main
 from dlczsim.datafiles import (COUNTS_COLUMNS, read_counts_csv, read_kv,
                                write_counts_csv)
@@ -625,13 +625,12 @@ def test_zero_sigma_retrieval_stays_out_of_the_decay_fit(tmp_path):
     ["lifetime", "--config", "lab.conf", "--seed", "1"],
 ])
 def test_flags_a_command_does_not_read_are_rejected(argv, tmp_path,
-                                                    monkeypatch):
+                                                    monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "lab.conf").write_text(CONFIG)
     (tmp_path / "decay.csv").write_text("t_seconds,R\n0,0.77\n0.0005,0.5\n")
-    with pytest.raises(SystemExit) as exc:
-        main(argv + ["--out", "out"])
-    assert exc.value.code == 2
+    assert main(argv + ["--out", "out"]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -692,12 +691,9 @@ def test_cached_parser_leaks_no_state(tmp_path, monkeypatch, capsys):
         for argv in calls:
             try:
                 ns = vars(parser_for().parse_args(argv))
-            except SystemExit as exc:
-                ns = {"exit": exc.code}
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = ("exit", exc.code)
+            except ParameterError as exc:
+                ns = {"error": str(exc)}
+            code = main(argv)
             streams = capsys.readouterr()
             files = {str(f): hashlib.sha256(f.read_bytes()).hexdigest()
                      for f in sorted(Path(".").rglob("*")) if f.is_file()}
@@ -712,9 +708,9 @@ def test_cached_parser_leaks_no_state(tmp_path, monkeypatch, capsys):
     namespaces = [ns for ns, *_ in cached]
     assert namespaces[0]["records"] and not namespaces[1]["records"]
     assert namespaces[2]["seed"] == 5 and namespaces[3]["seed"] == 0
-    assert namespaces[4] == {"exit": 2}
-    assert [code for _, code, *_ in cached] == [0, 0, 0, 0, ("exit", 2),
-                                                0, 0]
+    assert namespaces[4] == {
+        "error": "dlczsim: unrecognized arguments: --bogus"}
+    assert [code for _, code, *_ in cached] == [0, 0, 0, 0, 2, 0, 0]
 
 
 def _sample_conf(**edits):
@@ -972,6 +968,107 @@ def test_non_utf8_input_exits_2_naming_the_byte(case, tmp_path, capsys):
     assert err == [f"error: {bad}: byte 0xff at offset {len(head)} is not "
                    "UTF-8"]
     assert not out.exists()
+
+
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark of Excel and Notepad
+
+
+@pytest.mark.parametrize("command, name, report, hash_key", [
+    ("budget --config {file}", "lab.conf", "budget.kv", "config_hash"),
+    ("estimate --eta-td 0.5 --replicas 200 {file}", "counts.csv",
+     "estimates.kv", "inputs_hash"),
+    ("fit-decay {file}", "decay.csv", "decay_fit.kv", None),
+])
+def test_byte_order_mark_is_dropped(command, name, report, hash_key,
+                                    tmp_path):
+    """A file saved with a BOM gives the report of the same file without
+    one; a hash in the manifest still covers the file's raw bytes."""
+    (tmp_path / "lab.conf").write_text(CONFIG)
+    write_counts_csv(tmp_path / "counts.csv", [CountsTable(
+        settings=AngleSettings(0.0, 0.0), storage_time=0.0, n_pulses=1000,
+        n_d1=70, n_d2=72, c13=8, c24=7, c14=1, c23=0)], {})
+    (tmp_path / "decay.csv").write_text(
+        "t_seconds,R\n0,0.77\n0.00023,0.667\n0.00054,0.50\n")
+    plain, marked = tmp_path / name, tmp_path / f"bom_{name}"
+    marked.write_bytes(BOM + plain.read_bytes())
+    reports = []
+    for path in (plain, marked):
+        out = tmp_path / f"out_{path.name}"
+        assert main(command.format(file=path).split()
+                    + ["--out", str(out)]) == 0
+        reports.append(read_kv(out / report)[0])
+        if hash_key:
+            manifest, _ = read_kv(out / "run_manifest.kv")
+            assert manifest[hash_key] == "sha256:" + hashlib.sha256(
+                path.read_bytes()).hexdigest()
+    assert reports[0] == reports[1]
+
+
+def test_byte_order_mark_keeps_byte_offsets(tmp_path, capsys):
+    """A byte that is not UTF-8 after a BOM is named at its offset in the
+    file: 5 and 0xff for BOM + b"ab\xffc", where decoding as utf-8-sig
+    would give 2 and 0xbf."""
+    bad = tmp_path / "bad.conf"
+    bad.write_bytes(BOM + b"ab\xffc")
+    assert main(["budget", "--config", str(bad),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {bad}: byte 0xff at offset 5 is not UTF-8"]
+    assert not (tmp_path / "out").exists()
+
+
+# Command lines the parser rejects, each a valid command with one fault.
+PARSER_FAULTS = {
+    "unknown_flag": "budget --config lab.conf --bogus",
+    "missing_seed": "simulate --config lab.conf --trials 10",
+    "simulate_missing_config": "simulate --seed 1 --trials 10",
+    "lifetime_missing_config": "lifetime",
+    "budget_missing_config": "budget",
+    "sweep_missing_source": "repeater-sweep",
+    "trials_not_an_integer": "simulate --config lab.conf --seed 1 "
+                             "--trials x",
+    "grid_not_a_choice": "repeater-sweep --preset fig8 --grid cubic",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSER_FAULTS))
+def test_parser_faults_print_one_error_line(case, tmp_path, monkeypatch,
+                                            capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "lab.conf").write_text(CONFIG)
+    code = main(PARSER_FAULTS[case].split() + ["--out", "out"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: dlczsim")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"],
+                                  ["budget", "--help"]])
+def test_help_and_version_exit_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().err == ""
+
+
+# An argument that is not UTF-8, as os.fsdecode gives it: the byte 0xff
+# becomes the surrogate U+DCFF.
+@pytest.mark.parametrize("command, bad", [
+    ("budget --config lab.conf --out {bad}", "bad\udcff"),
+    ("fit-decay {bad} --out out", "in\udcff.csv"),
+])
+def test_non_utf8_argument_exits_2_before_writing(command, bad, tmp_path,
+                                                  monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "lab.conf").write_text(CONFIG)
+    (tmp_path / "in\udcff.csv").write_text(
+        "t_seconds,R\n0,0.77\n0.00023,0.667\n0.00054,0.50\n")
+    before = sorted(tmp_path.iterdir())
+    assert main(command.format(bad=bad).split()) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: dlczsim: argument {bad!r} is not UTF-8"]
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.filterwarnings("error")  # a warning is not a clean exit
