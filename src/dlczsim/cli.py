@@ -13,7 +13,6 @@ import argparse
 import functools
 import hashlib
 import math
-import os
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -36,8 +35,6 @@ from .params import (CountsTable, coupling_angle, motional_lifetime,
                      repetition_rate, simulated_wall_time)
 from .repeater import (PRESETS, PRESET_CHI_SOURCE, SWEEP_MAX_STEPS,
                        sweep_distance, threshold_crossing_distance)
-
-OUTPUT_DIR_ENV = "DLCZSIM_OUT"
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -84,12 +81,11 @@ def parse_angle_plan(spec: str) -> List[AngleSettings]:
 
 class _Artifacts:
     """Everything a command writes, named once: the output directory, the
-    provenance base, the files in write order, the report format, and the
-    closing run manifest and printed report entries."""
+    provenance base, the files in write order, and the closing run
+    manifest and printed report entries."""
 
     def __init__(self, args, cfg: Optional[Config] = None):
-        self.args = args
-        self.out_name = args.out or os.environ.get(OUTPUT_DIR_ENV) or "."
+        self.out_name = args.out
         self.config_path = args.config if cfg else "none"
         self.provenance: Dict[str, object] = {
             "command": args.command,
@@ -113,14 +109,10 @@ class _Artifacts:
 
     def report(self, name: str, kind: str,
                entries: Dict[str, object]) -> None:
-        """The command's report, as kv or csv per ``--format``; its
-        entries are also printed by :meth:`finish`."""
+        """The command's report, ``<name>.kv``; its entries are also
+        printed by :meth:`finish`."""
         self.entries = entries
-        if self.args.format == "kv":
-            write_kv(self.path(f"{name}.kv"), kind, entries, self.provenance)
-        else:
-            write_csv(self.path(f"{name}.csv"), kind, ("quantity", "value"),
-                      list(entries.items()), self.provenance)
+        write_kv(self.path(f"{name}.kv"), kind, entries, self.provenance)
 
     def finish(self, **extra) -> int:
         """Write the run manifest (``outputs`` last), print the report."""
@@ -323,7 +315,7 @@ def cmd_repeater_sweep(args) -> int:
     entries: Dict[str, object] = {}
     for label, params in curves:
         points, monotone = sweep_distance(
-            params, args.l_min, args.l_max, args.steps, grid=args.grid,
+            params, args.l_min, args.l_max, args.steps,
             approx_multiplex=args.approx_multiplex)
         head = f"{label},{params.r0!r}"
         for distance, (t_cc, p0, p0_n, _, stages, p_pr, rate,
@@ -334,7 +326,6 @@ def cmd_repeater_sweep(args) -> int:
                 f"{p_pr!r},{t_final!r},{fmt_value(underflow)}\n")
         entries[f"{label}.r0"] = params.r0
         entries[f"{label}.chi"] = params.chi
-        entries[f"{label}.link_divisor"] = params.link_divisor
         entries[f"{label}.n_links"] = params.n_links
         entries[f"{label}.monotone_non_increasing"] = monotone
         if args.threshold is not None:
@@ -348,7 +339,7 @@ def cmd_repeater_sweep(args) -> int:
                 entries[f"{label}.threshold_crossing_m"] = crossing
 
     art = _Artifacts(args, cfg)
-    art.provenance.update({"chi_source": chi_source, "grid": args.grid,
+    art.provenance.update({"chi_source": chi_source,
                            "l_min_m": args.l_min, "l_max_m": args.l_max,
                            "steps": args.steps,
                            "approx_multiplex": args.approx_multiplex})
@@ -376,21 +367,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, config="required", report=True):
-        """Add --out, --format if ``report``, and --config: "required",
-        "optional", None, or (an argument group) the group to add it to."""
+    def common(p, *, config="required"):
+        """Add --out and --config: "required", "optional", None, or (an
+        argument group) the group to add it to."""
         if config:
             (p if isinstance(config, str) else config).add_argument(
                 "--config", required=config == "required",
                 help="key = value configuration file")
-        p.add_argument("--out", help=f"output directory (default: "
-                       f"${OUTPUT_DIR_ENV} or '.')")
-        if report:
-            p.add_argument("--format", choices=("kv", "csv"), default="kv",
-                           help="report format (default kv)")
+        p.add_argument("--out", default=".",
+                       help="output directory (default: '.')")
 
     p = sub.add_parser("simulate", help="run the Monte Carlo engine")
-    common(p, report=False)
+    common(p)
     p.add_argument("--seed", type=int, required=True,
                    help="RNG seed (required for reproducible runs)")
     p.add_argument("--trials", type=int, required=True,
@@ -441,9 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l-max", type=float, default=2e6,
                    help="sweep end distance, m (default 2e6)")
     p.add_argument("--steps", type=int, default=80,
-                   help=f"distance grid points, 2 to {SWEEP_MAX_STEPS} "
-                        "(default 80)")
-    p.add_argument("--grid", choices=("log", "linear"), default="log")
+                   help=f"log-spaced distance grid points, 2 to "
+                        f"{SWEEP_MAX_STEPS} (default 80)")
     p.add_argument("--threshold", type=float, default=None,
                    help="also report the crossing distance for this rate")
     p.add_argument("--approx-multiplex", action="store_true",
@@ -469,7 +456,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             except UnicodeEncodeError:
                 raise ParameterError(
                     f"dlczsim: argument {arg!r} is not UTF-8") from None
-        args = _parser().parse_args(argv)
+        args, extras = _parser().parse_known_args(argv)
+        if extras:  # argparse reports them under the top-level prog
+            raise ParameterError(f"dlczsim {args.command}: unrecognized "
+                                 f"arguments: {' '.join(extras)}")
         return args.func(args)
     except (InsufficientDataError, DegenerateDataError,
             DegenerateStatisticsError, FitConvergenceError) as exc:

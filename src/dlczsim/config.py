@@ -3,8 +3,8 @@
 Format: UTF-8 text (a leading byte-order mark is dropped) read by
 :func:`errors.read_lines`, one ``section.key = value`` per line, ``#``
 comments, blank lines ignored. A section's keys are the parameters of the
-class that builds it (``_BUILDERS``) annotated ``float``, ``int``, ``bool``
-or ``str``; those without a default are required. Unknown keys are hard
+class that builds it (``_BUILDERS``) annotated ``float``, ``int`` or
+``bool``; those without a default are required. Unknown keys are hard
 errors; a silent typo in a physics parameter is worse than a rejected file.
 """
 
@@ -34,7 +34,7 @@ _BUILDERS = {"experiment": ExperimentParams, "decay": DecayParams,
 _KEYS: Dict[str, Dict[str, tuple]] = {
     section: {name: (param.annotation, param.default is param.empty)
               for name, param in inspect.signature(build).parameters.items()
-              if param.annotation in ("float", "int", "bool", "str")}
+              if param.annotation in ("float", "int", "bool")}
     for section, build in _BUILDERS.items()}
 
 
@@ -74,12 +74,10 @@ def _convert(key: str, value: str, kind: str):
             return float(value)
         if kind == "int":
             return int(value, 10)
-        if kind == "bool":
-            low = value.lower()
-            if low in ("true", "false"):
-                return low == "true"
-            raise ValueError(value)
-        return value
+        low = value.lower()  # a bool
+        if low in ("true", "false"):
+            return low == "true"
+        raise ValueError(value)
     except ValueError:
         raise ConfigError(f"key {key!r}: cannot parse {value!r} as {kind}")
 

@@ -18,18 +18,13 @@ from .solve import find_root
 # exp(-t/tau0) underflows well before this; treat deeper levels as dead.
 UNDERFLOW_RATIO = 700.0
 
-LINK_DIVISOR_CHOICES = ("2^n", "n")
-
 SWEEP_MAX_STEPS = 10_000  # sweep_distance keeps one RateBreakdown a point
 
 
 class RepeaterParams(Record):
-    """Inputs of the nested-repeater rate recursion.
-
-    ``link_divisor`` selects how the end-to-end distance splits into
-    elementary links: "2^n" (one link per leaf of the swap tree, default)
-    or "n" (distance divided by the nest level).
-    """
+    """Inputs of the nested-repeater rate recursion. The end-to-end
+    distance splits into one elementary link per leaf of the swap tree,
+    L0 = L / 2^n."""
 
     nest_level: int          # swap tree depth n in [0, 1023]
     modes: int               # multiplexed memory modes per node, N >= 1
@@ -41,7 +36,6 @@ class RepeaterParams(Record):
     eta_td: float            # total detection efficiency
     r0: float                # zero-delay retrieval efficiency
     tau0: float              # memory 1/e lifetime, s (may be math.inf)
-    link_divisor: str = "2^n"
 
     def __post_init__(self):
         # 2^1023 is the largest power of two that is a finite float
@@ -52,17 +46,10 @@ class RepeaterParams(Record):
         check_in("tau0", self.tau0, "(0, inf]")
         for name in ("chi", "eta_fc", "eta_td", "r0"):
             check_in(name, getattr(self, name), "(0, 1]")
-        if self.link_divisor not in LINK_DIVISOR_CHOICES:
-            raise ParameterError(
-                f"link_divisor must be one of {LINK_DIVISOR_CHOICES}")
-        if self.link_divisor == "n" and self.nest_level == 0:
-            raise ParameterError(
-                "link_divisor 'n' is undefined for nest_level 0")
 
     @property
     def n_links(self) -> int:
-        return (2 ** self.nest_level if self.link_divisor == "2^n"
-                else self.nest_level)
+        return 2 ** self.nest_level
 
 
 class RateBreakdown(NamedTuple):
@@ -157,20 +144,14 @@ def _check_span(l_min: float, l_max: float) -> None:
 
 
 def sweep_distance(p: RepeaterParams, l_min: float, l_max: float,
-                   steps: int, *, grid: str = "log",
-                   approx_multiplex: bool = False
+                   steps: int, *, approx_multiplex: bool = False
                    ) -> Tuple[List[Tuple[float, RateBreakdown]], bool]:
-    """Rate over a distance grid. Returns (points, monotone_non_increasing)."""
+    """Rate over a log-spaced distance grid. Returns (points,
+    monotone_non_increasing)."""
     _check_span(l_min, l_max)
     check_in("steps", steps, f"[2, {SWEEP_MAX_STEPS}]")
-    if grid == "log":
-        ratio = (l_max / l_min) ** (1.0 / (steps - 1))
-        distances = [l_min * ratio ** i for i in range(steps)]
-    elif grid == "linear":
-        span = (l_max - l_min) / (steps - 1)
-        distances = [l_min + span * i for i in range(steps)]
-    else:
-        raise ParameterError(f"grid must be 'log' or 'linear', got {grid!r}")
+    ratio = (l_max / l_min) ** (1.0 / (steps - 1))
+    distances = [l_min * ratio ** i for i in range(steps)]
     distances[-1] = l_max
     if not all(0.0 < dist < math.inf for dist in distances):
         raise ParameterError(
@@ -221,7 +202,7 @@ PRESET_CHI_SOURCE = ("calibrated to 1e-4 pairs/s at 1000 km for r0=0.8; "
 PRESET_HIGH_RETRIEVAL = RepeaterParams(
     nest_level=4, modes=1000, distance=1.0e6, attenuation_length=22e3,
     fiber_speed=2.0e8, chi=PRESET_CHI_CALIBRATED, eta_fc=0.33, eta_td=0.88,
-    r0=0.8, tau0=16.0, link_divisor="2^n")
+    r0=0.8, tau0=16.0)
 PRESET_LOW_RETRIEVAL = PRESET_HIGH_RETRIEVAL._replace(r0=0.6)
 
 PRESETS = {

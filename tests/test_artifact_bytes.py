@@ -88,7 +88,6 @@ def test_bell_estimate_is_byte_pinned(double_pair_config, tmp_path):
 # output directory, argv.
 EVERY_COMMAND = (
     ("budget_kv", ["budget", "--config", "lab.conf"]),
-    ("budget_csv", ["budget", "--config", "lab.conf", "--format", "csv"]),
     ("lifetime", ["lifetime", "--config", "lab.conf"]),
     ("sim", ["simulate", "--config", "lab.conf", "--seed", "17",
              "--trials", "20000", "--t", "0,0.0003,0.0008",
@@ -99,8 +98,6 @@ EVERY_COMMAND = (
     ("fit", ["fit-decay", "est/retrieval.csv"]),
     ("sweep_kv", ["repeater-sweep", "--preset", "fig8",
                   "--threshold", "1e-4"]),
-    ("sweep_csv", ["repeater-sweep", "--preset", "fig8",
-                   "--threshold", "1e-4", "--format", "csv"]),
 )
 
 PINNED_EVERY_COMMAND = {
@@ -110,12 +107,6 @@ PINNED_EVERY_COMMAND = {
         "31c18019ff7546083b825a1266a177de76aa1c2ef47b5ab789653970d8455ab4",
     "budget_kv/run_manifest.kv":
         "59fcd45f9bd3ad36d5f226209f6dd3398710599ae83592ed68a906a3e426b50c",
-    "budget_csv/stdout":
-        "44682f78653b503d60d8382f2c56abba2ed57ea52f4d02b7a6666990c727f6a4",
-    "budget_csv/budget.csv":
-        "f9fe1f465cdc887e861094187779567e84b054114530d19103babdfafe1d9f1d",
-    "budget_csv/run_manifest.kv":
-        "cac61257cf1054da0227b3241c1555b04669b87bef2a80426cbbe1bc1341f9b7",
     "lifetime/stdout":
         "360ffd3c2d7850904c4330eb85f397c75cfe09d88b35278ca03239dc6b62659d",
     "lifetime/lifetime.kv":
@@ -153,21 +144,13 @@ PINNED_EVERY_COMMAND = {
     "fit/run_manifest.kv":
         "3b17a1f49863ff5f13ad380fc6bbca02a83a8bfcfd055644a9d4314f7cb5e798",
     "sweep_kv/stdout":
-        "364eb79790fdcd7ae988fac2990db064c52878c787ae8bf8ca30b949738aaa24",
+        "7c1cab9d55901e1e82543e1dfe0649abd2b835d8d1e7aa1430d67f875ade32ae",
     "sweep_kv/repeater_summary.kv":
-        "0d1d1dcc270e8c91ca356a0ed084870a010b73344bdeff8e0b4b083aec92f42c",
+        "616469f97165b9b6f9bd5fb531096fbb2876241969de0277682297fd4e72132c",
     "sweep_kv/repeater_sweep.csv":
-        "92c950bf92afefb8e7861e606481013466be441c3afcd99718498bac57c7deed",
+        "45cf7d7d7df93bee0fa48f31e3b311d313616f7184266f733e95fac67fbfd329",
     "sweep_kv/run_manifest.kv":
         "8b6e2b7c448e13345ab56a81287733bf407d23b403b064645ae0a4d0cf1c994a",
-    "sweep_csv/stdout":
-        "364eb79790fdcd7ae988fac2990db064c52878c787ae8bf8ca30b949738aaa24",
-    "sweep_csv/repeater_summary.csv":
-        "687782252f75592e347e41e0a6a55bf0db93bbf59fae79c797f315aa1fb68066",
-    "sweep_csv/repeater_sweep.csv":
-        "92c950bf92afefb8e7861e606481013466be441c3afcd99718498bac57c7deed",
-    "sweep_csv/run_manifest.kv":
-        "b663c5935bfdf03c31c5f05580ea004b08a608d7634621b0198dcd0351dd71c2",
 }
 
 

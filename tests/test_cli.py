@@ -131,10 +131,6 @@ def test_fit_decay_command(config, tmp_path):
     report = kv_floats(out / "decay_fit.kv")
     assert report["r0"] == pytest.approx(0.77, abs=0.03)
     assert report["tau0_s"] == pytest.approx(1.0e-3, abs=0.15e-3)
-    # csv format variant
-    assert main(["fit-decay", str(data), "--out", str(out),
-                 "--format", "csv"]) == 0
-    assert (out / "decay_fit.csv").exists()
 
 
 def test_fit_decay_does_not_import_numpy_ma(tmp_path):
@@ -649,16 +645,30 @@ def test_seedless_manifests_record_no_config_or_seed(tmp_path):
 
 
 def test_bad_link_divisor_names_the_repeater_section(tmp_path, capsys):
+    # the links are the swap tree's 2^n leaves; no key selects another layout
     sample = (Path(__file__).resolve().parents[1] / "sample.conf").read_text()
     path = tmp_path / "divisor.conf"
-    path.write_text(sample + "repeater.link_divisor = 4\n")
+    path.write_text(sample + "repeater.link_divisor = 2^n\n")
     out = tmp_path / "sweep"
     assert main(["repeater-sweep", "--config", str(path),
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1
-    assert "repeater" in err[0] and "link_divisor" in err[0]
+    assert err == ["error: unknown key 'repeater.link_divisor'"]
     assert not out.exists()
+
+
+def test_output_directory_defaults_to_the_working_directory(
+        tmp_path, monkeypatch, capsys):
+    # no environment variable names the output directory
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("DLCZSIM_OUT", str(tmp_path / "env_out"))
+    (tmp_path / "lab.conf").write_text(CONFIG)
+    assert main(["budget", "--config", "lab.conf"]) == 0
+    manifest, _ = read_kv(tmp_path / "run_manifest.kv")
+    assert manifest["output_dir"] == "."
+    assert manifest["outputs"] == "budget.kv"
+    assert (tmp_path / "budget.kv").is_file()
+    assert not (tmp_path / "env_out").exists()
 
 
 def test_cached_parser_leaks_no_state(tmp_path, monkeypatch, capsys):
@@ -679,9 +689,8 @@ def test_cached_parser_leaks_no_state(tmp_path, monkeypatch, capsys):
          "sim/counts_t00_a00.csv", "sim/counts_t01_a00.csv",
          "sim/counts_t02_a00.csv", "--out", "est0"],
         ["estimate", "--eta-td", "0.5", "--bogus", "sim/counts_t00_a00.csv"],
-        ["fit-decay", "est0/retrieval.csv", "--format", "csv",
-         "--out", "fit"],
-        ["fit-decay", "est5/retrieval.csv", "--out", "fit"],
+        ["fit-decay", "est0/retrieval.csv", "--out", "fit"],
+        ["fit-decay", "est5/retrieval.csv"],
     ]
 
     def run(parser_for, where):
@@ -710,6 +719,8 @@ def test_cached_parser_leaks_no_state(tmp_path, monkeypatch, capsys):
     assert namespaces[2]["seed"] == 5 and namespaces[3]["seed"] == 0
     assert namespaces[4] == {
         "error": "dlczsim: unrecognized arguments: --bogus"}
+    assert cached[4][3] == ("error: dlczsim estimate: unrecognized "
+                            "arguments: --bogus\n")
     assert [code for _, code, *_ in cached] == [0, 0, 0, 0, 2, 0, 0]
 
 
@@ -911,8 +922,8 @@ EXTREME_INPUTS = {
         {"repeater__fiber_speed": "1e-308"}, 0,
         "repeater-sweep --config {conf}"),
     "repeater_tau0_inf": (  # a stage time overflows: t / tau0 is NaN
-        {"repeater__link_divisor": "n", "repeater__tau0": "inf",
-         "repeater__nest_level": "600"}, 0, "repeater-sweep --config {conf}"),
+        {"repeater__tau0": "inf", "repeater__nest_level": "1023"}, 0,
+        "repeater-sweep --config {conf}"),
     "nest_level_1024": (  # 2^1024 is no float
         {"repeater__nest_level": "1024"}, 2, "repeater-sweep --config {conf}"),
     "modes_1e21": (
@@ -920,8 +931,8 @@ EXTREME_INPUTS = {
         "repeater-sweep --config {conf}"),
     "log_grid_overflow": (
         {}, 2, "repeater-sweep --preset fig8 --l-min 1e-320"),
-    "link_time_underflow": (
-        {}, 2, "repeater-sweep --preset fig8 --grid linear --l-min 1e-320"),
+    "link_time_underflow": (  # 1e-320 m / 16 links / 2e8 m/s is 0
+        {}, 2, "repeater-sweep --preset fig8 --l-min 1e-320 --l-max 1e-300"),
     "l_max_1e308": (
         {}, 0, "repeater-sweep --preset fig8 --l-max 1e308 --threshold 1e-4"),
 }
@@ -1027,7 +1038,9 @@ PARSER_FAULTS = {
     "sweep_missing_source": "repeater-sweep",
     "trials_not_an_integer": "simulate --config lab.conf --seed 1 "
                              "--trials x",
-    "grid_not_a_choice": "repeater-sweep --preset fig8 --grid cubic",
+    "no_format_flag_csv": "budget --config lab.conf --format csv",
+    "no_format_flag_kv": "fit-decay d.csv --format kv",
+    "no_grid_flag": "repeater-sweep --preset fig8 --grid log",
 }
 
 
@@ -1039,7 +1052,8 @@ def test_parser_faults_print_one_error_line(case, tmp_path, monkeypatch,
     code = main(PARSER_FAULTS[case].split() + ["--out", "out"])
     err = capsys.readouterr().err.splitlines()
     assert code == 2
-    assert len(err) == 1 and err[0].startswith("error: dlczsim")
+    command = PARSER_FAULTS[case].split()[0]
+    assert len(err) == 1 and err[0].startswith(f"error: dlczsim {command}: ")
     assert not (tmp_path / "out").exists()
 
 
@@ -1103,5 +1117,11 @@ def test_extreme_finite_inputs_exit_cleanly(case, tmp_path, capsys):
     else:
         assert err == []
     if case == "repeater_tau0_inf":  # rate 0, flagged as underflow
-        sweep = tmp_path / "out" / "repeater_sweep.csv"
-        assert "nan" not in sweep.read_text()
+        sweep = (tmp_path / "out" / "repeater_sweep.csv").read_text()
+        assert "nan" not in sweep
+        rows = [ln for ln in sweep.splitlines() if not ln.startswith("#")]
+        assert len(rows) == 81
+        assert all(row.split(",")[3] == "0.0" and row.endswith(",true")
+                   for row in rows[1:])
+    if case == "link_time_underflow":
+        assert "gives a link time of 0" in err[0]

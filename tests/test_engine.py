@@ -446,9 +446,9 @@ VALIDATED_RECORDS = {
         PRESET_HIGH_RETRIEVAL,
         "(nest_level: 'int', modes: 'int', distance: 'float', "
         "attenuation_length: 'float', fiber_speed: 'float', chi: 'float', "
-        "eta_fc: 'float', eta_td: 'float', r0: 'float', tau0: 'float', "
-        "link_divisor: 'str' = '2^n') -> None",
-        "link_divisor", "2n"),
+        "eta_fc: 'float', eta_td: 'float', r0: 'float', tau0: 'float') "
+        "-> None",
+        "nest_level", 1024),
     "CountsTable": (
         CountsTable(MATCHED, 0.0, 1000, 30, 40, 10, 12, 2, 3),
         "(settings: 'AngleSettings', storage_time: 'float', "

@@ -1,9 +1,13 @@
 import ast
+import glob
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import dlczsim
+from dlczsim import cli
 
 # The package's public names, including the submodules that importing
 # the package binds. A name added to or removed from the package shows
@@ -57,6 +61,24 @@ def test_readme_library_block_runs_verbatim(capsys):
     block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
     exec(compile(block, "README.md (Library)", "exec"), {})
     assert capsys.readouterr().out.count("\n") == 2
+
+
+def test_readme_shell_block_runs_verbatim(tmp_path, monkeypatch, capsys):
+    # every command line of the README's shell block runs as written
+    root = Path(__file__).resolve().parents[1]
+    section = (root / "README.md").read_text().split(
+        "\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("\n```", 1)[0]
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("dlczsim ")]
+    assert len(lines) == 7
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(root / "sample.conf", tmp_path)
+    for line in lines:
+        argv = []
+        for arg in shlex.split(line)[1:]:
+            argv += sorted(glob.glob(arg)) if "*" in arg else [arg]
+        assert cli.main(argv) == 0, (line, capsys.readouterr().err)
 
 
 PACKAGE_DIR = Path(dlczsim.__file__).resolve().parent

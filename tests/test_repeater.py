@@ -17,8 +17,7 @@ from dlczsim.solve import CROSSING_REL_TOL, find_root
 def make_params(**overrides):
     defaults = dict(nest_level=4, modes=1000, distance=1.0e6,
                     attenuation_length=22e3, fiber_speed=2.0e8, chi=0.01,
-                    eta_fc=0.33, eta_td=0.88, r0=0.8, tau0=16.0,
-                    link_divisor="2^n")
+                    eta_fc=0.33, eta_td=0.88, r0=0.8, tau0=16.0)
     defaults.update(overrides)
     return RepeaterParams(**defaults)
 
@@ -100,8 +99,8 @@ def test_rate_monotone_in_each_parameter():
 
 def test_fewer_links_decreases_elementary_probability():
     sixteen = elementary_probs(make_params())[1]
-    four = elementary_probs(make_params(link_divisor="n"))[1]
-    assert make_params(link_divisor="n").n_links == 4
+    four = elementary_probs(make_params(nest_level=2))[1]
+    assert make_params(nest_level=2).n_links == 4
     assert four < sixteen
 
 
@@ -149,8 +148,6 @@ def test_sweep_validation():
         sweep_distance(p, 1e5, 1e6, 1)
     with pytest.raises(ParameterError, match="10000"):
         sweep_distance(p, 1e5, 1e6, 10_001)
-    with pytest.raises(ParameterError):
-        sweep_distance(p, 1e5, 1e6, 10, grid="cubic")
 
 
 def test_calibrated_chi_hits_the_anchor():
@@ -198,15 +195,11 @@ def test_params_validation():
         make_params(nest_level=-1)
     with pytest.raises(ParameterError, match=r"nest_level = 1024 .*1023\]"):
         make_params(nest_level=1024)
-    assert make_params(nest_level=1023, link_divisor="n").n_links == 1023
+    assert make_params(nest_level=1023).n_links == 2 ** 1023
     with pytest.raises(ParameterError):
         make_params(modes=0)
     with pytest.raises(ParameterError):
         make_params(chi=0.0)
-    with pytest.raises(ParameterError):
-        make_params(link_divisor="4")
-    with pytest.raises(ParameterError):
-        make_params(nest_level=0, link_divisor="n")
 
 
 @pytest.mark.parametrize("name", ["distance", "attenuation_length",
