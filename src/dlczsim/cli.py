@@ -175,7 +175,7 @@ def cmd_simulate(args) -> int:
                     params, t, table.settings, args.trials, args.seed,
                     setting_index=ai, double_pair=cfg.double_pair, run_tag=ti)
                 write_records_csv(art.path(f"trials_t{ti:02d}_a{ai:02d}.csv"),
-                                  t, outcomes, blocks, prov)
+                                  outcomes, blocks, prov)
 
     art.finish(trials_per_setting=args.trials,
                storage_times_s=",".join(fmt_value(t) for t in t_list),

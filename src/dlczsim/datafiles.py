@@ -33,8 +33,6 @@ DECAY_SIGMA_COLUMN = "sigma_R"
 DECAY_KINDS = dict.fromkeys(DECAY_COLUMNS + (DECAY_SIGMA_COLUMN,), float)
 RECORDS_LIMIT = 1_000_000  # per-trial CSVs above this are refused
 RECORDS_CHUNK = 1 << 14  # trials rendered per text chunk of a records CSV
-_INDEX_DIGITS = len(str(RECORDS_LIMIT - 1))  # widest trial index of a record
-_ASCII_DIGITS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
 
 
 def fmt_value(value) -> str:
@@ -139,69 +137,26 @@ def write_counts_csv(path, tables: Sequence[CountsTable],
     write_csv(path, "counts", COUNTS_COLUMNS, rows, provenance)
 
 
-def write_records_csv(path, storage_time: float, outcomes, blocks,
+def write_records_csv(path, outcomes, blocks,
                       provenance: Mapping[str, object]) -> None:
     """Per-trial CSV of :func:`engine.trial_outcome_blocks`' ``outcomes``
-    and ``blocks``, in text chunks of at most ``RECORDS_CHUNK`` trials:
-    each row is the trial index followed by the pre-rendered cells of the
-    trial's outcome."""
-    records = (TrialRecord.from_outcome(0, storage_time, o) for o in outcomes)
-    table = _tail_table(["".join(f",{fmt_value(v)}" for v in (
-        r.storage_time, r.stokes_click or "none", r.antistokes_click or "none",
-        r.pair_created)) + "\n" for r in records])
+    and ``blocks``: row k after the header is trial k. Each outcome's row
+    is rendered once into a NUL-padded fixed-width byte table, and each
+    chunk of at most ``RECORDS_CHUNK`` trials gathers its rows from it."""
+    records = (TrialRecord.from_outcome(0, 0.0, o) for o in outcomes)
+    table = np.array([",".join((
+        r.stokes_click or "none", r.antistokes_click or "none",
+        fmt_value(r.pair_created))).encode("ascii") + b"\n" for r in records])
 
     def chunks():
-        for first, trials in blocks:
+        for _, trials in blocks:
             for lo in range(0, len(trials), RECORDS_CHUNK):
-                yield _render_rows(table, first + lo,
-                                   trials[lo:lo + RECORDS_CHUNK])
+                rows = table.take(trials[lo:lo + RECORDS_CHUNK]).tobytes()
+                yield rows.replace(b"\0", b"").decode("ascii")
 
     write_csv(path, "trials",
-              ("trial_index", "storage_time_s", "stokes_click",
-               "antistokes_click", "pair_created"), chunks(), provenance)
-
-
-def _tail_table(tails: Sequence[str]) -> np.ndarray:
-    """Row tails as ASCII bytes, one row per outcome, NUL-padded on the
-    left by room for the trial index and on the right to the longest."""
-    encoded = [tail.encode("ascii") for tail in tails]
-    table = np.zeros((len(encoded), _INDEX_DIGITS + max(map(len, encoded))),
-                     dtype=np.uint8)
-    for row, tail in zip(table, encoded):
-        row[_INDEX_DIGITS:_INDEX_DIGITS + len(tail)] = np.frombuffer(
-            tail, dtype=np.uint8)
-    return table
-
-
-def _render_rows(table: np.ndarray, start: int, trials: np.ndarray) -> str:
-    """The rows ``f"{start + i}{tails[trials[i]]}"`` as one string, where
-    ``table`` is ``_tail_table(tails)`` and every index is below
-    ``RECORDS_LIMIT``. The index digits fill the room left of the gathered
-    tails, and every NUL byte (a digit the index lacks, or tail padding) is
-    dropped."""
-    n = len(trials)
-    width = len(str(start + n - 1))
-    rows = table[:, _INDEX_DIGITS - width:].take(trials, axis=0)
-    for j in range(width):
-        rows[:, j] = _digit_column(start, n, 10 ** (width - 1 - j))
-    return rows.tobytes().replace(b"\0", b"").decode("ascii")
-
-
-def _digit_column(start: int, n: int, place: int) -> np.ndarray:
-    """ASCII digit at ``place`` (a power of ten) of each index ``start``,
-    ..., ``start + n - 1``; NUL where the index has no digit there.
-
-    Consecutive indices keep a digit for runs of ``place``, so the column
-    repeats one digit per run and divides nothing per index.
-    """
-    skip = start % place
-    runs = (skip + n - 1) // place + 1
-    first = start // place % 10
-    digits = np.tile(_ASCII_DIGITS, (first + runs - 1) // 10 + 1)[
-        first:first + runs]
-    if 1 < place and start < place:  # the first run lies below ``place``
-        digits[0] = 0
-    return np.repeat(digits, place)[skip:skip + n]
+              ("stokes_click", "antistokes_click", "pair_created"), chunks(),
+              provenance)
 
 
 def read_counts_csv(path, digest=None

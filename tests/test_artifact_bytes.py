@@ -31,9 +31,9 @@ PINNED_DECAY = {
     "counts_t01_a00.csv":
         "7bcce11490123b9a22a6b0de161708b7eeddc47b3a9915d7c5d33bd24088f8fa",
     "trials_t00_a00.csv":
-        "6dd49c8b4a50b01b419291bed4db97da93891f006064d3e4863e62e7f48335a9",
+        "1dca0ca4f45f90b2ed1c89a15168ecfb8ed7aa54f928829bc7820402a72d7f5c",
     "trials_t01_a00.csv":
-        "33dcacf4015355e685e1e1a701363cc5689c7c066d224d8aaec071003ce3e168",
+        "325c290a076d1a05dc1eca6450f28cdb8b9bed1f64b6cf37c15a073629ad7477",
     "estimates.kv":
         "7edd1cffb822afe2c33a42d50eec6c7cfbfc989ffd27aed5fc98b26f2b18132d",
     "retrieval.csv":
@@ -124,11 +124,11 @@ PINNED_EVERY_COMMAND = {
     "sim/run_manifest.kv":
         "7e4a62d87ec2093ed17db7b57793a78eaa5ffe37e3dd900318b634aaac5a4bb0",
     "sim/trials_t00_a00.csv":
-        "0a126f0e9a0837c2f24c486303a3136ef417e790ece139f0174d0170149f11d6",
+        "1dac8ac6534568ba808ffec3dd90c546b0b064cbc5519f59f9d9edf71c05c52b",
     "sim/trials_t01_a00.csv":
-        "f91067f1be94ca2bb012aa7923f36ef2f6a635d02e908533227e1cc83ccf3a08",
+        "52763efd3f57e09d09737123b020af2bb3407e78eab954f7bc8cf01548d37e32",
     "sim/trials_t02_a00.csv":
-        "d387f50fb158ca54f259364214e534496d2a5ac6cf1770445f8dde36ffb0b602",
+        "e5a12ef9747baca1844d679731841399286c1442483a79bc38b3db252f00d7b4",
     "est/stdout":
         "9653e073cdb5cb33c1a7fbedc761fb5b60a6d111f1da88e04c21e9ed6872ecf7",
     "est/estimates.kv":

@@ -10,10 +10,12 @@ import pytest
 
 from dlczsim import (AngleSettings, CountsTable, ParameterError, bell_S, cli,
                      correlation_E, datafiles, engine, estimators,
-                     fidelity_from_S, fit_decay, visibility_from_S)
+                     fidelity_from_S, fit_decay, iter_trial_records,
+                     load_config, visibility_from_S)
 from dlczsim.cli import main
 from dlczsim.datafiles import (COUNTS_COLUMNS, read_counts_csv, read_kv,
                                write_counts_csv)
+from dlczsim.errors import read_lines
 from dlczsim.estimators import TWO_ROOT_TWO, estimate_tables
 from dlczsim.repeater import PRESET_HIGH_RETRIEVAL, _rate_curve
 
@@ -275,15 +277,43 @@ def test_simulate_records_gate_feed_forward(config, tmp_path):
     assert main(["simulate", "--config", config, "--seed", "3", "--trials",
                  "5000", "--records", "--out", str(out)]) == 0
     lines = (out / "trials_t00_a00.csv").read_text().splitlines()
-    header = [ln for ln in lines if ln.startswith("trial_index")][0]
+    header = [ln for ln in lines if ln.startswith("stokes_click")][0]
     cols = header.split(",")
     s_idx, as_idx = cols.index("stokes_click"), cols.index("antistokes_click")
     rows = [ln.split(",") for ln in lines
-            if ln and not ln.startswith(("#", "trial_index"))]
+            if ln and not ln.startswith(("#", "stokes_click"))]
     assert len(rows) == 5000
     for row in rows:
         if row[as_idx] != "none":
             assert row[s_idx] != "none"
+
+
+def test_records_row_k_is_trial_k(tmp_path, monkeypatch):
+    config = tmp_path / "double.conf"
+    config.write_text(CONFIG + "engine.double_pair = true\n")
+    monkeypatch.setattr(datafiles, "RECORDS_CHUNK", 7)  # rows cross chunks
+    storage_times, angles, trials, seed = (0.0, 0.0005), "0:0,30:15", 3000, 11
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(config), "--seed", str(seed),
+                 "--trials", str(trials),
+                 "--t", ",".join(map(str, storage_times)),
+                 "--angles", angles, "--records", "--out", str(out)]) == 0
+    cfg = load_config(config)
+    assert cfg.double_pair
+    for ti, t in enumerate(storage_times):
+        for ai, settings in enumerate(cli.parse_angle_plan(angles)):
+            provenance, body = read_lines(
+                out / f"trials_t{ti:02d}_a{ai:02d}.csv", AssertionError)
+            assert float(provenance["t_seconds"]) == t
+            assert body[0][1] == "stokes_click,antistokes_click,pair_created"
+            expected = [
+                f"{r.stokes_click or 'none'},{r.antistokes_click or 'none'},"
+                f"{'true' if r.pair_created else 'false'}"
+                for r in iter_trial_records(
+                    cfg.experiment, t, settings, trials, seed,
+                    setting_index=ai, double_pair=cfg.double_pair,
+                    run_tag=ti)]
+            assert [line for _, line in body[1:]] == expected
 
 
 def test_records_bytes_do_not_depend_on_the_chunk_size(config, tmp_path,
@@ -297,26 +327,6 @@ def test_records_bytes_do_not_depend_on_the_chunk_size(config, tmp_path,
     name = "trials_t00_a00.csv"
     assert ((tmp_path / "one" / name).read_bytes()
             == (tmp_path / "many" / name).read_bytes())
-
-
-@pytest.mark.parametrize("start,n", [
-    (0, 1), (0, 10), (9, 2), (99_990, 20), (3, 9_000),
-    (datafiles.RECORDS_LIMIT - 1, 1),
-    (datafiles.RECORDS_LIMIT - 1_234, 1_234),
-    (datafiles.RECORDS_LIMIT - datafiles.RECORDS_CHUNK,
-     datafiles.RECORDS_CHUNK)])
-def test_records_renderer_matches_the_row_join(start, n):
-    # tails as write_records_csv builds them, of unequal widths
-    tails = [f",0.00105,{s},{a},{p}\n" for s in ("none", "D1", "D1D2")
-             for a in ("none", "D3", "D3D4") for p in (0, 1)][:14]
-    rng = np.random.default_rng(start + n)
-    trials = rng.integers(0, len(tails), n).astype(np.uint8)
-    widths = [len(tail) for tail in tails]
-    trials[0], trials[-1] = np.argmax(widths), np.argmin(widths)
-    expected = "".join(f"{i}{tails[k]}" for i, k in
-                       enumerate(trials.tolist(), start=start))
-    got = datafiles._render_rows(datafiles._tail_table(tails), start, trials)
-    assert got.splitlines(True) == expected.splitlines(True)
 
 
 def test_simulate_validation_errors(config, tmp_path):
@@ -644,7 +654,7 @@ def test_seedless_manifests_record_no_config_or_seed(tmp_path):
         assert manifest["seed"] == "none"
 
 
-def test_bad_link_divisor_names_the_repeater_section(tmp_path, capsys):
+def test_link_divisor_is_an_unknown_key(tmp_path, capsys):
     # the links are the swap tree's 2^n leaves; no key selects another layout
     sample = (Path(__file__).resolve().parents[1] / "sample.conf").read_text()
     path = tmp_path / "divisor.conf"
