@@ -314,9 +314,8 @@ def cmd_repeater_sweep(args) -> int:
     rows = []  # rendered as fmt_value renders them: a float as its repr
     entries: Dict[str, object] = {}
     for label, params in curves:
-        points, monotone = sweep_distance(
-            params, args.l_min, args.l_max, args.steps,
-            approx_multiplex=args.approx_multiplex)
+        points, monotone = sweep_distance(params, args.l_min, args.l_max,
+                                          args.steps)
         head = f"{label},{params.r0!r}"
         for distance, (t_cc, p0, p0_n, _, stages, p_pr, rate,
                        underflow) in points:
@@ -331,8 +330,7 @@ def cmd_repeater_sweep(args) -> int:
         if args.threshold is not None:
             try:
                 crossing = threshold_crossing_distance(
-                    params, args.threshold, args.l_min, args.l_max,
-                    approx_multiplex=args.approx_multiplex)
+                    params, args.threshold, args.l_min, args.l_max)
             except ParameterError:
                 entries[f"{label}.threshold_crossing_m"] = "none"
             else:
@@ -341,8 +339,7 @@ def cmd_repeater_sweep(args) -> int:
     art = _Artifacts(args, cfg)
     art.provenance.update({"chi_source": chi_source,
                            "l_min_m": args.l_min, "l_max_m": args.l_max,
-                           "steps": args.steps,
-                           "approx_multiplex": args.approx_multiplex})
+                           "steps": args.steps})
     write_csv(art.path("repeater_sweep.csv"), "repeater-sweep",
               ("curve", "r0", "distance_m", "rate_per_s", "t_cc_s", "p0",
                "p0_multiplexed", "p_pr", "t_final_s", "underflow"),
@@ -433,9 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
                         f"{SWEEP_MAX_STEPS} (default 80)")
     p.add_argument("--threshold", type=float, default=None,
                    help="also report the crossing distance for this rate")
-    p.add_argument("--approx-multiplex", action="store_true",
-                   help="use the N*P0 approximation instead of the exact "
-                        "multiplexed probability")
     p.set_defaults(func=cmd_repeater_sweep)
     return parser
 

@@ -143,7 +143,7 @@ def write_records_csv(path, outcomes, blocks,
     and ``blocks``: row k after the header is trial k. Each outcome's row
     is rendered once into a NUL-padded fixed-width byte table, and each
     chunk of at most ``RECORDS_CHUNK`` trials gathers its rows from it."""
-    records = (TrialRecord.from_outcome(0, 0.0, o) for o in outcomes)
+    records = map(TrialRecord.from_outcome, outcomes)
     table = np.array([",".join((
         r.stokes_click or "none", r.antistokes_click or "none",
         fmt_value(r.pair_created))).encode("ascii") + b"\n" for r in records])

@@ -25,7 +25,6 @@ GRID_TAU = np.exp(GRID_LOG_TAU)[:, None]  # tau0 / t_max in [1/100, 100]
 GRID_TIE_REL = 1e-9
 # The walk stops at |y| = WALK_LIMIT, where exp(y) is still a normal float.
 WALK_LIMIT = 700.0
-FIT_MAX_ITER = 10_000
 
 
 def retrieval_decay(p: DecayParams, t):
@@ -92,7 +91,7 @@ def fit_decay(samples: Sequence[Sequence[float]]) -> Tuple[DecayParams, float]:
     r0 in closed form (clipped to [0, 1], where the objective is a convex
     quadratic in r0), and the fit is a search over log tau0 alone: a grid
     over tau0 in [t_max/100, 100 t_max], a walk past the grid's edge while
-    the objective falls, then Brent's method (``FIT_MAX_ITER`` steps).
+    the objective falls, then Brent's method (``solve.FIT_MAX_ITER`` steps).
     Flat or rising data fit best in the limit tau0 -> inf, the model r0 at
     every sample: when that limit is no worse than the best finite tau0,
     tau0 is reported as inf. A walk that reaches the limit's objective
@@ -153,7 +152,7 @@ def fit_decay(samples: Sequence[Sequence[float]]) -> Tuple[DecayParams, float]:
             if fx == f_inf:  # the walk reached the limit's objective
                 return DecayParams(r0_inf, math.inf), f_inf
             a, b = sorted((inner, out))
-        x, _ = find_minimum(objective, a, x, b, fx, FIT_MAX_ITER)
+        x, _ = find_minimum(objective, a, x, b, fx)
         r0, fx = best_r0(shape(s / math.exp(x)))
     if f_inf <= fx:
         return DecayParams(r0_inf, math.inf), f_inf

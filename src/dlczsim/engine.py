@@ -47,19 +47,15 @@ _Outcome = Tuple[bool, bool, bool, bool, bool]
 class TrialRecord(NamedTuple):
     """Outcome of one write/read trial. ``pair_created`` is ground truth."""
 
-    trial_index: int
-    storage_time: float
     stokes_click: Optional[str]      # None, "D1" or "D2"
     antistokes_click: Optional[str]  # None, "D3" or "D4"
     pair_created: bool
 
     @classmethod
-    def from_outcome(cls, trial_index: int, storage_time: float,
-                     outcome: _Outcome) -> "TrialRecord":
+    def from_outcome(cls, outcome: _Outcome) -> TrialRecord:
         """The record of a trial with this ``_decide_one`` outcome."""
         s_click, s_d1, as_click, as_d3, pair = outcome
-        return cls(trial_index, storage_time,
-                   ("D1" if s_d1 else "D2") if s_click else None,
+        return cls(("D1" if s_d1 else "D2") if s_click else None,
                    ("D3" if as_d3 else "D4") if as_click else None,
                    bool(pair))
 
@@ -315,6 +311,7 @@ def iter_trial_records(params: ExperimentParams, t: float,
     outcomes, blocks = trial_outcome_blocks(
         params, t, angles, n_trials, seed, setting_index=setting_index,
         double_pair=double_pair, run_tag=run_tag)
-    for first, trials in blocks:
-        for i, k in enumerate(trials.tolist(), start=first):
-            yield TrialRecord.from_outcome(i, t, outcomes[k])
+    records = [TrialRecord.from_outcome(o) for o in outcomes]
+    for _, trials in blocks:
+        for k in trials.tolist():
+            yield records[k]

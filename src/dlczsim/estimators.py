@@ -233,7 +233,7 @@ def estimate_tables(tables: Sequence[CountsTable], eta_td: float, *,
                     ) -> Dict[Tuple[Optional[int], str], EstimateWithError]:
     """The estimates of each table, keyed (table index, name): "E" when it
     has coincidences, and "r_qubit", "r_l" and "r_r" at matched angles;
-    plus (None, "S") when the tables are a CHSH set.
+    plus (None, "S") when the tables are a CHSH set, each with coincidences.
 
     Estimators share a Poisson draw: a CHSH set is drawn once, for S and
     its tables' E together, any other input once per table, each with
@@ -241,7 +241,7 @@ def estimate_tables(tables: Sequence[CountsTable], eta_td: float, *,
     """
     try:
         bell_S_signed(tables)
-    except ParameterError:
+    except (ParameterError, InsufficientDataError):
         groups, chsh = [[i] for i in range(len(tables))], False
     else:
         groups, chsh = [range(len(tables))], True

@@ -58,7 +58,7 @@ class RateBreakdown(NamedTuple):
 
     t_cc: float                    # classical link communication time, s
     p0: float                      # single-mode elementary success
-    p0_multiplexed: float          # 1 - (1 - p0)^N (or N p0 if approximated)
+    p0_multiplexed: float          # 1 - (1 - p0)^N
     swap_probs: Tuple[float, ...]  # P_1 .. P_n
     stage_times: Tuple[float, ...]  # t_0 .. t_n, s
     p_pr: float                    # final readout probability
@@ -66,20 +66,18 @@ class RateBreakdown(NamedTuple):
     underflow: bool                # the rate fell below the float range
 
 
-def elementary_probs(p: RepeaterParams, *, approx_multiplex: bool = False
-                     ) -> Tuple[float, float, float]:
+def elementary_probs(p: RepeaterParams) -> Tuple[float, float, float]:
     """(T_cc, P0, P0^(N)) for one elementary link: the first three fields
     of :func:`swap_chain`.
 
     P0 = chi^2 exp(-L0/L_att) eta_FC^2 eta_TD^2 / 2; the 1/2 accounts for
     double-excitation events. The multiplexed probability is the exact
-    1 - (1 - P0)^N unless ``approx_multiplex`` asks for the N*P0 form.
+    1 - (1 - P0)^N.
     """
-    return tuple(swap_chain(p, approx_multiplex=approx_multiplex)[:3])
+    return tuple(swap_chain(p)[:3])
 
 
-def _rate_curve(p: RepeaterParams, approx_multiplex: bool = False
-                ) -> Callable[[float], RateBreakdown]:
+def _rate_curve(p: RepeaterParams) -> Callable[[float], RateBreakdown]:
     """:func:`swap_chain` of one parameter set as a function of distance,
     with ``p``'s constants read once."""
     n_links, speed, att, modes = (p.n_links, p.fiber_speed,
@@ -97,10 +95,7 @@ def _rate_curve(p: RepeaterParams, approx_multiplex: bool = False
         p0 = (chi2 * math.exp(-l0 / att) * fc2 * td2) / 2.0
         if p0 > 1.0:
             raise ParameterError(f"elementary success probability {p0!r} > 1")
-        if approx_multiplex:
-            p0_n = min(modes * p0, 1.0)
-        else:
-            p0_n = -math.expm1(modes * math.log1p(-p0))
+        p0_n = -math.expm1(modes * math.log1p(-p0))
         swap_probs: List[float] = []
         stage_times: List[float] = []
         p_pr = rate = 0.0
@@ -128,14 +123,13 @@ def _rate_curve(p: RepeaterParams, approx_multiplex: bool = False
     return at
 
 
-def swap_chain(p: RepeaterParams, *,
-               approx_multiplex: bool = False) -> RateBreakdown:
+def swap_chain(p: RepeaterParams) -> RateBreakdown:
     """Evaluate the full nested-swap recursion for one parameter set.
 
     When the rate falls below the float range, the breakdown is flagged
     ``underflow`` and keeps the stages reached so far.
     """
-    return _rate_curve(p, approx_multiplex)(p.distance)
+    return _rate_curve(p)(p.distance)
 
 
 def _check_span(l_min: float, l_max: float) -> None:
@@ -144,7 +138,7 @@ def _check_span(l_min: float, l_max: float) -> None:
 
 
 def sweep_distance(p: RepeaterParams, l_min: float, l_max: float,
-                   steps: int, *, approx_multiplex: bool = False
+                   steps: int
                    ) -> Tuple[List[Tuple[float, RateBreakdown]], bool]:
     """Rate over a log-spaced distance grid. Returns (points,
     monotone_non_increasing)."""
@@ -157,7 +151,7 @@ def sweep_distance(p: RepeaterParams, l_min: float, l_max: float,
         raise ParameterError(
             f"distance grid on [{l_min!r}, {l_max!r}] leaves (0, inf)")
 
-    at = _rate_curve(p, approx_multiplex)
+    at = _rate_curve(p)
     points = [(dist, at(dist)) for dist in distances]
     rates = [bd.rate for _, bd in points]
     monotone = all(a >= b for a, b in zip(rates, rates[1:]))
@@ -165,18 +159,15 @@ def sweep_distance(p: RepeaterParams, l_min: float, l_max: float,
 
 
 def threshold_crossing_distance(p: RepeaterParams, threshold: float,
-                                l_min: float, l_max: float, *,
-                                approx_multiplex: bool = False) -> float:
+                                l_min: float, l_max: float) -> float:
     """Distance in [l_min, l_max] where rate - threshold changes sign, on
-    the curve :func:`sweep_distance` gives for ``approx_multiplex``."""
+    the curve :func:`sweep_distance` gives."""
     check_in("threshold", threshold, "(0, inf)")
     _check_span(l_min, l_max)
 
-    at = _rate_curve(p, approx_multiplex)
-
-    def excess(distance):
-        return at(distance).rate - threshold
-    return find_root(excess, l_min, l_max, excess(l_min), excess(l_max))
+    at = _rate_curve(p)
+    return find_root(lambda distance: at(distance).rate - threshold,
+                     l_min, l_max)
 
 
 def calibrate_chi(p: RepeaterParams, target_rate: float) -> float:
@@ -184,9 +175,9 @@ def calibrate_chi(p: RepeaterParams, target_rate: float) -> float:
     sign, at the parameter set's distance."""
     check_in("target_rate", target_rate, "(0, inf)")
 
-    def excess(chi):
-        return swap_chain(p._replace(chi=chi)).rate - target_rate
-    return find_root(excess, 1e-6, 1.0, excess(1e-6), excess(1.0))
+    return find_root(
+        lambda chi: swap_chain(p._replace(chi=chi)).rate - target_rate,
+        1e-6, 1.0)
 
 
 # CLI preset "fig8": an integrated high-performance-node study. Nest level

@@ -8,12 +8,14 @@ from .errors import FitConvergenceError, ParameterError
 ROOT_MAX_ITER = 200  # in ln x, bisection alone needs < 52 steps
 CROSSING_REL_TOL = 1e-12  # relative bracket width ending a root search
 LOG_TAU_TOL = 1e-10  # the minimizer's absolute tolerance (in log tau0)
+FIT_MAX_ITER = 10_000  # the minimizer's step budget
 GOLDEN = 0.3819660112501051  # (3 - sqrt(5)) / 2
 
 
-def find_root(f, a, b, fa, fb):
-    """Zero of f between a, b > 0 (fa = f(a) and fb = f(b) differ in sign)
-    by Brent's method (Brent 1973, ch. 4) in ln x to CROSSING_REL_TOL."""
+def find_root(f, a, b):
+    """Zero of f between a, b > 0 (f(a) and f(b) differ in sign) by
+    Brent's method (Brent 1973, ch. 4) in ln x to CROSSING_REL_TOL."""
+    fa, fb = f(a), f(b)
     if fa == 0.0 or fb == 0.0:
         return a if fa == 0.0 else b
     if not (fa < 0.0 < fb or fb < 0.0 < fa):
@@ -43,7 +45,7 @@ def find_root(f, a, b, fa, fb):
     raise FitConvergenceError("root search did not converge")
 
 
-def find_minimum(f, a, x, b, fx, max_iter):
+def find_minimum(f, a, x, b, fx):
     """Minimum of ``f`` on [a, b] by Brent's method, from x in [a, b] with
     f(x) = fx: parabolic steps through the three best points, golden
     section when a parabola would not shrink the bracket. A point replaces
@@ -51,7 +53,7 @@ def find_minimum(f, a, x, b, fx, max_iter):
     v = w = x
     fv = fw = fx
     d = e = 0.0
-    for _ in range(max_iter):
+    for _ in range(FIT_MAX_ITER):
         m = 0.5 * (a + b)
         if abs(x - m) <= 2.0 * LOG_TAU_TOL - 0.5 * (b - a):
             return x, fx
@@ -89,4 +91,4 @@ def find_minimum(f, a, x, b, fx, max_iter):
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
     raise FitConvergenceError(
-        f"decay fit did not converge within {max_iter} iterations")
+        f"decay fit did not converge within {FIT_MAX_ITER} iterations")

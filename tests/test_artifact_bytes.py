@@ -146,9 +146,9 @@ PINNED_EVERY_COMMAND = {
     "sweep_kv/stdout":
         "7c1cab9d55901e1e82543e1dfe0649abd2b835d8d1e7aa1430d67f875ade32ae",
     "sweep_kv/repeater_summary.kv":
-        "616469f97165b9b6f9bd5fb531096fbb2876241969de0277682297fd4e72132c",
+        "ad3ff56c10d7204e228b78ed83ae4d06347cc1b541793869dda0788eeab99461",
     "sweep_kv/repeater_sweep.csv":
-        "45cf7d7d7df93bee0fa48f31e3b311d313616f7184266f733e95fac67fbfd329",
+        "ba58c3c87ea0c9877ddbe9234f16e2352378c3f295b0690e907586b427446358",
     "sweep_kv/run_manifest.kv":
         "8b6e2b7c448e13345ab56a81287733bf407d23b403b064645ae0a4d0cf1c994a",
 }

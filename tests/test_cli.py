@@ -8,16 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dlczsim import (AngleSettings, CountsTable, ParameterError, bell_S, cli,
-                     correlation_E, datafiles, engine, estimators,
-                     fidelity_from_S, fit_decay, iter_trial_records,
-                     load_config, visibility_from_S)
+from dlczsim import (CHSH_SETTINGS, AngleSettings, CountsTable,
+                     ParameterError, bell_S, cli, correlation_E, datafiles,
+                     engine, estimators, fidelity_from_S, fit_decay,
+                     iter_trial_records, load_config, visibility_from_S)
 from dlczsim.cli import main
 from dlczsim.datafiles import (COUNTS_COLUMNS, read_counts_csv, read_kv,
                                write_counts_csv)
 from dlczsim.errors import read_lines
 from dlczsim.estimators import TWO_ROOT_TWO, estimate_tables
-from dlczsim.repeater import PRESET_HIGH_RETRIEVAL, _rate_curve
 
 CONFIG = """\
 experiment.chi = 0.05
@@ -433,6 +432,29 @@ def test_estimate_draws_a_chsh_set_once_and_other_tables_each(
     assert drawn == [1, 1, 1]
 
 
+def test_chsh_set_with_an_empty_table_reports_each_table(tmp_path,
+                                                          capsys):
+    # the fourth setting recorded no coincidences, so S is undefined; the
+    # other tables get the estimates they get outside a CHSH set
+    files = []
+    for i, (settings, coincidences) in enumerate(zip(
+            CHSH_SETTINGS, ((80, 70, 10, 12), (10, 12, 80, 70),
+                            (80, 70, 10, 12), (0, 0, 0, 0)))):
+        files.append(str(tmp_path / f"counts_a{i:02d}.csv"))
+        write_counts_csv(files[-1], [CountsTable(
+            settings, 0.0, 100_000, 700, 720, *coincidences)], {})
+    estimate = ["estimate", "--eta-td", "0.15", "--replicas", "500"]
+    assert main(estimate + files + ["--out", str(tmp_path / "four")]) == 0
+    assert "s.available = false" in capsys.readouterr().out.splitlines()
+    assert main(estimate + files[:3] + ["--out", str(tmp_path / "three")]) == 0
+    four = kv_floats(tmp_path / "four" / "estimates.kv")
+    three = kv_floats(tmp_path / "three" / "estimates.kv")
+    assert four.pop("s.available") == three.pop("s.available") == "false"
+    assert "table03.E" not in four
+    assert {k: v for k, v in four.items()
+            if not k.startswith("table03.")} == three
+
+
 def test_estimates_kv_reports_estimate_tables_bit_for_bit(config, tmp_path):
     chsh = _chsh_counts(config, tmp_path, 20_000, seed=5)
     out = tmp_path / "matched"
@@ -542,20 +564,6 @@ def test_repeater_sweep_preset(tmp_path):
                  "1e-4", "--l-min", "2e5", "--l-max", "1.5e6",
                  "--steps", "30", "--out", str(out)]) == 0
     assert hash_dir(out) == first
-
-
-def test_approx_multiplex_threshold_crosses_the_approximated_curve(
-        tmp_path):
-    exact, approx = tmp_path / "exact", tmp_path / "approx"
-    base = ["repeater-sweep", "--preset", "fig8", "--threshold", "1e-4"]
-    assert main(base + ["--out", str(exact)]) == 0
-    assert main(base + ["--approx-multiplex", "--out", str(approx)]) == 0
-    crossing = kv_floats(approx / "repeater_summary.kv")[
-        "cpe.threshold_crossing_m"]
-    assert crossing != kv_floats(exact / "repeater_summary.kv")[
-        "cpe.threshold_crossing_m"]
-    rate = _rate_curve(PRESET_HIGH_RETRIEVAL, True)(crossing).rate
-    assert rate == pytest.approx(1e-4, rel=1e-9)
 
 
 def test_simulate_estimate_fit_round_trip(tmp_path):
@@ -1051,6 +1059,8 @@ PARSER_FAULTS = {
     "no_format_flag_csv": "budget --config lab.conf --format csv",
     "no_format_flag_kv": "fit-decay d.csv --format kv",
     "no_grid_flag": "repeater-sweep --preset fig8 --grid log",
+    "no_approx_multiplex_flag": "repeater-sweep --preset fig8 "
+                                "--approx-multiplex",
 }
 
 

@@ -9,7 +9,7 @@ import pytest
 from dlczsim import (DecayParams, DegenerateDataError, EnsembleGeometry,
                      FitConvergenceError, ParameterError, fit_decay,
                      motional_lifetime, retrieval_decay)
-from dlczsim import decoherence
+from dlczsim import decoherence, solve
 from dlczsim.solve import find_minimum
 
 MEASURED_DECAY = DecayParams(r0=0.77, tau0=1e-3)
@@ -183,7 +183,7 @@ def test_fit_input_validation():
 
 def test_fit_iteration_budget(monkeypatch):
     samples = _model_samples(0.5, 2e-3, np.linspace(0.0, 6e-3, 12))
-    monkeypatch.setattr(decoherence, "FIT_MAX_ITER", 1)
+    monkeypatch.setattr(solve, "FIT_MAX_ITER", 1)
     with pytest.raises(FitConvergenceError):
         fit_decay(samples)
 
@@ -371,7 +371,7 @@ def test_brent_on_floats_matches_dense_numpy_scan(fun, x0):
     def cut(y):
         return fun((y, c))
     start = cut(y0)
-    y, fy = find_minimum(cut, a, y0, b, start, 300)
+    y, fy = find_minimum(cut, a, y0, b, start)
     assert a <= y <= b
     assert repr(fy) == repr(cut(y))
     if math.isnan(start):

@@ -286,12 +286,11 @@ def test_trial_outcome_blocks_draw_each_block_when_reached(monkeypatch):
 def test_trial_record_fields_without_excitation_or_noise():
     params = make_params(chi=0.0, noise_b=0.0, noise_c=0.0)
     records = list(iter_trial_records(params, 1e-6, MATCHED, 6, seed=0))
-    assert [rec.trial_index for rec in records] == list(range(6))
+    assert len(records) == 6
     for rec in records:
         assert rec.stokes_click is None
         assert rec.antistokes_click is None
         assert not rec.pair_created
-        assert rec.storage_time == 1e-6
 
 
 def test_empirical_stokes_rate_matches_forward_model():
@@ -404,7 +403,7 @@ def test_seeds_must_be_non_negative_integers():
 # One instance of each record whose construction checks nothing, a field
 # of it and another value for that field.
 UNCHECKED_RECORDS = {
-    "TrialRecord": (TrialRecord(3, 5e-4, "D1", None, True),
+    "TrialRecord": (TrialRecord("D1", None, True),
                     "antistokes_click", "D4"),
     "_TrialModel": (_trial_model(make_params(), 0.0, MATCHED, False),
                     "double_pair", True),

@@ -1,5 +1,6 @@
 import ast
 import glob
+import inspect
 import shlex
 import shutil
 import subprocess
@@ -40,6 +41,35 @@ def test_public_surface_is_pinned_and_importable():
         namespace = {}
         exec(f"from dlczsim import {name}", namespace)
         assert namespace[name] is getattr(dlczsim, name)
+
+
+# Each search takes only its bracket and the multiplexed probability has
+# one law, so these signatures carry no setting that no caller varies.
+PINNED_SIGNATURES = {
+    "elementary_probs": "(p: 'RepeaterParams') "
+                        "-> 'Tuple[float, float, float]'",
+    "swap_chain": "(p: 'RepeaterParams') -> 'RateBreakdown'",
+    "sweep_distance": "(p: 'RepeaterParams', l_min: 'float', l_max: 'float', "
+                      "steps: 'int') -> 'Tuple[List[Tuple[float, "
+                      "RateBreakdown]], bool]'",
+    "threshold_crossing_distance": "(p: 'RepeaterParams', threshold: 'float', "
+                                   "l_min: 'float', l_max: 'float') "
+                                   "-> 'float'",
+    "solve.find_root": "(f, a, b)",
+    "solve.find_minimum": "(f, a, x, b, fx)",
+    "TrialRecord.from_outcome": "(outcome: '_Outcome') -> 'TrialRecord'",
+}
+
+
+def test_trimmed_signatures_are_pinned():
+    for name, signature in PINNED_SIGNATURES.items():
+        obj = dlczsim
+        for attr in name.split("."):
+            obj = getattr(obj, attr)
+        assert str(inspect.signature(obj)) == signature, name
+    # a trial record holds only what varies from trial to trial
+    assert dlczsim.TrialRecord._fields == (
+        "stokes_click", "antistokes_click", "pair_created")
 
 
 def test_cli_import_generates_no_dataclass_code():
