@@ -19,12 +19,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .config import Config, load_config
-from .datafiles import (DECAY_COLUMNS, DECAY_SIGMA_COLUMN, RECORDS_LIMIT,
-                        fmt_value, read_counts_csv, read_decay_csv,
-                        write_counts_csv, write_csv, write_kv,
-                        write_records_csv)
+from .datafiles import (DECAY_COLUMNS, DECAY_SIGMA_COLUMN, fmt_value,
+                        read_counts_csv, read_decay_csv, write_counts_csv,
+                        write_csv, write_kv, write_records_csv)
 from .decoherence import fit_decay
-from .engine import STREAM_VERSION, run_experiment, trial_outcome_blocks
+from .engine import (RECORDS_LIMIT, STREAM_VERSION, TRIALS_MAX,
+                     run_experiment, trial_outcomes)
 from .entanglement import CHSH_SETTINGS, AngleSettings
 from .errors import (DegenerateDataError, DegenerateStatisticsError,
                      FitConvergenceError, InsufficientDataError,
@@ -142,6 +142,7 @@ def cmd_simulate(args) -> int:
     params = _require(cfg.experiment, "experiment")
     timing = _require(cfg.timing, "timing")
     check_in("--workers", args.workers, "[1, inf)")
+    check_in("--trials", args.trials, f"[1, {TRIALS_MAX}]")
     t_list = parse_t_list(args.t)
     plan = parse_angle_plan(args.angles)
     if args.records and args.trials > RECORDS_LIMIT:
@@ -171,11 +172,11 @@ def cmd_simulate(args) -> int:
             write_counts_csv(art.path(f"counts_t{ti:02d}_a{ai:02d}.csv"),
                              [table], prov)
             if args.records:
-                outcomes, blocks = trial_outcome_blocks(
+                outcomes, trials = trial_outcomes(
                     params, t, table.settings, args.trials, args.seed,
                     setting_index=ai, double_pair=cfg.double_pair, run_tag=ti)
                 write_records_csv(art.path(f"trials_t{ti:02d}_a{ai:02d}.csv"),
-                                  outcomes, blocks, prov)
+                                  outcomes, trials, prov)
 
     art.finish(trials_per_setting=args.trials,
                storage_times_s=",".join(fmt_value(t) for t in t_list),

@@ -31,7 +31,6 @@ COUNTS_COLUMNS = tuple(COUNTS_KINDS)
 DECAY_COLUMNS = ("t_seconds", "R")
 DECAY_SIGMA_COLUMN = "sigma_R"
 DECAY_KINDS = dict.fromkeys(DECAY_COLUMNS + (DECAY_SIGMA_COLUMN,), float)
-RECORDS_LIMIT = 1_000_000  # per-trial CSVs above this are refused
 RECORDS_CHUNK = 1 << 14  # trials rendered per text chunk of a records CSV
 
 
@@ -137,22 +136,21 @@ def write_counts_csv(path, tables: Sequence[CountsTable],
     write_csv(path, "counts", COUNTS_COLUMNS, rows, provenance)
 
 
-def write_records_csv(path, outcomes, blocks,
+def write_records_csv(path, outcomes, trials,
                       provenance: Mapping[str, object]) -> None:
-    """Per-trial CSV of :func:`engine.trial_outcome_blocks`' ``outcomes``
-    and ``blocks``: row k after the header is trial k. Each outcome's row
-    is rendered once into a NUL-padded fixed-width byte table, and each
-    chunk of at most ``RECORDS_CHUNK`` trials gathers its rows from it."""
+    """Per-trial CSV of :func:`engine.trial_outcomes`' ``outcomes`` and
+    ``trials``: row k after the header is trial k. Each outcome's row is
+    rendered once into a NUL-padded fixed-width byte table, and each chunk
+    of at most ``RECORDS_CHUNK`` trials gathers its rows from it."""
     records = map(TrialRecord.from_outcome, outcomes)
     table = np.array([",".join((
         r.stokes_click or "none", r.antistokes_click or "none",
         fmt_value(r.pair_created))).encode("ascii") + b"\n" for r in records])
 
     def chunks():
-        for _, trials in blocks:
-            for lo in range(0, len(trials), RECORDS_CHUNK):
-                rows = table.take(trials[lo:lo + RECORDS_CHUNK]).tobytes()
-                yield rows.replace(b"\0", b"").decode("ascii")
+        for lo in range(0, len(trials), RECORDS_CHUNK):
+            rows = table.take(trials[lo:lo + RECORDS_CHUNK]).tobytes()
+            yield rows.replace(b"\0", b"").decode("ascii")
 
     write_csv(path, "trials",
               ("stokes_click", "antistokes_click", "pair_created"), chunks(),

@@ -27,15 +27,12 @@ GRID_TIE_REL = 1e-9
 WALK_LIMIT = 700.0
 
 
-def retrieval_decay(p: DecayParams, t):
-    """Retrieval efficiency after storage time ``t`` (scalar or array), s."""
-    t = np.asarray(t, dtype=float)
-    if not np.all(t >= 0.0):  # NaN fails too
+def retrieval_decay(p: DecayParams, t: float) -> float:
+    """Retrieval efficiency after storage time ``t``, s."""
+    if not t >= 0.0:  # NaN fails too
         raise ParameterError("storage time must be >= 0")
-    with np.errstate(over="ignore"):  # x * x -> inf: exp(-inf) = 0 exactly
-        x = t / p.tau0
-        out = p.r0 * (np.exp(-x * x) + np.exp(-x)) / 2.0
-    return float(out) if out.ndim == 0 else out
+    x = t / p.tau0  # x * x -> inf: exp(-inf) = 0 exactly
+    return p.r0 * (math.exp(-x * x) + math.exp(-x)) / 2.0
 
 
 def _as_sample_arrays(samples) -> Tuple[np.ndarray, np.ndarray,

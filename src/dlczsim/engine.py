@@ -3,16 +3,15 @@
 The trial logic is written once, in :func:`_decide_one`. Running it on
 interval-valued draws (:func:`_cells`) splits the unit cube of its uniforms
 into cells of constant outcome, which gives the exact outcome distribution
-of one trial. A block's trials are i.i.d. draws from that table, so the
-block's outcome histogram is one multinomial draw.
+of one trial. A setting's trials are i.i.d. draws from that table, so its
+outcome histogram is one multinomial draw, whatever the trial count.
 
-Reproducibility contract: each RNG block of a setting draws its histogram
-from a counter-based Philox stream keyed by (seed, run_tag, setting index,
-block index) with a fixed block length; merging blocks is plain integer
-addition. Per-trial records arrange that same histogram in a uniformly
-random order drawn from a second stream (the block key plus one element),
-so the records always tally to the counts, and counts never depend on
-whether records are written.
+Reproducibility contract: each setting draws its histogram from a
+counter-based Philox stream keyed by (seed, run_tag, setting index).
+Per-trial records arrange that same histogram in a uniformly random order
+drawn from a second stream (the setting's key plus one element), so the
+records always tally to the counts, and counts never depend on whether
+records are written.
 """
 
 from __future__ import annotations
@@ -24,14 +23,17 @@ import numpy as np
 
 from .entanglement import AngleSettings, pair_correlation
 from .decoherence import retrieval_decay
-from .errors import ParameterError, check_in, check_seed
+from .errors import ParameterError, check_integer, check_seed
 from .params import CountsTable, ExperimentParams
 
-# Trials per RNG block. Fixed: changing it changes sampled streams.
-BLOCK_TRIALS = 1 << 20
-# Version of the random streams, in simulate provenance. v3: a multinomial
-# histogram per RNG block; records are a seeded arrangement of it.
-STREAM_VERSION = "v3"
+# Version of the random streams, in simulate provenance. v4: one
+# multinomial histogram per setting; records are a seeded arrangement of it.
+STREAM_VERSION = "v4"
+# Most trials of one setting: its multinomial counts them in int64.
+TRIALS_MAX = 2**63 - 1
+# Most trials of one setting with per-trial records: all of them are held
+# at once.
+RECORDS_LIMIT = 1_000_000
 
 # Draw roles of _decide_one's uniforms. Roles 9-12 are compared only when
 # double-pair sampling is enabled.
@@ -75,7 +77,7 @@ class _TrialModel(NamedTuple):
 
 def _trial_model(params: ExperimentParams, t: float, angles: AngleSettings,
                  double_pair: bool) -> _TrialModel:
-    k = pair_correlation(angles, params.visibility, params.phase)
+    k = pair_correlation(angles, params.visibility)
     return _TrialModel(
         chi=params.chi,
         chi2_half=params.chi ** 2 / 2.0,
@@ -220,60 +222,35 @@ def exact_count_probs(params: ExperimentParams, t: float,
     return probs @ _count_matrix(outcomes)
 
 
-def _block_rng(seed: int, *key: int) -> np.random.Generator:
+def _rng(seed: int, *key: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _block_histogram(probs: np.ndarray, seed: int, run_tag: int,
-                     setting_index: int, block: int, size: int) -> np.ndarray:
-    """Outcome histogram of one block's ``size`` trials: one multinomial."""
-    return _block_rng(seed, run_tag, setting_index, block).multinomial(
-        size, probs)
+def _histogram(probs: np.ndarray, n_trials: int, seed: int, run_tag: int,
+               setting_index: int) -> np.ndarray:
+    """Outcome histogram of one setting's trials: one multinomial."""
+    return _rng(seed, run_tag, setting_index).multinomial(n_trials, probs)
 
 
-def _block_arrangement(probs: np.ndarray, seed: int, run_tag: int,
-                       setting_index: int, block: int,
-                       size: int) -> np.ndarray:
-    """Outcome index of each trial of one block: the block's histogram in
-    a uniformly random order, drawn from the block key plus one element."""
-    hist = _block_histogram(probs, seed, run_tag, setting_index, block, size)
-    trials = np.repeat(np.arange(len(hist), dtype=np.uint8), hist)
-    _block_rng(seed, run_tag, setting_index, block, 1).shuffle(trials)
-    return trials
+def trial_outcomes(params: ExperimentParams, t: float, angles: AngleSettings,
+                   n_trials: int, seed: int, *, setting_index: int = 0,
+                   double_pair: bool = False, run_tag: int = 0
+                   ) -> Tuple[Tuple[_Outcome, ...], np.ndarray]:
+    """Outcome table of one setting and each trial's outcome index.
 
-
-def _blocks(n_trials: int) -> Iterator[Tuple[int, int]]:
-    """(block index, size) of each RNG block, produced lazily."""
-    full, rem = divmod(n_trials, BLOCK_TRIALS)
-    for block in range(full):
-        yield block, BLOCK_TRIALS
-    if rem:
-        yield full, rem
-
-
-def trial_outcome_blocks(params: ExperimentParams, t: float,
-                         angles: AngleSettings, n_trials: int, seed: int, *,
-                         setting_index: int = 0, double_pair: bool = False,
-                         run_tag: int = 0
-                         ) -> Tuple[Tuple[_Outcome, ...], Iterator]:
-    """Outcome table of one setting and its trials' outcomes, block by block.
-
-    Returns the sorted outcomes and, per RNG block, (first trial index,
-    trials): ``trials`` holds each trial's outcome index and is drawn only
-    when the iterator reaches its block, so that a caller holds one block
-    at a time. A block's outcomes tally to the histogram
-    :func:`run_experiment` counts for the same block.
+    The trials are the histogram :func:`run_experiment` counts for the same
+    key, in a uniformly random order drawn from the key plus one element.
+    At most ``RECORDS_LIMIT`` trials.
     """
-    check_in("n_trials", n_trials, "[1, inf)")
+    check_integer("n_trials", n_trials, f"[1, {RECORDS_LIMIT}]")
     check_seed(seed)
     outcomes, probs = _outcome_table(
         _trial_model(params, t, angles, double_pair))
-    blocks = ((block * BLOCK_TRIALS,
-               _block_arrangement(probs, seed, run_tag, setting_index,
-                                  block, size))
-              for block, size in _blocks(n_trials))
-    return outcomes, blocks
+    hist = _histogram(probs, n_trials, seed, run_tag, setting_index)
+    trials = np.repeat(np.arange(len(hist), dtype=np.uint8), hist)
+    _rng(seed, run_tag, setting_index, 1).shuffle(trials)
+    return outcomes, trials
 
 
 def run_experiment(params: ExperimentParams, t: float,
@@ -283,20 +260,20 @@ def run_experiment(params: ExperimentParams, t: float,
                    run_tag: int = 0) -> Tuple[CountsTable, ...]:
     """Counts of ``n_trials_per_setting`` trials at each analyzer setting.
 
-    Counts sum one multinomial histogram per RNG block. Identical (seed,
-    run_tag, settings) always produce identical tables.
+    Each setting's counts come from one multinomial histogram. Identical
+    (seed, run_tag, settings) always produce identical tables.
     """
     if not angle_list:
         raise ParameterError("angle_list must contain at least one setting")
-    check_in("n_trials_per_setting", n_trials_per_setting, "[1, inf)")
+    check_integer("n_trials_per_setting", n_trials_per_setting,
+                  f"[1, {TRIALS_MAX}]")
     check_seed(seed)
 
     tables = []
     for s_idx, angles in enumerate(angle_list):
         outcomes, probs = _outcome_table(
             _trial_model(params, t, angles, double_pair))
-        hist = sum(_block_histogram(probs, seed, run_tag, s_idx, block, size)
-                   for block, size in _blocks(n_trials_per_setting))
+        hist = _histogram(probs, n_trials_per_setting, seed, run_tag, s_idx)
         counts = (int(v) for v in hist @ _count_matrix(outcomes))
         tables.append(CountsTable(angles, t, n_trials_per_setting, *counts))
     return tuple(tables)
@@ -308,10 +285,9 @@ def iter_trial_records(params: ExperimentParams, t: float,
                        run_tag: int = 0) -> Iterator[TrialRecord]:
     """Yield per-trial records; they tally to :func:`run_experiment`'s
     counts for the same seed, run tag and setting."""
-    outcomes, blocks = trial_outcome_blocks(
+    outcomes, trials = trial_outcomes(
         params, t, angles, n_trials, seed, setting_index=setting_index,
         double_pair=double_pair, run_tag=run_tag)
     records = [TrialRecord.from_outcome(o) for o in outcomes]
-    for _, trials in blocks:
-        for k in trials.tolist():
-            yield records[k]
+    for k in trials.tolist():
+        yield records[k]

@@ -1,8 +1,10 @@
 """Analytic forward model of the polarization-entangled photon pair.
 
-The two-photon state is (|HH> + e^{i phi} |VV>)/sqrt(2), degraded by mixing
-with white noise at weight (1 - V). Detectors D1/D2 sit behind the Stokes
-analyzer, D3/D4 behind the anti-Stokes analyzer.
+The two-photon state is (|HH> + |VV>)/sqrt(2), degraded by mixing with
+white noise at weight (1 - V). An interferometer phase phi would only scale
+the correlation by cos(phi), which a lower V (and, for cos(phi) < 0, an
+anti-Stokes angle moved by 90 degrees) reproduces. Detectors D1/D2 sit
+behind the Stokes analyzer, D3/D4 behind the anti-Stokes analyzer.
 """
 
 from __future__ import annotations
@@ -60,18 +62,16 @@ CHSH_SETTINGS = tuple(AngleSettings.from_degrees(s, a)
                                    (45, 67.5)))
 
 
-def pair_correlation(angles: AngleSettings, visibility: float,
-                     phase: float = 0.0) -> float:
-    """Correlation K = V cos(phase) cos(2 delta) of a detected pair at
-    analyzer settings ``angles``.
+def pair_correlation(angles: AngleSettings, visibility: float) -> float:
+    """Correlation K = V cos(2 delta) of a detected pair at analyzer
+    settings ``angles``.
 
     For the white-noise-degraded state the matched detector pairs
     (D1,D3)/(D2,D4) carry probability (1 + K)/4 each and the crossed pairs
     (1 - K)/4.
     """
     check_in("visibility", visibility, "[0, 1]")
-    check_in("phase", phase, "(-inf, inf)")
-    return visibility * math.cos(phase) * math.cos(2.0 * angles.delta)
+    return visibility * math.cos(2.0 * angles.delta)
 
 
 def forward_count_probs(params: ExperimentParams, t: float,
@@ -91,7 +91,7 @@ def forward_count_probs(params: ExperimentParams, t: float,
     p_as = (params.chi * r_inc + params.noise_c) * params.eta_as
     correlated = params.chi * r_inc * params.eta_s * params.eta_as
     accidental = p_s * p_as
-    k = pair_correlation(angles, params.visibility, params.phase)
+    k = pair_correlation(angles, params.visibility)
     matched = correlated * ((1.0 + k) / 4.0) + accidental / 4.0
     crossed = correlated * ((1.0 - k) / 4.0) + accidental / 4.0
     for name, value in (("p_s", p_s), ("p_as", p_as), ("p13", matched),

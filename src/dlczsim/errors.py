@@ -1,7 +1,7 @@
 """Exception types shared across the package, the interval check of
-scalar parameters, the seed check and the one reader of input files
-(config and CSV alike) that raise them, and the base of the records whose
-construction checks its fields.
+scalar parameters and its integer form (seeds, trial counts), the one
+reader of input files (config and CSV alike) that raise them, and the base
+of the records whose construction checks its fields.
 
 The CLI maps these onto exit codes: parameter/schema problems are exit 2,
 numeric failures (fits, degenerate statistics) exit 3, I/O errors exit 4.
@@ -49,7 +49,9 @@ class DegenerateStatisticsError(DlczError, RuntimeError):
 def check_in(name: str, value, interval: str) -> None:
     """Raise :class:`ParameterError` unless ``value`` lies in ``interval``,
     written like "(0, 1]" or "(0, inf]". NaN lies in no interval."""
-    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    # an integer end stays exact: as a float, 2**63 - 1 would round up
+    lo, hi = (int(end) if end.strip().lstrip("-").isdigit() else float(end)
+              for end in interval[1:-1].split(","))
     hi_closed = interval[-1] == "]"
     if not ((lo <= value if interval[0] == "[" else lo < value)
             and (value <= hi if hi_closed else value < hi)):
@@ -58,15 +60,21 @@ def check_in(name: str, value, interval: str) -> None:
             f"{name} = {value!r} must be {finite}in {interval}")
 
 
-def check_seed(seed) -> None:
-    """Raise :class:`ParameterError` unless ``seed`` is an integer (any
-    type with ``__index__``, as numpy's) in [0, inf)."""
+def check_integer(name: str, value, interval: str) -> None:
+    """:func:`check_in` for an integer: any type with ``__index__``, as
+    numpy's."""
     try:
-        operator.index(seed)
+        operator.index(value)
     except TypeError:
         raise ParameterError(
-            f"seed = {seed!r} must be an integer in [0, inf)") from None
-    check_in("seed", seed, "[0, inf)")
+            f"{name} = {value!r} must be an integer in {interval}") from None
+    check_in(name, value, interval)
+
+
+def check_seed(seed) -> None:
+    """Raise :class:`ParameterError` unless ``seed`` is an integer in
+    [0, inf)."""
+    check_integer("seed", seed, "[0, inf)")
 
 
 def read_lines(path, error: type, digest=None) -> tuple:

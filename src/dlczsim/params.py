@@ -114,7 +114,6 @@ class ExperimentParams(Record):
     eta_as: float            # total anti-Stokes detection efficiency
     eta_s: float = None      # Stokes detection efficiency, eta_as if None
     visibility: float = DEFAULT_VISIBILITY  # pair visibility at zero delay
-    phase: float = 0.0       # net interferometer phase (phi_S + phi_AS), rad
     decay: DecayParams = DecayParams(0.77, 1e-3)  # immutable, so shared
 
     def __post_init__(self):
@@ -124,7 +123,6 @@ class ExperimentParams(Record):
             check_in(name, getattr(self, name), "[0, 1]")
         check_in("eta_s", self.eta_s, "(0, 1]")
         check_in("eta_as", self.eta_as, "(0, 1]")
-        check_in("phase", self.phase, "(-inf, inf)")
         if self.chi + self.noise_b > 1.0:
             raise ParameterError(
                 f"chi + noise_b = {self.chi + self.noise_b!r} exceeds 1")

@@ -37,7 +37,7 @@ def report(criterion, name):
 
 def operating_point(**overrides):
     fields = dict(chi=0.01, noise_b=1e-5, noise_c=1e-4, eta_s=0.15,
-                  eta_as=0.15, visibility=DEFAULT_VISIBILITY, phase=0.0,
+                  eta_as=0.15, visibility=DEFAULT_VISIBILITY,
                   decay=DecayParams(0.77, 1e-3))
     fields.update(overrides)
     return ExperimentParams(**fields)

@@ -2,8 +2,8 @@
 
 The digests of everything derived from the engine's counts (simulate's
 counts and records, estimate's reports, the fit of its retrieval.csv) were
-recorded on random stream v3 with numpy ``RECORDED_NUMPY``: v3 draws each
-block's counts with numpy's multinomial (binomial) sampler, which numpy
+recorded on random stream v4 with numpy ``RECORDED_NUMPY``: v4 draws each
+setting's counts with numpy's multinomial (binomial) sampler, which numpy
 does not promise to keep across feature releases. The other digests
 (budget, lifetime, repeater-sweep and every stdout or manifest that does
 not depend on the counts) were recorded before the one artifact emitter
@@ -23,26 +23,26 @@ from test_cli import CONFIG
 
 RECORDED_NUMPY = "2.4.6"
 MISMATCH = (f"digests recorded with numpy {RECORDED_NUMPY}, running numpy "
-            f"{np.__version__}; a changed sampler changes stream v3's bytes")
+            f"{np.__version__}; a changed sampler changes stream v4's bytes")
 
 PINNED_DECAY = {
     "counts_t00_a00.csv":
-        "05a573a3defb828f3786a127ef7135205cabf625beb1acfed9cd7e7bc3796694",
+        "028aad1d1b1f98f2afae96342721294f41fdf486b1055834e75531d2145032c3",
     "counts_t01_a00.csv":
-        "7bcce11490123b9a22a6b0de161708b7eeddc47b3a9915d7c5d33bd24088f8fa",
+        "1928d6482fa49c1192367a73e779fd42d8da62cc1ea0bce218c6190893d0c3e0",
     "trials_t00_a00.csv":
-        "1dca0ca4f45f90b2ed1c89a15168ecfb8ed7aa54f928829bc7820402a72d7f5c",
+        "22705ba2731892ad99070a8fccce5d64d938983fa1c6c6edee1aad8c79a84953",
     "trials_t01_a00.csv":
-        "325c290a076d1a05dc1eca6450f28cdb8b9bed1f64b6cf37c15a073629ad7477",
+        "dbd29bef5a8fa13220219879cd189552866057641088a5432ba0cb54d82b85bc",
     "estimates.kv":
-        "7edd1cffb822afe2c33a42d50eec6c7cfbfc989ffd27aed5fc98b26f2b18132d",
+        "865fc601e0263a11883752f37fb012e53c56411bf766f74f259b7e2939daf233",
     "retrieval.csv":
-        "bc459f40dc5cc580e730e5aefcb097b7e7943fd0fca6881ddfc1060a2abf7c64",
+        "a1de9304a8736eda4896b2cb34987d53d934e8a9fcc031959d6591c8bb299389",
 }
 
 PINNED_CHSH = {
     "estimates.kv":
-        "a560381538299a99748c218bb5c53186dac2d686213cb0c2ff55e1e13bfb7eff",
+        "2ee2302552726b5c51847b378eb4372782465c151ac6a7c0543f85f4fa66514d",
 }
 
 
@@ -116,31 +116,31 @@ PINNED_EVERY_COMMAND = {
     "sim/stdout":
         "024567a5c68257c73e05b28f3bc8daa99382448d4b389be234099a7e1ecdf121",
     "sim/counts_t00_a00.csv":
-        "b3aa24ce4bdca069fd3b9411c0ed5da5abd92894e5b8a38f722f89f16571f102",
+        "61ecd7c292675ffc00ed1949c213ad13e5d93b55261ce1789b0fd833f45ac531",
     "sim/counts_t01_a00.csv":
-        "165f822f2e527dbcc2d6d2df32a27e605787c8303cbbc6a2e9b9189e18fb8cbe",
+        "36b4bac8d7e5b34aa7cbd96d14009e52840ce702263e90a31447f352c1f8d019",
     "sim/counts_t02_a00.csv":
-        "4fa478e5bb40200402315425f5f2ab6956cc5b4059a1c7e36c870f6412a96d80",
+        "beb108e8f389470c35332fb01da1a2b1294ce34a6007018c996bc2731e35175a",
     "sim/run_manifest.kv":
         "7e4a62d87ec2093ed17db7b57793a78eaa5ffe37e3dd900318b634aaac5a4bb0",
     "sim/trials_t00_a00.csv":
-        "1dac8ac6534568ba808ffec3dd90c546b0b064cbc5519f59f9d9edf71c05c52b",
+        "c65bc244cd2342c0be5e195d0a769b3b8bbfdb3a661989151e2d4e627e131b46",
     "sim/trials_t01_a00.csv":
-        "52763efd3f57e09d09737123b020af2bb3407e78eab954f7bc8cf01548d37e32",
+        "1f8bcadb84b237f67195188b5d2fa9caad554408530bfb2e5c32d32e186de00c",
     "sim/trials_t02_a00.csv":
-        "e5a12ef9747baca1844d679731841399286c1442483a79bc38b3db252f00d7b4",
+        "32a9380f8034585b13bf7149ecbe2c3a6911e88b2317eb498de185743c7c57c4",
     "est/stdout":
-        "9653e073cdb5cb33c1a7fbedc761fb5b60a6d111f1da88e04c21e9ed6872ecf7",
+        "966198131aea72e44b9560da25db2a5e372bf651b297f7bb806d9dcee0902cfe",
     "est/estimates.kv":
-        "7ff6f3b82984ff2edadbeaac6acc34300315bf837a9b3c733cc9f5adc31f5795",
+        "a42ebdb0493010393de9d1a06fa6fe7a9f2ffe18502067b122d20964aaef3386",
     "est/retrieval.csv":
-        "bf46e3179bf6b13b4213c49a8d6e5927d04018a1c8f84e2e816acf6e3379681c",
+        "ff0fd764b1c606d03f71c6d066fa42b545bce4cf369ed615c9bfdc5a343e5523",
     "est/run_manifest.kv":
-        "3b99724983b7292cd93903a4e83a425eea190cff363dd7e9329ad1c750034fb6",
+        "f0d3a2ee6d414561d33dd607ac4a2fcb761771f9115775545675ead93c0285d4",
     "fit/stdout":
-        "27140af29e6c0789de71105043e0dd8c54f78ced7fe6d71734e8656ae661d93d",
+        "6b0cf2692a080e10695d92a2532b9534f80c38c478138ef4527b53228c0bef05",
     "fit/decay_fit.kv":
-        "809681d1376ed4eb07f70fcaf9bcf77d558633a3c58c42baad3631574cdce719",
+        "1f32597074b0a0694347221ddb10e68d2231612ae7399ef7c1e658c9430567dd",
     "fit/run_manifest.kv":
         "3b17a1f49863ff5f13ad380fc6bbca02a83a8bfcfd055644a9d4314f7cb5e798",
     "sweep_kv/stdout":

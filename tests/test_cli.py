@@ -225,7 +225,7 @@ def test_simulate_writes_counts_with_provenance(config, tmp_path):
                      "run_manifest.kv"]
     tables, provenance = read_counts_csv(out / "counts_t01_a00.csv")
     assert provenance["seed"] == "42"
-    assert provenance["stream"] == "v3"
+    assert provenance["stream"] == "v4"
     assert provenance["config_hash"].startswith("sha256:")
     assert tables[0].storage_time == 0.00054
     assert tables[0].n_pulses == 20000
@@ -328,10 +328,20 @@ def test_records_bytes_do_not_depend_on_the_chunk_size(config, tmp_path,
             == (tmp_path / "many" / name).read_bytes())
 
 
-def test_simulate_validation_errors(config, tmp_path):
+def test_simulate_validation_errors(config, tmp_path, capsys):
     out = str(tmp_path / "x")
-    assert main(["simulate", "--config", config, "--seed", "1",
-                 "--trials", "0", "--out", out]) == 2
+    top = 2**63 - 1  # the engine's multinomial counts trials in int64
+    for trials in (0, top + 1):
+        assert main(["simulate", "--config", config, "--seed", "1",
+                     "--trials", str(trials), "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --trials = {trials} must be finite and in [1, {top}]\n")
+    assert not (tmp_path / "x").exists()
+    phase = tmp_path / "phase.conf"
+    phase.write_text(CONFIG + "experiment.phase = 0\n")
+    assert main(["simulate", "--config", str(phase), "--seed", "1",
+                 "--trials", "100", "--out", out]) == 2
+    assert "unknown key 'experiment.phase'" in capsys.readouterr().err
     bad = tmp_path / "bad.conf"
     bad.write_text(CONFIG + "experiment.unknown = 1\n")
     assert main(["simulate", "--config", str(bad), "--seed", "1",
@@ -786,7 +796,7 @@ def test_repeater_sweep_rejects_non_finite_inputs(flags, tmp_path, capsys):
 # sample.conf with one edit, written as {dir}/<name>.conf for
 # INVALID_INPUTS.
 EDITED_CONFS = {
-    "phase_inf": {"experiment__phase": "inf"},
+    "phase_inf": {"experiment__phase": "inf"},  # an unknown key
     "phase_nan": {"experiment__phase": "nan"},
     "loss_hr_nan": {"chain__loss__hr": "nan"},
     "write_duration": {"timing__write_duration": "3e-7"},

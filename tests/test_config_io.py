@@ -69,7 +69,6 @@ def test_load_full_config(config_file):
     cfg = load_config(config_file)
     assert cfg.experiment.chi == 0.01
     assert cfg.experiment.visibility == DEFAULT_VISIBILITY  # the default
-    assert cfg.experiment.phase == 0.0
     assert cfg.experiment.decay.tau0 == 1e-3
     assert cfg.chain.eta_td == pytest.approx(0.1507, abs=1e-3)
     assert math.fsum(cfg.chain.loss_items.values()) == pytest.approx(0.13)
@@ -169,7 +168,7 @@ def test_out_of_range_value_names_section(tmp_path):
 
 def test_experiment_record_holds_the_config_defaults(tmp_path):
     """A library caller and a config file get one default rule: eta_s =
-    eta_as, the default visibility and phase 0; an explicit eta_s wins."""
+    eta_as and the default visibility; an explicit eta_s wins."""
     sample = Path(__file__).resolve().parents[1] / "sample.conf"
     assert load_config(sample).experiment == ExperimentParams(
         chi=0.01, noise_b=1e-5, noise_c=1e-4, eta_as=0.15,
@@ -193,7 +192,6 @@ CONFIG_KEYS = {
     "experiment.eta_s": ("float", "0.15"),  # = experiment.eta_as
     "experiment.eta_as": ("float", REQUIRED),
     "experiment.visibility": ("float", repr(DEFAULT_VISIBILITY)),
-    "experiment.phase": ("float", "0"),
     "decay.r0": ("float", REQUIRED),
     "decay.tau0": ("float", REQUIRED),
     "chain.t_oc": ("float", REQUIRED),

@@ -39,10 +39,10 @@ def test_decay_one_over_e_point():
 
 
 def test_decay_bounded_by_r0():
-    t = np.linspace(0.0, 10e-3, 200)
-    r = retrieval_decay(MEASURED_DECAY, t)
-    assert np.all(r <= 0.77)
-    assert np.all(np.diff(r) < 0)  # strictly decreasing
+    r = [retrieval_decay(MEASURED_DECAY, t)
+         for t in np.linspace(0.0, 10e-3, 200).tolist()]
+    assert max(r) <= 0.77
+    assert all(b < a for a, b in zip(r, r[1:]))  # strictly decreasing
 
 
 def test_decay_domain_errors():
@@ -50,8 +50,6 @@ def test_decay_domain_errors():
         retrieval_decay(MEASURED_DECAY, -1e-6)
     with pytest.raises(ParameterError):
         retrieval_decay(MEASURED_DECAY, math.nan)
-    with pytest.raises(ParameterError):
-        retrieval_decay(MEASURED_DECAY, np.array([0.0, math.nan]))
     with pytest.raises(ParameterError):
         DecayParams(0.77, 0.0)
     with pytest.raises(ParameterError):
@@ -108,7 +106,7 @@ def test_fit_noisy_synthetic_data():
     rng = np.random.default_rng(1234)
     truth = DecayParams(0.77, 1e-3)
     times = np.linspace(0.0, 3e-3, 20)
-    clean = retrieval_decay(truth, times)
+    clean = np.array([retrieval_decay(truth, t) for t in times.tolist()])
     noisy = clean * (1.0 + 0.01 * rng.standard_normal(times.size))
     fitted, _ = fit_decay(list(zip(times, noisy)))
     assert fitted.r0 == pytest.approx(truth.r0, rel=0.03)
@@ -198,6 +196,14 @@ def _fit_outcome(samples):
                                               residual))
 
 
+def _decay_array(p, t):
+    """R(t) over an array of times, in the numpy form that drew the pinned
+    corpus: ``math.exp`` differs from ``np.exp`` in the last ulp of some
+    arguments, so ``retrieval_decay`` would move the corpus's data."""
+    x = t / p.tau0
+    return p.r0 * (np.exp(-x * x) + np.exp(-x)) / 2.0
+
+
 def _pin_corpus():
     """Seeded (t, R[, sigma]) sets, n = 3-40, half of them weighted."""
     rng = np.random.default_rng(20260518)
@@ -209,7 +215,7 @@ def _pin_corpus():
         truth = DecayParams(float(rng.uniform(0.05, 0.95)),
                             t_max * float(10.0 ** rng.uniform(-1.0, 1.0)))
         sigma = 0.002 + 0.03 * rng.random(n)
-        r = np.abs(retrieval_decay(truth, t) + sigma * rng.standard_normal(n))
+        r = np.abs(_decay_array(truth, t) + sigma * rng.standard_normal(n))
         columns = (t, r, sigma) if i % 2 else (t, r)
         sets.append(list(zip(*(c.tolist() for c in columns))))
     times = np.linspace(0.0, 6e-3, 12)

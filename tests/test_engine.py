@@ -11,10 +11,10 @@ from dlczsim import (CHSH_SETTINGS, AngleSettings, Config, CountsTable,
                      ParameterError, TrialRecord, engine,
                      forward_count_probs, pair_correlation, run_experiment)
 from dlczsim.cli import parse_angle_plan
-from dlczsim.engine import (BLOCK_TRIALS, _N_COLS, _blocks, _cells,
+from dlczsim.engine import (RECORDS_LIMIT, _N_COLS, _cells, _count_matrix,
                             _decide_one, _outcome_table, _trial_model,
                             exact_count_probs, iter_trial_records,
-                            trial_outcome_blocks)
+                            trial_outcomes)
 from dlczsim.params import DEFAULT_VISIBILITY
 from dlczsim.repeater import PRESET_HIGH_RETRIEVAL
 
@@ -25,7 +25,7 @@ TIMING = CycleTiming(prep_duration=42e-3, run_duration=8e-3,
 
 def make_params(**overrides):
     defaults = dict(chi=0.01, noise_b=1e-5, noise_c=1e-4, eta_s=0.15,
-                    eta_as=0.15, visibility=0.8839, phase=0.0,
+                    eta_as=0.15, visibility=0.8839,
                     decay=DecayParams(0.77, 1e-3))
     defaults.update(overrides)
     return ExperimentParams(**defaults)
@@ -62,14 +62,38 @@ def test_identical_seeds_identical_tables():
 
 
 def test_multi_block_runs_are_deterministic():
+    # a two-setting plan at a few million trials
     params = make_params(chi=0.05, eta_s=0.5, eta_as=0.5)
     plan = [MATCHED, AngleSettings(DEG(45), DEG(22.5))]
-    # > BLOCK_TRIALS, so the run spans several blocks
-    n = BLOCK_TRIALS + 12_345
+    n = 3 * 2**20 + 5
     first = run_experiment(params, 0.0, plan, n, seed=11)
     again = run_experiment(params, 0.0, plan, n, seed=11)
     assert first == again
     assert all(table.n_pulses == n for table in first)
+
+
+def test_counts_are_one_multinomial_per_setting(monkeypatch):
+    # stream v4: setting k's counts are hist @ _count_matrix(outcomes) for
+    # one multinomial of all its trials from Philox keyed (seed, run_tag, k)
+    params = make_params(chi=0.05, eta_s=0.5, eta_as=0.5)
+    plan = [MATCHED, AngleSettings(DEG(45), DEG(22.5)), MATCHED]
+    n = 3 * 2**20 + 5
+    keys = []
+    rng = engine._rng
+    monkeypatch.setattr(engine, "_rng",
+                        lambda *key: keys.append(key) or rng(*key))
+    tables = run_experiment(params, 0.3e-3, plan, n, 41, double_pair=True,
+                            run_tag=2)
+    assert keys == [(41, 2, 0), (41, 2, 1), (41, 2, 2)]
+    for s_idx, (angles, table) in enumerate(zip(plan, tables)):
+        outcomes, probs = _outcome_table(
+            _trial_model(params, 0.3e-3, angles, True))
+        seeds = np.random.SeedSequence(entropy=41, spawn_key=(2, s_idx))
+        hist = np.random.Generator(np.random.Philox(seeds)).multinomial(
+            n, probs)
+        assert table._values()[2:] == (n, *(hist @ _count_matrix(outcomes))
+                                       .tolist())
+    assert tables[0] != tables[2]  # same setting, own stream
 
 
 def test_outcome_table_is_exact_for_decide_one():
@@ -201,7 +225,7 @@ def test_analytic_model_gap_to_exact_table_is_pinned(double_pair, angles,
 
 @pytest.mark.parametrize("double_pair", [False, True])
 def test_counts_at_1e9_trials_follow_the_exact_table(double_pair):
-    # one multinomial per RNG block, so 1e9 trials cost ~1e3 draws
+    # one multinomial per setting, so 1e9 trials cost one draw
     params = make_params(chi=0.05, eta_s=0.5, eta_as=0.5)
     plan = [MATCHED, AngleSettings(DEG(45), DEG(22.5))]
     n = 10**9
@@ -216,21 +240,18 @@ def test_counts_at_1e9_trials_follow_the_exact_table(double_pair):
         assert np.all(np.abs(z) <= 4), (double_pair, angles, z)
 
 
-def test_records_tally_equals_counts_across_blocks():
+def test_records_tally_equals_counts_at_the_records_limit():
     params = make_params(chi=0.05, eta_s=0.5, eta_as=0.5)
     plan = [MATCHED, AngleSettings(DEG(45), DEG(22.5))]
-    n = BLOCK_TRIALS + 12_345
+    n = RECORDS_LIMIT
     tables = run_experiment(params, 0.3e-3, plan, n, seed=41,
                             double_pair=True, run_tag=2)
     for s_idx, (angles, table) in enumerate(zip(plan, tables)):
-        outcomes, blocks = trial_outcome_blocks(
+        outcomes, trials = trial_outcomes(
             params, 0.3e-3, angles, n, 41, setting_index=s_idx,
             double_pair=True, run_tag=2)
-        firsts, hist = [], np.zeros(len(outcomes), dtype=np.int64)
-        for first, trials in blocks:
-            firsts.append(first)
-            hist += np.bincount(trials, minlength=len(outcomes))
-        assert firsts == [0, BLOCK_TRIALS]
+        assert len(trials) == n
+        hist = np.bincount(trials, minlength=len(outcomes))
         tally = {name: 0 for name in ("n_d1", "n_d2", "c13", "c24", "c14",
                                       "c23")}
         for (s, d1, a, d3, _), count in zip(outcomes, hist.tolist()):
@@ -244,13 +265,12 @@ def test_records_tally_equals_counts_across_blocks():
 
 def test_records_order_is_uniform_given_the_histogram():
     # the mean position of each outcome's trials is that of a uniformly
-    # random subset of the block (sampling without replacement)
+    # random subset of the trials (sampling without replacement)
     params = make_params(chi=0.3, noise_b=0.05, noise_c=0.2, eta_s=0.6,
                          eta_as=0.7)
     size = 200_000
-    outcomes, blocks = trial_outcome_blocks(params, 0.0, MATCHED, size, 43,
-                                            double_pair=True)
-    (_, trials), = blocks
+    outcomes, trials = trial_outcomes(params, 0.0, MATCHED, size, 43,
+                                      double_pair=True)
     positions = np.arange(size)
     for k in range(len(outcomes)):
         c = int(np.count_nonzero(trials == k))
@@ -261,26 +281,13 @@ def test_records_order_is_uniform_given_the_histogram():
         assert abs(z) <= 4, (outcomes[k], c, z)
 
 
-def test_blocks_are_lazy_and_cover_the_remainder():
-    assert next(iter(_blocks(10**13))) == (0, BLOCK_TRIALS)
-    assert list(_blocks(2 * BLOCK_TRIALS + 7)) == [
-        (0, BLOCK_TRIALS), (1, BLOCK_TRIALS), (2, 7)]
-    assert list(_blocks(BLOCK_TRIALS)) == [(0, BLOCK_TRIALS)]
-    assert list(_blocks(5)) == [(0, 5)]
-
-
-def test_trial_outcome_blocks_draw_each_block_when_reached(monkeypatch):
-    drawn = []
-    arrange = engine._block_arrangement
-    monkeypatch.setattr(engine, "_block_arrangement",
-                        lambda *key: drawn.append(key[-2]) or arrange(*key))
-    _, blocks = trial_outcome_blocks(make_params(), 0.0, MATCHED,
-                                     BLOCK_TRIALS + 7, 3)
-    assert drawn == []
-    first, trials = next(blocks)
-    assert (first, len(trials), drawn) == (0, BLOCK_TRIALS, [0])
-    first, trials = next(blocks)
-    assert (first, len(trials), drawn) == (BLOCK_TRIALS, 7, [0, 1])
+def test_records_refuse_more_than_the_limit():
+    params = make_params()
+    message = f"n_trials = {RECORDS_LIMIT + 1} must be finite and in"
+    with pytest.raises(ParameterError, match=message):
+        trial_outcomes(params, 0.0, MATCHED, RECORDS_LIMIT + 1, 3)
+    with pytest.raises(ParameterError, match=message):
+        next(iter_trial_records(params, 0.0, MATCHED, RECORDS_LIMIT + 1, 3))
 
 
 def test_trial_record_fields_without_excitation_or_noise():
@@ -322,7 +329,7 @@ def test_coincidence_ratios_match_projection_probs():
     angles = AngleSettings(DEG(22.5), 0.0)
     table, = run_experiment(params, 0.0, [angles], 1_000_000, seed=19)
     observed = np.array([table.c13, table.c24, table.c14, table.c23])
-    k = pair_correlation(angles, params.visibility, params.phase)
+    k = pair_correlation(angles, params.visibility)
     expected = observed.sum() * np.array([1.0 + k, 1.0 + k, 1.0 - k,
                                           1.0 - k]) / 4.0
     chi2 = float(np.sum((observed - expected) ** 2 / expected))
@@ -361,6 +368,13 @@ def test_configuration_errors():
         run_experiment(params, 0.0, [], 1000, seed=1)
     with pytest.raises(ParameterError):
         run_experiment(params, 0.0, [MATCHED], 0, seed=1)
+    # an integer count that one int64 multinomial can draw
+    for n in (1.5, 2**63):
+        with pytest.raises(ParameterError,
+                           match=f"n_trials_per_setting = {n!r} must be"):
+            run_experiment(params, 0.0, [MATCHED], n, seed=1)
+    table, = run_experiment(params, 0.0, [MATCHED], 2**63 - 1, seed=1)
+    assert table.n_pulses == 2**63 - 1
     with pytest.raises(ParameterError):
         run_experiment(params, 0.0, [MATCHED], 1000, seed=-1)
 
@@ -387,15 +401,13 @@ def test_seeds_must_be_non_negative_integers():
         run_experiment(params, 0.0, [MATCHED], 1000, seed=1.5)
     for seed in (1.5, -1):
         with pytest.raises(ParameterError, match=f"seed = {seed}"):
-            trial_outcome_blocks(params, 0.0, MATCHED, 1000, seed)
+            trial_outcomes(params, 0.0, MATCHED, 1000, seed)
     plain = run_experiment(params, 0.0, [MATCHED], 1000, seed=7)
     assert run_experiment(params, 0.0, [MATCHED], 1000,
                           seed=np.int64(7)) == plain
-    outcomes, blocks = trial_outcome_blocks(params, 0.0, MATCHED, 1000, 7)
-    (_, trials), = blocks
-    numpy_outcomes, numpy_blocks = trial_outcome_blocks(
-        params, 0.0, MATCHED, 1000, np.int64(7))
-    (_, numpy_trials), = numpy_blocks
+    outcomes, trials = trial_outcomes(params, 0.0, MATCHED, 1000, 7)
+    numpy_outcomes, numpy_trials = trial_outcomes(params, 0.0, MATCHED, 1000,
+                                                  np.int64(7))
     assert numpy_outcomes == outcomes
     assert numpy_trials.tobytes() == trials.tobytes()
 
@@ -433,7 +445,7 @@ VALIDATED_RECORDS = {
         make_params(),
         "(chi: 'float', noise_b: 'float', noise_c: 'float', eta_as: 'float', "
         "eta_s: 'float' = None, visibility: 'float' = 0.8838834764831843, "
-        "phase: 'float' = 0.0, decay: 'DecayParams' "
+        "decay: 'DecayParams' "
         "= DecayParams(r0=0.77, tau0=0.001)) -> None",
         "noise_b", 0.995),  # chi + noise_b > 1
     "CycleTiming": (

@@ -12,7 +12,7 @@ DEG = math.radians
 
 def reference_params(**overrides):
     defaults = dict(chi=0.01, noise_b=1e-5, noise_c=1e-4, eta_s=0.15,
-                    eta_as=0.15, visibility=0.8839, phase=0.0,
+                    eta_as=0.15, visibility=0.8839,
                     decay=DecayParams(0.77, 1e-3))
     defaults.update(overrides)
     return ExperimentParams(**defaults)
@@ -37,12 +37,11 @@ def test_projection_partial_visibility():
     assert (1.0 + k) / 4.0 == pytest.approx(0.4063, abs=1e-4)
 
 
-@given(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0), st.floats(0.0, 1.0),
-       st.floats(-3.2, 3.2))
-def test_projection_correlation_identity(theta_s, theta_as, v, phase):
+@given(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0), st.floats(0.0, 1.0))
+def test_projection_correlation_identity(theta_s, theta_as, v):
     angles = AngleSettings(theta_s, theta_as)
-    k = pair_correlation(angles, v, phase)
-    expected = v * math.cos(phase) * math.cos(2.0 * angles.delta)
+    k = pair_correlation(angles, v)
+    expected = v * math.cos(2.0 * angles.delta)
     assert k == pytest.approx(expected, abs=1e-12)
     assert abs(k) <= v + 1e-12
 
@@ -57,8 +56,6 @@ def test_projection_joint_basis_rotation_symmetry():
 def test_projection_visibility_validation():
     with pytest.raises(ParameterError):
         pair_correlation(AngleSettings(0.0, 0.0), visibility=1.5)
-    with pytest.raises(ParameterError, match="phase = inf"):
-        pair_correlation(AngleSettings(0.0, 0.0), 0.9, phase=math.inf)
 
 
 def test_angle_degrees_read_back_exactly():

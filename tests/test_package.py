@@ -43,8 +43,9 @@ def test_public_surface_is_pinned_and_importable():
         assert namespace[name] is getattr(dlczsim, name)
 
 
-# Each search takes only its bracket and the multiplexed probability has
-# one law, so these signatures carry no setting that no caller varies.
+# Each search takes only its bracket, the multiplexed probability has one
+# law and the pair correlation no phase, so these signatures carry no
+# setting that no caller varies.
 PINNED_SIGNATURES = {
     "elementary_probs": "(p: 'RepeaterParams') "
                         "-> 'Tuple[float, float, float]'",
@@ -58,6 +59,8 @@ PINNED_SIGNATURES = {
     "solve.find_root": "(f, a, b)",
     "solve.find_minimum": "(f, a, x, b, fx)",
     "TrialRecord.from_outcome": "(outcome: '_Outcome') -> 'TrialRecord'",
+    "pair_correlation": "(angles: 'AngleSettings', visibility: 'float') "
+                        "-> 'float'",
 }
 
 

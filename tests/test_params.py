@@ -195,12 +195,15 @@ def test_timing_validation():
 def test_check_in_ends_and_non_finite_values():
     for value, interval in ((0.0, "[0, 1)"), (1.0, "(0, 1]"),
                             (math.inf, "(0, inf]"), (-1e308, "(-inf, 0)"),
-                            (7, "[1, inf)"), (2, "[2, 10]")):
+                            (7, "[1, inf)"), (2, "[2, 10]"),
+                            (2**63 - 1, "[1, 9223372036854775807]")):
         check_in("x", value, interval)
+    # an integer end is exact: as a float, 2**63 - 1 would round to 2**63
     for value, interval in ((0.0, "(0, 1]"), (1.0, "[0, 1)"),
                             (math.inf, "(0, inf)"), (-math.inf, "(-inf, 0]"),
                             (math.nan, "(-inf, inf)"), (math.nan, "(0, inf]"),
-                            (0, "[1, inf)"), (11, "[2, 10]")):
+                            (0, "[1, inf)"), (11, "[2, 10]"),
+                            (2**63, "[1, 9223372036854775807]")):
         with pytest.raises(ParameterError):
             check_in("x", value, interval)
 
@@ -218,7 +221,7 @@ def test_check_in_message_names_the_field_and_says_finite():
 # A valid instance of each parameter class; its float fields are swept.
 VALID_PARAMETER_SETS = [
     ExperimentParams(chi=0.01, noise_b=1e-5, noise_c=1e-4, eta_s=0.15,
-                     eta_as=0.15, visibility=0.88, phase=0.3),
+                     eta_as=0.15, visibility=0.88),
     DecayParams(0.77, 1e-3),
     MEASURED_CHAIN,
     LAB_GEOMETRY,
